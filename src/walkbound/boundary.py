@@ -17,7 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import STREAM_BOUNDARY, STREAM_RESAMPLE, STREAM_RETURN, STREAM_WALK, derived_rng
+from ._rng import (
+    STREAM_BOUNDARY,
+    STREAM_RESAMPLE,
+    STREAM_RETURN,
+    STREAM_WALK,
+    derived_rng,
+    path_generators,
+)
 from .errors import BudgetError, ConfigError, ConvergenceError, TruncationError
 from .groups import (
     ActingGroup,
@@ -323,8 +330,7 @@ def _resolve_paths(
     acting = measure.acting
     images = _RayImages(acting, probes)
     out: list[tuple[int, ...] | None] = []
-    for p_idx in range(n_paths):
-        rng = derived_rng(seed, stream, p_idx)
+    for rng in path_generators(seed, stream, 0, n_paths):
         idx = measure.draw_indices(rng, n_steps)
         run_to = n_steps
         if return_lattice is not None:
@@ -560,8 +566,7 @@ def track_convergence(
     n_probes = len(probes)
     lengths = np.zeros((n_paths, n_steps), dtype=np.int32)
     truncations = 0
-    for p_idx in range(n_paths):
-        rng = derived_rng(seed, STREAM_WALK, p_idx)
+    for p_idx, rng in enumerate(path_generators(seed, STREAM_WALK, 0, n_paths)):
         idx = measure.draw_indices(rng, n_steps)
         stack: list[int] = []
         part = acting.identity_part()
@@ -678,8 +683,7 @@ def first_return_sampler(
     times: list[int] = []
     failures = 0
     block = min(step_budget, 128)
-    for s_idx in range(n_samples):
-        rng = derived_rng(seed, STREAM_RETURN, s_idx)
+    for rng in path_generators(seed, STREAM_RETURN, 0, n_samples):
         stack: list[int] = []
         part = acting.identity_part()
         perm = identity_perm if atom_perms is not None else None

@@ -3,7 +3,9 @@
 A walk starts at the identity and multiplies i.i.d. increments drawn from a
 finitely supported step measure on the right: x_n = h_1 h_2 ... h_n. Paths are
 reproducible bit for bit from (seed, path index) regardless of batching or
-worker scheduling, because every path owns a counter-derived RNG stream.
+worker scheduling, because every path owns a counter-derived RNG stream. The
+stream keys of a path range are computed in one batched pass, bit-identical to
+``SeedSequence(seed, spawn_key=(stream, index))`` (see ``_rng``).
 
 The inner loop keeps the free part as a mutable letter stack and twists each
 increment's free part by the accumulated automorphism of the current acting
@@ -19,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import path_rng
+from ._rng import STREAM_WALK, path_generators
 from .errors import BudgetError, ConfigError
 from .groups import (
     ActingGroup,
@@ -158,28 +160,6 @@ class StepMeasure:
         self.__init__(acting, atoms, weights, check_generation=False)
 
 
-def step_once(
-    acting: ActingGroup,
-    stack: list[int],
-    part,
-    letters: tuple[int, ...],
-    increment,
-):
-    """Multiply (stack, part) by one increment in place; returns the new part."""
-    if letters:
-        if part is not None and not acting.part_is_identity(part):
-            letters = acting.twist_letters(part, letters)
-        j = 0
-        n = len(letters)
-        while j < n and stack and stack[-1] == -letters[j]:
-            stack.pop()
-            j += 1
-        stack.extend(letters[j:])
-    if increment is not None:
-        part = acting.part_multiply(part, increment)
-    return part
-
-
 @dataclass(frozen=True)
 class PathBatch:
     """Snapshots of a batch of walk paths at the recorded steps.
@@ -207,12 +187,10 @@ class PathBatch:
 def _run_one_path(
     acting: ActingGroup,
     measure: StepMeasure,
-    seed: int,
-    path_index: int,
+    rng: np.random.Generator,
     n_steps: int,
     record: set[int],
 ) -> dict[int, ExtElement]:
-    rng = path_rng(seed, path_index)
     idx = measure.draw_indices(rng, n_steps)
     step_data = measure._step_data
     trivial = acting.k == 0
@@ -269,8 +247,8 @@ def sample_paths(
             raise ConfigError(f"record steps {sorted(record)} outside 0..{n_steps}")
     acting = measure.acting
     per_step: dict[int, list[ExtElement]] = {s: [] for s in sorted(record)}
-    for p in range(first_path, first_path + n_paths):
-        snaps = _run_one_path(acting, measure, seed, p, n_steps, record)
+    for rng in path_generators(seed, STREAM_WALK, first_path, n_paths):
+        snaps = _run_one_path(acting, measure, rng, n_steps, record)
         for s, g in snaps.items():
             per_step[s].append(g)
     return PathBatch(
@@ -375,8 +353,7 @@ def entropy_depth_counts(
     trivial = acting.k == 0
     twist = acting.twist_letters
     part_mult = acting.part_multiply
-    for p in range(first_path, first_path + n_paths):
-        rng = path_rng(seed, p)
+    for rng in path_generators(seed, STREAM_WALK, first_path, n_paths):
         idx = measure.draw_indices(rng, n_steps)
         stack: list[int] = []
         part = acting.identity_part()

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in process through main()."""
 
+import hashlib
 import json
 
 import pytest
@@ -296,3 +297,63 @@ def test_poisson_rejects_too_shallow_sampling(capsys):
                  "--n-samples", "10", "--n-steps", "10"])
     assert code == 2
     assert "shallower" in capsys.readouterr().err
+
+
+# sha256 of stdout for one small run of each sampling command. The digests
+# were recorded before path streams were keyed in one batched pass; any change
+# to a stream, a step kernel or an output format shows up here.
+GOLDEN_DIGESTS = (
+    pytest.param(
+        "walk --config fixture:semidirect-linear --seed 6148914691236517205 "
+        "--n-paths 300 --n-steps 12 --record 0,10 --format csv",
+        "68e3089f6335c9210f59daef713f5fc97c1c1a00bdf0aca4df31c9a93f4ea3b7",
+        id="walk-csv",
+    ),
+    pytest.param(
+        "entropy-rate --config fixture:srw-f2 --seed 9 --n-paths 3000 --depths 3,5",
+        "4c4a2460d105ae5521d4f3701b6b2b58542c15b47070a8d0bdb9c17275a08aa0",
+        id="entropy-rate",
+    ),
+    pytest.param(
+        "first-return --config fixture:semidirect-mixed --seed 3 --n-samples 1000 "
+        "--format csv",
+        "d0f6f3fb8d39e42d47fbaffa6478b7b355bd5a011b646999a71a30d5ddc42fb0",
+        id="first-return",
+    ),
+    pytest.param(
+        "hitting --config fixture:semidirect-linear --seed 4 --n-paths 200 "
+        "--n-steps 60 --depth 2",
+        "6539c9f9ed8f6f7f7a57b61a8170aee56cbf05c2564f51fc321d50f9e2cdd6a7",
+        id="hitting",
+    ),
+    pytest.param(
+        "hitting --config fixture:direct-product --at-returns --seed 4 "
+        "--n-paths 200 --n-steps 60 --depth 2",
+        "0757e7b5db5466b4443c511cb193062ac9ccf68cc44b1ae2f42cc09a50f158bb",
+        id="hitting-at-returns",
+    ),
+    pytest.param(
+        "stationarity --config fixture:srw-f2 --seed 8 --n-paths 500 --n-steps 60 "
+        "--depth 1 --pad 2 --n-resample 500",
+        "28fec1c61bd56baa5d4719fa27fbe28c3178c8b5e761b99da4a79212e304dcad",
+        id="stationarity",
+    ),
+    pytest.param(
+        "track --config fixture:direct-product --seed 6 --n-paths 60 --n-steps 20 "
+        "--depth 10 --burn-in 5 --format csv",
+        "6b7d2750dbf3e22dbe71888a91e0b6aa52a86498ccc298906dbea889bc7cddd2",
+        id="track",
+    ),
+    pytest.param(
+        "poisson --config fixture:srw-f2 --seed 12 --n-samples 200 --n-steps 100",
+        "3d0a2fe9db0dac9cbfc5e827cdb94b1954b944f2bc869527238259730f953e65",
+        id="poisson",
+    ),
+)
+
+
+@pytest.mark.parametrize("line, digest", GOLDEN_DIGESTS)
+def test_seeded_output_matches_golden_digest(capsys, line, digest):
+    assert main(line.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
