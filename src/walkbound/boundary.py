@@ -32,10 +32,12 @@ from .groups import (
     ModuliSpec,
     PermKernelSpec,
     SublatticeSpec,
+    _word_permutation,
     gauge_length,
+    part_in_sublattice,
 )
 from .morphisms import boundary_apply, default_margin
-from .walk import StepMeasure
+from .walk import StepGraph, StepMeasure
 from .words import Ray, Word
 
 __all__ = [
@@ -266,44 +268,11 @@ def _last_lattice_step(
     raise ConfigError(f"unknown sublattice spec {spec!r}")
 
 
-def _word_permutation(p: Word, spec: PermKernelSpec):
-    perm = list(range(spec.degree))
-    moved = False
-    for s in p.letters:
-        img = spec.images[abs(s) - 1]
-        if s < 0:
-            inv = [0] * spec.degree
-            for a, b in enumerate(img):
-                inv[b] = a
-            img = tuple(inv)
-        perm = [perm[x] for x in img]
-        moved = True
-    return tuple(perm) if moved else None
-
-
-def _endpoint(measure: StepMeasure, idx: np.ndarray, n_steps: int):
+def _endpoint(graph: StepGraph, indices: list[int]):
     """Run the walk over pre-drawn atom indices; returns (letters, part)."""
-    acting = measure.acting
-    step_data = measure._step_data
-    trivial = acting.k == 0
-    twist = acting.twist_letters
-    part_mult = acting.part_multiply
     stack: list[int] = []
-    part = acting.identity_part()
-    for i in idx[:n_steps]:
-        letters, increment = step_data[i]
-        if letters:
-            if not trivial:
-                letters = twist(part, letters)
-            j = 0
-            m = len(letters)
-            while j < m and stack and stack[-1] == -letters[j]:
-                stack.pop()
-                j += 1
-            stack.extend(letters[j:])
-        if increment is not None:
-            part = part_mult(part, increment)
-    return stack, part
+    node = graph.advance(stack, graph.root, indices)
+    return stack, node.part
 
 
 @dataclass(frozen=True)
@@ -327,8 +296,8 @@ def _resolve_paths(
     return_lattice: SublatticeSpec | None,
 ):
     """Per path: the resolved depth-prefix letters, or None."""
-    acting = measure.acting
-    images = _RayImages(acting, probes)
+    images = _RayImages(measure.acting, probes)
+    graph = StepGraph(measure)
     out: list[tuple[int, ...] | None] = []
     for rng in path_generators(seed, stream, 0, n_paths):
         idx = measure.draw_indices(rng, n_steps)
@@ -338,7 +307,7 @@ def _resolve_paths(
             if run_to == 0:
                 out.append(None)
                 continue
-        stack, part = _endpoint(measure, idx, run_to)
+        stack, part = _endpoint(graph, idx[:run_to].tolist())
         try:
             first = _translate_prefix(stack, images, part, 0, depth)
             agreed = all(
@@ -413,6 +382,8 @@ def sample_boundary_rays(
     path batch with the same seed. Unresolved paths are dropped; exceeding
     the ceiling raises.
     """
+    if n_samples < 1:
+        raise ConfigError("need n_samples >= 1")
     if probes is None:
         probes = default_probes(measure.acting.base_rank)
     resolved = _resolve_paths(
@@ -559,31 +530,18 @@ def track_convergence(
     if len(probes) < 2 or len(set(probes)) != len(probes):
         raise ConfigError("need at least two pairwise distinct probe rays")
     images = _RayImages(acting, probes)
-    step_data = measure._step_data
-    trivial = acting.k == 0
-    twist = acting.twist_letters
-    part_mult = acting.part_multiply
+    graph = StepGraph(measure)
     n_probes = len(probes)
     lengths = np.zeros((n_paths, n_steps), dtype=np.int32)
     truncations = 0
     for p_idx, rng in enumerate(path_generators(seed, STREAM_WALK, 0, n_paths)):
-        idx = measure.draw_indices(rng, n_steps)
+        idx = measure.draw_indices(rng, n_steps).tolist()
         stack: list[int] = []
-        part = acting.identity_part()
+        node = graph.root
         row = lengths[p_idx]
         for n, i in enumerate(idx):
-            letters, increment = step_data[i]
-            if letters:
-                if not trivial:
-                    letters = twist(part, letters)
-                j = 0
-                m = len(letters)
-                while j < m and stack and stack[-1] == -letters[j]:
-                    stack.pop()
-                    j += 1
-                stack.extend(letters[j:])
-            if increment is not None:
-                part = part_mult(part, increment)
+            node = graph.advance(stack, node, (i,))
+            part = node.part
             w_len = len(stack)
             try:
                 surviving = []
@@ -660,24 +618,10 @@ def first_return_sampler(
     if n_samples < 1 or step_budget < 1:
         raise ConfigError("need n_samples >= 1 and step_budget >= 1")
     acting = measure.acting
-    if isinstance(sublattice, ModuliSpec):
-        if acting.kind != "lattice" or len(sublattice.moduli) != acting.k:
-            raise ConfigError("moduli spec does not match the acting group")
-        moduli = sublattice.moduli
-        atom_perms = None
-        identity_perm = None
-    elif isinstance(sublattice, PermKernelSpec):
-        if acting.kind != "free" or len(sublattice.images) != acting.k:
-            raise ConfigError("permutation spec does not match the acting group")
-        moduli = None
-        atom_perms = [_word_permutation(g.p, sublattice) for g in measure.atoms]
-        identity_perm = tuple(range(sublattice.degree))
-    else:
-        raise ConfigError(f"unknown sublattice spec {sublattice!r}")
-    step_data = measure._step_data
-    trivial = acting.k == 0
-    twist = acting.twist_letters
-    part_mult = acting.part_multiply
+    graph = StepGraph(measure)
+    # membership of each visited acting position, computed once per node;
+    # the root's entry also checks the spec against the acting group
+    inside = {graph.root: part_in_sublattice(acting, graph.root.part, sublattice)}
     rank = acting.base_rank
     samples: list[ExtElement] = []
     times: list[int] = []
@@ -685,35 +629,19 @@ def first_return_sampler(
     block = min(step_budget, 128)
     for rng in path_generators(seed, STREAM_RETURN, 0, n_samples):
         stack: list[int] = []
-        part = acting.identity_part()
-        perm = identity_perm if atom_perms is not None else None
+        node = graph.root
         n = 0
         found = False
         while n < step_budget and not found:
-            idx = measure.draw_indices(rng, min(block, step_budget - n))
+            idx = measure.draw_indices(rng, min(block, step_budget - n)).tolist()
             for i in idx:
                 n += 1
-                letters, increment = step_data[i]
-                if letters:
-                    if not trivial:
-                        letters = twist(part, letters)
-                    j = 0
-                    m = len(letters)
-                    while j < m and stack and stack[-1] == -letters[j]:
-                        stack.pop()
-                        j += 1
-                    stack.extend(letters[j:])
-                if increment is not None:
-                    part = part_mult(part, increment)
-                if moduli is not None:
-                    member = all(a % m == 0 for a, m in zip(part, moduli))
-                else:
-                    q = atom_perms[i]
-                    if q is not None:
-                        perm = tuple(perm[x] for x in q)
-                    member = perm == identity_perm
+                node = graph.advance(stack, node, (i,))
+                member = inside.get(node)
+                if member is None:
+                    member = inside[node] = part_in_sublattice(acting, node.part, sublattice)
                 if member:
-                    samples.append(ExtElement(Word(rank, tuple(stack)), part))
+                    samples.append(ExtElement(Word(rank, tuple(stack)), node.part))
                     times.append(n)
                     found = True
                     break

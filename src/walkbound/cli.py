@@ -262,6 +262,9 @@ def _cmd_walk(args, config: RunConfig, seed: int) -> tuple[str, str]:
         "drift": drift.value,
         "drift_stderr": drift.stderr,
     }
+    if args.format != "csv":
+        # final words run to thousands of letters; format them only when printed
+        return _json_text(payload), ""
     rows = []
     for step in sorted(batch.positions):
         for i, g in enumerate(batch.positions[step]):

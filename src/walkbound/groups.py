@@ -349,27 +349,43 @@ class PermKernelSpec:
 SublatticeSpec = Union[ModuliSpec, PermKernelSpec]
 
 
+def _word_permutation(p: Word, spec: PermKernelSpec) -> tuple[int, ...] | None:
+    """The permutation of a free acting part, or None for the empty word.
+
+    Letters compose left to right as ``perm = perm ∘ image``, the order in
+    which the samplers extend a path's permutation by each atom's.
+    """
+    perm = list(range(spec.degree))
+    moved = False
+    for s in p.letters:
+        img = spec.images[abs(s) - 1]
+        if s < 0:
+            inv = [0] * spec.degree
+            for a, b in enumerate(img):
+                inv[b] = a
+            img = tuple(inv)
+        perm = [perm[x] for x in img]
+        moved = True
+    return tuple(perm) if moved else None
+
+
+def part_in_sublattice(acting: ActingGroup, p: ActingPart, spec: SublatticeSpec) -> bool:
+    """Whether the acting part ``p`` lies in the finite-index subgroup."""
+    if isinstance(spec, ModuliSpec):
+        if acting.kind != "lattice" or len(spec.moduli) != acting.k:
+            raise ConfigError("moduli spec does not match the acting group")
+        return all(a % m == 0 for a, m in zip(p, spec.moduli))
+    if isinstance(spec, PermKernelSpec):
+        if acting.kind != "free" or len(spec.images) != acting.k:
+            raise ConfigError("permutation spec does not match the acting group")
+        perm = _word_permutation(p, spec)
+        return perm is None or perm == tuple(range(spec.degree))
+    raise ConfigError(f"unknown sublattice spec {spec!r}")
+
+
 def in_sublattice(acting: ActingGroup, g: ExtElement, spec: SublatticeSpec) -> bool:
     """Whether the acting part of ``g`` lies in the finite-index subgroup.
 
     The free part is unconstrained: the subgroup is F ⋊ L.
     """
-    if isinstance(spec, ModuliSpec):
-        if acting.kind != "lattice" or len(spec.moduli) != acting.k:
-            raise ConfigError("moduli spec does not match the acting group")
-        return all(a % m == 0 for a, m in zip(g.p, spec.moduli))
-    if isinstance(spec, PermKernelSpec):
-        if acting.kind != "free" or len(spec.images) != acting.k:
-            raise ConfigError("permutation spec does not match the acting group")
-        perm = list(range(spec.degree))
-        for s in g.p.letters:
-            img = spec.images[abs(s) - 1]
-            if s > 0:
-                perm = [img[x] for x in perm]
-            else:
-                inv = [0] * spec.degree
-                for a, b in enumerate(img):
-                    inv[b] = a
-                perm = [inv[x] for x in perm]
-        return perm == list(range(spec.degree))
-    raise ConfigError(f"unknown sublattice spec {spec!r}")
+    return part_in_sublattice(acting, g.p, spec)

@@ -7,10 +7,14 @@ worker scheduling, because every path owns a counter-derived RNG stream. The
 stream keys of a path range are computed in one batched pass, bit-identical to
 ``SeedSequence(seed, spawn_key=(stream, index))`` (see ``_rng``).
 
-The inner loop keeps the free part as a mutable letter stack and twists each
-increment's free part by the accumulated automorphism of the current acting
-position (memoized on the ActingGroup), so a step costs the twisted increment
-length plus the junction cancellation, not the length of the whole word.
+Every sampler runs one step kernel, ``StepGraph.advance``. The free part is a
+mutable letter stack; the acting part is a node of a step graph that each
+estimator call builds lazily over the acting positions its paths visit. Slot i
+of a node holds, once first traversed, the free part of atom i twisted by the
+node's accumulated automorphism (taken from the ActingGroup's twist cache) and
+the successor node. Walks revisit few acting positions, so a step is one list
+index, the junction cancellation and a pointer move: its cost is the twisted
+increment length, not the length of the whole word.
 """
 
 from __future__ import annotations
@@ -160,6 +164,81 @@ class StepMeasure:
         self.__init__(acting, atoms, weights, check_generation=False)
 
 
+class _Node:
+    """One acting position of a step graph.
+
+    ``edges[i]`` is None until atom i is first taken from here, then the pair
+    (free part of atom i twisted by Θ(part), successor node).
+    """
+
+    __slots__ = ("part", "edges")
+
+    def __init__(self, part, n_atoms: int):
+        self.part = part
+        self.edges: list = [None] * n_atoms
+
+
+class StepGraph:
+    """The acting positions one estimator call has visited, linked by atom.
+
+    Built lazily and kept only for the call that builds it: nothing is stored
+    on the measure or the acting group, so what is pickled for worker
+    processes does not grow with the walk. Twisted letters come from
+    ``ActingGroup.twist_letters``, so the twist cache stays their only store;
+    each edge is built once, on its first traversal.
+    """
+
+    __slots__ = ("measure", "acting", "root", "_nodes", "_twisted")
+
+    def __init__(self, measure: StepMeasure):
+        self.measure = measure
+        self.acting = measure.acting
+        self._nodes: dict = {}
+        self._twisted = self.acting.k > 0
+        self.root = self._node(self.acting.identity_part())
+
+    def _node(self, part) -> _Node:
+        key = self.acting.part_key(part)
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = _Node(part, len(self.measure.atoms))
+        return node
+
+    def _link(self, node: _Node, i: int) -> tuple:
+        letters, increment = self.measure._step_data[i]
+        if letters and self._twisted:
+            letters = self.acting.twist_letters(node.part, letters)
+        succ = node
+        if increment is not None:
+            succ = self._node(self.acting.part_multiply(node.part, increment))
+        edge = node.edges[i] = (letters, succ)
+        return edge
+
+    def advance(self, stack: list[int], node: _Node, indices: Sequence[int]) -> _Node:
+        """Right-multiply the position (stack, node) by the atoms at ``indices``.
+
+        ``stack`` holds the reduced free part and is updated in place; the
+        returned node is the new acting position. Pass Python ints
+        (``draw_indices(...).tolist()``): numpy scalars index lists slowly.
+        """
+        link = self._link
+        for i in indices:
+            letters, node = node.edges[i] or link(node, i)
+            if not letters:
+                continue
+            if stack and stack[-1] == -letters[0]:
+                stack.pop()
+                j = 1
+                m = len(letters)
+                while j < m and stack and stack[-1] == -letters[j]:
+                    stack.pop()
+                    j += 1
+                stack.extend(letters[j:])
+            else:
+                stack.extend(letters)
+        return node
+
+
 @dataclass(frozen=True)
 class PathBatch:
     """Snapshots of a batch of walk paths at the recorded steps.
@@ -185,40 +264,22 @@ class PathBatch:
 
 
 def _run_one_path(
-    acting: ActingGroup,
-    measure: StepMeasure,
+    graph: StepGraph,
     rng: np.random.Generator,
     n_steps: int,
-    record: set[int],
+    record: list[int],
 ) -> dict[int, ExtElement]:
-    idx = measure.draw_indices(rng, n_steps)
-    step_data = measure._step_data
-    trivial = acting.k == 0
-    twist = acting.twist_letters
-    part_mult = acting.part_multiply
-    rank = acting.base_rank
+    """Positions of one path of ``n_steps`` steps at the ascending ``record`` steps."""
+    idx = graph.measure.draw_indices(rng, n_steps).tolist()
+    rank = graph.acting.base_rank
     stack: list[int] = []
-    part = acting.identity_part()
+    node = graph.root
     snaps: dict[int, ExtElement] = {}
-    if 0 in record:
-        snaps[0] = ExtElement(Word.identity(rank), part)
-    n = 0
-    for i in idx:
-        n += 1
-        letters, increment = step_data[i]
-        if letters:
-            if not trivial:
-                letters = twist(part, letters)
-            j = 0
-            m = len(letters)
-            while j < m and stack and stack[-1] == -letters[j]:
-                stack.pop()
-                j += 1
-            stack.extend(letters[j:])
-        if increment is not None:
-            part = part_mult(part, increment)
-        if n in record:
-            snaps[n] = ExtElement(Word(rank, tuple(stack)), part)
+    done = 0
+    for step in record:
+        node = graph.advance(stack, node, idx[done:step])
+        done = step
+        snaps[step] = ExtElement(Word(rank, tuple(stack)), node.part)
     return snaps
 
 
@@ -245,18 +306,19 @@ def sample_paths(
         record.add(n_steps)
         if any(s < 0 or s > n_steps for s in record):
             raise ConfigError(f"record steps {sorted(record)} outside 0..{n_steps}")
-    acting = measure.acting
-    per_step: dict[int, list[ExtElement]] = {s: [] for s in sorted(record)}
+    steps = sorted(record)
+    graph = StepGraph(measure)
+    per_step: dict[int, list[ExtElement]] = {s: [] for s in steps}
     for rng in path_generators(seed, STREAM_WALK, first_path, n_paths):
-        snaps = _run_one_path(acting, measure, rng, n_steps, record)
+        snaps = _run_one_path(graph, rng, n_steps, steps)
         for s, g in snaps.items():
             per_step[s].append(g)
     return PathBatch(
-        acting=acting,
+        acting=measure.acting,
         seed=seed,
         n_paths=n_paths,
         n_steps=n_steps,
-        record_steps=tuple(sorted(record)),
+        record_steps=tuple(steps),
         positions={s: tuple(v) for s, v in per_step.items()},
         first_path=first_path,
     )
@@ -344,38 +406,24 @@ def entropy_depth_counts(
     offsets the per-path streams, so disjoint ranges drawn by different
     workers tile into exactly the single-process tabulation.
     """
-    acting = measure.acting
-    part_key = acting.part_key
+    if n_paths < 1 or not depths or min(depths) < 1:
+        raise ConfigError("need n_paths >= 1 and at least one depth, all >= 1")
+    part_key = measure.acting.part_key
+    graph = StepGraph(measure)
     n_steps = max(depths)
-    record = set(depths)
+    ascending = sorted(set(depths))
     counts: dict[int, dict] = {d: {} for d in depths}
-    step_data = measure._step_data
-    trivial = acting.k == 0
-    twist = acting.twist_letters
-    part_mult = acting.part_multiply
     for rng in path_generators(seed, STREAM_WALK, first_path, n_paths):
-        idx = measure.draw_indices(rng, n_steps)
+        idx = measure.draw_indices(rng, n_steps).tolist()
         stack: list[int] = []
-        part = acting.identity_part()
-        n = 0
-        for i in idx:
-            n += 1
-            letters, increment = step_data[i]
-            if letters:
-                if not trivial:
-                    letters = twist(part, letters)
-                j = 0
-                m = len(letters)
-                while j < m and stack and stack[-1] == -letters[j]:
-                    stack.pop()
-                    j += 1
-                stack.extend(letters[j:])
-            if increment is not None:
-                part = part_mult(part, increment)
-            if n in record:
-                key = (tuple(stack), part_key(part))
-                table = counts[n]
-                table[key] = table.get(key, 0) + 1
+        node = graph.root
+        done = 0
+        for d in ascending:
+            node = graph.advance(stack, node, idx[done:d])
+            done = d
+            key = (tuple(stack), part_key(node.part))
+            table = counts[d]
+            table[key] = table.get(key, 0) + 1
     return counts
 
 

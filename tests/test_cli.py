@@ -154,6 +154,23 @@ def test_exhausted_return_budget_exits_four(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy-rate", "--n-paths", "0"],
+        ["entropy-rate", "--n-paths", "-5"],
+        ["poisson", "--n-samples", "0"],
+    ],
+    ids=["entropy-rate-zero", "entropy-rate-negative", "poisson-zero"],
+)
+def test_empty_sample_counts_exit_two(capsys, argv):
+    code = main([*argv, "--config", "fixture:srw-f2", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert ">= 1" in captured.err
+
+
 def test_hitting_at_returns_requires_moduli(capsys):
     code = main(["hitting", "--config", "fixture:srw-f2", "--at-returns"])
     assert code == 2
@@ -348,6 +365,39 @@ GOLDEN_DIGESTS = (
         "poisson --config fixture:srw-f2 --seed 12 --n-samples 200 --n-steps 100",
         "3d0a2fe9db0dac9cbfc5e827cdb94b1954b944f2bc869527238259730f953e65",
         id="poisson",
+    ),
+    # recorded before the five step loops became one kernel over a step graph
+    pytest.param(
+        "walk --config fixture:srw-f2 --seed 21 --n-paths 40 --n-steps 300",
+        "f39433a5b2567c52ba041fd0dd79438c83ed2541f5413a9fb8cb7ae82ea965d9",
+        id="walk-json-srw-f2",
+    ),
+    pytest.param(
+        "walk --config fixture:semidirect-linear --seed 22 --n-paths 30 --n-steps 300",
+        "dce1efa07a1de3f081b24a4263ca0e0d1ace3995a41deb0159ec4bb424e1dd31",
+        id="walk-json-semidirect-linear",
+    ),
+    pytest.param(
+        "walk --config fixture:direct-product --seed 23 --n-paths 30 --n-steps 300",
+        "8efcc5ae00c2038e62a150599bfcb10c1f8be960aadefdda19591bbd1c26d369",
+        id="walk-json-direct-product",
+    ),
+    pytest.param(
+        "walk --config fixture:lattice-rank2 --seed 24 --n-paths 30 --n-steps 300",
+        "6f383dca65979d4198b41d5dffbfb122f0324d29fe8c2c6f609ecc13289dfed4",
+        id="walk-json-lattice-rank2",
+    ),
+    pytest.param(
+        "walk --config fixture:free-acting --seed 25 --n-paths 20 --n-steps 120 "
+        "--record 0,60 --format csv",
+        "3bc09c4aaa3316565d1b78ced8c1384955ce823ceeb23710dcdbf831a18bc018",
+        id="walk-csv-free-acting",
+    ),
+    pytest.param(
+        "walk --config fixture:fibonacci --seed 26 --n-paths 40 --n-steps 12 "
+        "--record 5 --format csv",
+        "2358e7bc9e859232d4cc7511e4ed7540f644bc752b1bbdb64cf9af8a0ea1d5d5",
+        id="walk-csv-fibonacci",
     ),
 )
 
