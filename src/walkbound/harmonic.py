@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .boundary import act_on_ray
+from .boundary import _RayImages, _translate_prefix
 from .errors import ConfigError
 from .groups import ActingGroup, ExtElement, element_key, ext_multiply
 from .walk import StepMeasure
@@ -130,23 +130,25 @@ class PoissonValue:
     n_samples: int
 
 
+def _distinct_rays(acting: ActingGroup, rays: Sequence[Ray]) -> tuple[_RayImages, np.ndarray]:
+    """Images of the distinct rays, and each sample's index among them."""
+    index: dict[Ray, int] = {}
+    sample_index = np.array([index.setdefault(ray, len(index)) for ray in rays], dtype=np.intp)
+    return _RayImages(acting, tuple(index)), sample_index
+
+
 def _translated_values(
-    acting: ActingGroup,
+    images: _RayImages,
     fn: CylinderFunction,
     g: ExtElement,
-    rays: Sequence[Ray],
+    sample_index: np.ndarray,
 ) -> np.ndarray:
     """Per-sample values F(g . xi); distinct rays are evaluated once."""
-    cache: dict[Ray, float] = {}
-    out = np.empty(len(rays), dtype=np.float64)
-    for i, ray in enumerate(rays):
-        got = cache.get(ray)
-        if got is None:
-            moved = act_on_ray(acting, g, ray, fn.depth)
-            got = fn.value(moved.letters)
-            cache[ray] = got
-        out[i] = got
-    return out
+    w = g.w.letters
+    distinct = [
+        fn.value(_translate_prefix(w, images, g.p, i, fn.depth)) for i in range(len(images.rays))
+    ]
+    return np.array(distinct, dtype=np.float64)[sample_index]
 
 
 def poisson_eval(
@@ -165,7 +167,8 @@ def poisson_eval(
         raise ConfigError("function rank does not match the acting group")
     if not rays:
         raise ConfigError("need at least one boundary sample")
-    values = _translated_values(acting, fn, g, rays)
+    images, sample_index = _distinct_rays(acting, rays)
+    values = _translated_values(images, fn, g, sample_index)
     n = len(values)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
@@ -220,13 +223,14 @@ def harmonicity_residual(
     if not test_set:
         raise ConfigError("need at least one test element")
     acting = measure.acting
+    images, sample_index = _distinct_rays(acting, rays)
     translate_cache: dict[object, np.ndarray] = {}
 
     def values_at(g: ExtElement) -> np.ndarray:
         key = element_key(acting, g)
         got = translate_cache.get(key)
         if got is None:
-            got = _translated_values(acting, fn, g, rays)
+            got = _translated_values(images, fn, g, sample_index)
             translate_cache[key] = got
         return got
 

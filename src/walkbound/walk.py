@@ -35,7 +35,7 @@ from .groups import (
     ext_multiply,
     gauge_length,
 )
-from .words import Word
+from .words import _reduced_word
 
 __all__ = [
     "StepMeasure",
@@ -279,7 +279,7 @@ def _run_one_path(
     for step in record:
         node = graph.advance(stack, node, idx[done:step])
         done = step
-        snaps[step] = ExtElement(Word(rank, tuple(stack)), node.part)
+        snaps[step] = ExtElement(_reduced_word(rank, tuple(stack)), node.part)
     return snaps
 
 

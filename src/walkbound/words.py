@@ -163,6 +163,19 @@ class Word:
         return self.letters[: len(other.letters)] == other.letters
 
 
+def _reduced_word(rank: int, letters: tuple[int, ...]) -> Word:
+    """A Word built without checking its letters.
+
+    Only for the step kernel's letter stacks: the kernel pushes letters of
+    valid words and cancels at every junction, so a stack is always reduced
+    and in range, and re-checking it would cost a pass over the whole word.
+    """
+    word = object.__new__(Word)
+    object.__setattr__(word, "rank", rank)
+    object.__setattr__(word, "letters", letters)
+    return word
+
+
 def common_prefix_length(u: Word, v: Word) -> int:
     if u.rank != v.rank:
         raise ValueError(f"rank mismatch: {u.rank} vs {v.rank}")

@@ -1,7 +1,9 @@
 """Boundary action, hitting measures, convergence traces, first returns."""
 
+import functools
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from walkbound import (
     ActingGroup,
@@ -13,18 +15,24 @@ from walkbound import (
     ModuliSpec,
     Ray,
     StepMeasure,
+    TruncationError,
     Word,
     act_on_ray,
+    boundary_apply,
     build_acting_group,
+    build_measure,
+    default_margin,
     empirical_hitting_measure,
     extend_to_ray,
     first_return_sampler,
+    fixture_names,
     in_sublattice,
     load_fixture,
     sample_boundary_rays,
     stationarity_residual,
     track_convergence,
 )
+from walkbound.boundary import _RayImages, _translate_prefix, default_probes
 from oracles import markov_cylinder_table, tv_distance
 
 
@@ -47,6 +55,11 @@ def test_act_on_ray_examples(srw_measure, semidirect_measure):
     z_acting = semidirect_measure.acting
     shift = ExtElement(Word.identity(2), (1,))
     assert act_on_ray(z_acting, shift, Ray.parse(2, "1|b"), 4) == Word.parse(2, "abab")
+    # Theta(t^-3) = (a, AAAb) maps (aab)^oo to (Ab)^oo; the default margin
+    # alone cuts a block in half and reads the fifteenth letter as a
+    back = ExtElement(Word.identity(2), (-3,))
+    got = act_on_ray(z_acting, back, Ray.parse(2, "1|aab"), 15)
+    assert got == Word.parse(2, "AbAbAbAbAbAbAbA")
 
 
 def test_extend_to_ray_stays_in_cylinder():
@@ -55,6 +68,145 @@ def test_extend_to_ray_stays_in_cylinder():
     assert ray.prefix(3) == prefix
     assert ray.prefix(6) == Word.parse(2, "abbbbb")
     assert extend_to_ray(Word.identity(2)).prefix(2) == Word.parse(2, "aa")
+
+
+TWISTED = tuple(name for name in fixture_names() if name != "srw-f2")
+# exponential twists grow images like phi^|p|
+PART_RADIUS = {"fibonacci": 6}
+
+
+@functools.lru_cache(maxsize=None)
+def fixture_acting(name):
+    return build_measure(load_fixture(name)).acting
+
+
+def draw_part(data, acting, radius):
+    if acting.kind == "lattice":
+        return tuple(data.draw(st.integers(-radius, radius)) for _ in range(acting.k))
+    letters = data.draw(st.lists(st.sampled_from([1, -1, 2, -2][: 2 * acting.k]), max_size=radius))
+    return Word.from_letters(acting.k, letters)
+
+
+def draw_word(data, rank, max_size=12):
+    letters = st.integers(-rank, rank).filter(bool)
+    return Word.from_letters(rank, data.draw(st.lists(letters, max_size=max_size)))
+
+
+def draw_ray(data, rank):
+    head = draw_word(data, rank, 6)
+    cycle = draw_word(data, rank, 3)
+    assume(cycle and cycle.is_cyclically_reduced())
+    assume(not head or head.letters[-1] != -cycle.letters[0])
+    return Ray(head, cycle)
+
+
+def shrunk_ray(acting, part, ray):
+    """A ray whose cycle Theta(part) maps onto a conjugate of ``ray``'s cycle.
+
+    Theta(part) shrinks it by the stretch factor of its inverse, which is
+    where a cut through the ray is most likely to be cancelled across.
+    """
+    inverse = tuple(-a for a in part) if acting.kind == "lattice" else part.inverse()
+    core, _ = acting.automorphism_for(inverse).apply(ray.cycle).cyclic_reduce()
+    return Ray(Word.identity(ray.rank), core)
+
+
+def eager_image(acting, part, ray, length):
+    """The first ``length`` letters of Theta(part)(ray), from one application.
+
+    The guard zone doubles until a doubling changes nothing, so the letters
+    are the true prefix even where the default margin is too small.
+    """
+    if length == 0:
+        return ()
+    if acting.part_is_identity(part):
+        return ray.prefix(length).letters
+    phi = acting.automorphism_for(part)
+    margin = default_margin(phi) + 2 * length
+    last = None
+    for _ in range(12):
+        try:
+            got = boundary_apply(phi, ray, length, margin).letters
+        except TruncationError:
+            got = None
+        if got is not None and got == last:
+            return got
+        last = got
+        margin *= 2
+    raise AssertionError("no stable prefix")
+
+
+@pytest.mark.parametrize("name", TWISTED)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_translate_prefix_equals_eager_reference(name, data):
+    acting = fixture_acting(name)
+    rank = acting.base_rank
+    part = draw_part(data, acting, PART_RADIUS.get(name, 12))
+    drawn = draw_ray(data, rank)
+    rays = (*default_probes(rank), drawn, shrunk_ray(acting, part, drawn))
+    ray_idx = data.draw(st.integers(0, len(rays) - 1), label="ray")
+    depth = data.draw(st.integers(1, 8), label="depth")
+    # a word that cancels `cancel` letters of the image, often past the
+    # prefix a first fetch keeps, behind a random head
+    cancel = data.draw(st.integers(0, 200), label="cancel")
+    image = eager_image(acting, part, rays[ray_idx], cancel)
+    long_word = Word.from_letters(
+        rank, draw_word(data, rank).letters + tuple(-s for s in reversed(image))
+    )
+    images = _RayImages(acting, rays)
+    for w in (draw_word(data, rank), long_word, draw_word(data, rank, 80)):
+        try:
+            got = _translate_prefix(w.letters, images, part, ray_idx, depth)
+        except TruncationError:
+            continue  # escalation ran out; the estimators count this as unresolved
+        ref = w * Word(rank, eager_image(acting, part, rays[ray_idx], depth + len(w)))
+        assert got == ref.letters[:depth]
+
+
+@pytest.mark.parametrize("part, text", [((-3,), "A|BAA"), ((3,), "Ba|aaB")])
+def test_translate_prefix_never_misreads_a_shrunken_image(part, text):
+    # Theta(t^-3) = (a, AAAb) shrinks (BAA)^oo to (Ba)^oo, and Theta(t^3)
+    # shrinks (aaB)^oo: a cut through such a ray can fall inside a block
+    # that the rest of the ray cancels, and with the default margin the
+    # image letters next to the cut come out wrong. Words that cancel up to
+    # 143 image letters read up to the last letters of fetched prefixes:
+    # each answer must be right or a truncation error
+    acting = fixture_acting("semidirect-linear")
+    ray = Ray.parse(2, text)
+    image = eager_image(acting, part, ray, 160)
+    answered = 0
+    for cancel in range(144):
+        w = tuple(-s for s in reversed(image[:cancel]))
+        for depth in (1, 3, 8):
+            try:
+                got = _translate_prefix(w, _RayImages(acting, (ray,)), part, 0, depth)
+            except TruncationError:
+                continue
+            assert got == image[cancel : cancel + depth]
+            answered += 1
+    assert answered >= 100
+
+
+@pytest.mark.parametrize("name", TWISTED)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_act_on_ray_stable_as_margin_grows(name, data):
+    acting = fixture_acting(name)
+    rank = acting.base_rank
+    g = ExtElement(draw_word(data, rank, 40), draw_part(data, acting, PART_RADIUS.get(name, 12)))
+    ray = draw_ray(data, rank)
+    depth = data.draw(st.integers(1, 10), label="depth")
+    base = default_margin(acting.automorphism_for(g.p))
+    seen = set()
+    for margin in (None, base, base + 1, 2 * base + 3, 8 * base):
+        try:
+            seen.add(act_on_ray(acting, g, ray, depth, margin=margin))
+        except TruncationError:
+            pass  # escalation ran out below the cancellation this ray needs
+    assume(seen)
+    assert len(seen) == 1
+    assert len(seen.pop()) == depth
 
 
 # -- cylinder distributions --------------------------------------------------------
@@ -138,6 +290,12 @@ def test_sample_boundary_rays_resolved_prefixes(srw_measure):
     rays = sample_boundary_rays(srw_measure, 3, 40, 2, 200)
     assert len(rays) == 40
     assert all(len(r.prefix(2)) == 2 for r in rays)
+
+
+@pytest.mark.parametrize("n_samples, depth, n_steps", [(0, 2, 50), (40, 0, 50), (40, 2, 0)])
+def test_sample_boundary_rays_rejects_empty_sizes(srw_measure, n_samples, depth, n_steps):
+    with pytest.raises(ConfigError):
+        sample_boundary_rays(srw_measure, 3, n_samples, depth, n_steps)
 
 
 # -- stationarity ------------------------------------------------------------------

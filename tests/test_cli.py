@@ -160,8 +160,9 @@ def test_exhausted_return_budget_exits_four(capsys):
         ["entropy-rate", "--n-paths", "0"],
         ["entropy-rate", "--n-paths", "-5"],
         ["poisson", "--n-samples", "0"],
+        ["poisson", "--n-steps", "0"],
     ],
-    ids=["entropy-rate-zero", "entropy-rate-negative", "poisson-zero"],
+    ids=["entropy-rate-zero", "entropy-rate-negative", "poisson-zero", "poisson-zero-steps"],
 )
 def test_empty_sample_counts_exit_two(capsys, argv):
     code = main([*argv, "--config", "fixture:srw-f2", "--seed", "1"])
@@ -398,6 +399,26 @@ GOLDEN_DIGESTS = (
         "--record 5 --format csv",
         "2358e7bc9e859232d4cc7511e4ed7540f644bc752b1bbdb64cf9af8a0ea1d5d5",
         id="walk-csv-fibonacci",
+    ),
+    # recorded before ray images were read lazily: twisted translations, and
+    # on fibonacci walk words that cancel up to 163 letters of a probe image
+    pytest.param(
+        "poisson --config fixture:semidirect-linear --seed 13 --n-samples 100 "
+        "--n-steps 100",
+        "b4c70608e8246f68f6929dec7cb551062fb411b4584f6629c35149e20f3d0da2",
+        id="poisson-semidirect-linear",
+    ),
+    pytest.param(
+        "stationarity --config fixture:semidirect-linear --seed 14 --n-paths 200 "
+        "--n-steps 100 --n-resample 500",
+        "d15acd17c73758c21319f6eebd3c7f2b4d080b591b88c8540b96fcf07f2d5df3",
+        id="stationarity-semidirect-linear",
+    ),
+    pytest.param(
+        "hitting --config fixture:fibonacci --seed 20 --depth 2 --n-paths 100 "
+        "--n-steps 30",
+        "d531cd03185fcb47a91bac903e16c6b8ad06300055a475dc5758879dbf5fe788",
+        id="hitting-fibonacci",
     ),
 )
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from walkbound import Ray, Word, common_prefix_length, free_reduce
+from walkbound.words import _reduced_word
 
 
 def w(text: str, rank: int = 2) -> Word:
@@ -38,6 +39,18 @@ def test_parse_rejects_unreduced_and_junk():
         w("a b")
     with pytest.raises(ValueError):
         Word(2, (1, -1))
+
+
+@pytest.mark.parametrize("letters", [(1, -1), (2, 1, -1), (3,), (0,), (-3, 1), (1.0,)])
+def test_word_constructor_still_checks_letters(letters):
+    with pytest.raises(ValueError):
+        Word(2, letters)
+
+
+@given(words())
+def test_unchecked_kernel_word_equals_checked(u):
+    fast = _reduced_word(u.rank, u.letters)
+    assert fast == u and hash(fast) == hash(u) and str(fast) == str(u)
 
 
 def test_rank_bounds():
