@@ -25,7 +25,7 @@ from ._rng import (
     derived_rng,
     path_generators,
 )
-from .errors import BudgetError, ConfigError, ConvergenceError, TruncationError
+from .errors import BudgetError, ConfigError, ConvergenceError
 from .groups import (
     ActingGroup,
     ExtElement,
@@ -36,7 +36,7 @@ from .groups import (
     gauge_length,
     part_in_sublattice,
 )
-from .morphisms import boundary_apply, default_margin
+from .morphisms import _ray_image
 from .walk import StepGraph, StepMeasure
 from .words import Ray, Word, _reduced_word
 
@@ -138,56 +138,57 @@ def default_probes(rank: int) -> tuple[Ray, Ray]:
 
 
 class _RayImages:
-    """Lazily materialized prefixes of Theta(p)(ray), cached per (p, ray index).
+    """Prefixes of the exact images Theta(p)(ray), cached per (p, ray index).
 
     The rays are an estimator's probes or a harmonic evaluation's boundary
-    samples. ``at_least`` returns the cached letter tuple, holding at least
-    the requested number of letters; callers index into it rather than
-    taking copies. A miss applies Theta(p) to the first max(2 * length, 64)
-    + margin letters of the ray, so a prefix grown step by step costs at
-    most twice its final application, and keeps the first half of the
-    result. The half it drops widens the guard zone: where Theta(p) shrinks
-    the ray, ``boundary_apply``'s margin alone can be too narrow, and the
-    letters next to the cut come out wrong without a truncation error. The
-    margin starts at ``margin`` (``default_margin`` when None) and doubles
-    for a few rounds when cancellation consumes it, so callers see a
-    truncation error only when escalation is exhausted.
+    samples. Theta(p) maps an eventually periodic ray to another one
+    (``morphisms._ray_image``); an identity part keeps the ray itself.
+    ``at_least`` returns the cached letter tuple, holding at least the
+    requested number of letters; callers index into it rather than taking
+    copies. A miss builds the image and keeps a prefix of it twice the
+    requested length (16 letters at least), so a prefix grown step by step is
+    rebuilt a logarithmic number of times. Nothing is cut from the image
+    before cancellation, so every letter served is exact.
     """
 
-    __slots__ = ("acting", "rays", "margin", "_cache")
+    __slots__ = ("acting", "rays", "_cache")
 
-    def __init__(
-        self, acting: ActingGroup, rays: tuple[Ray, ...], margin: int | None = None
-    ):
+    def __init__(self, acting: ActingGroup, rays: tuple[Ray, ...]):
         self.acting = acting
         self.rays = rays
-        self.margin = margin
         self._cache: dict[tuple, tuple[int, ...]] = {}
 
     def at_least(self, part, ray_idx: int, length: int) -> tuple[int, ...]:
         key = (self.acting.part_key(part), ray_idx)
         cached = self._cache.get(key)
         if cached is None or len(cached) < length:
-            want = max(2 * length, 64)
-            ray = self.rays[ray_idx]
-            if self.acting.part_is_identity(part):
-                cached = tuple(ray.letter(i) for i in range(want))
-            else:
-                phi = self.acting.automorphism_for(part)
-                margin = default_margin(phi) if self.margin is None else self.margin
-                last_error: TruncationError | None = None
-                for _ in range(4):
-                    try:
-                        cached = boundary_apply(phi, ray, want, margin).letters[: want // 2]
-                        last_error = None
-                        break
-                    except TruncationError as exc:
-                        last_error = exc
-                        margin *= 2
-                if last_error is not None:
-                    raise last_error
+            image = self.rays[ray_idx]
+            if not self.acting.part_is_identity(part):
+                image = _ray_image(self.acting.automorphism_for(part), image)
+            cached = image.prefix(max(2 * length, 16)).letters
             self._cache[key] = cached
         return cached
+
+
+def _cancelled(w: list[int] | tuple[int, ...], images: _RayImages, part, ray_idx: int) -> int:
+    """How many leading letters of Theta(part)(ray) the tail of w cancels.
+
+    Reads the cached prefix, and one twice as long only when the scan
+    reaches its end. The count stays short however long w is:
+    w . Theta(p)(ray) equals Theta(p)(u . ray) with u = Theta(p)^-1(w), and
+    by bounded cancellation Theta(p) cancels at most a constant more than
+    the images of the few letters u and the ray cancel. Over the probe
+    translations of the benchmark's ``boundary`` workload (seed 1), |w| has
+    median 174 and maximum 832, the count median 0 and maximum 71.
+    """
+    n = len(w)
+    img = images.at_least(part, ray_idx, 1)
+    c = 0
+    while c < n and w[n - 1 - c] == -img[c]:
+        c += 1
+        if c == len(img):
+            img = images.at_least(part, ray_idx, 2 * c)
+    return c
 
 
 def _translate_prefix(
@@ -199,52 +200,27 @@ def _translate_prefix(
 ) -> tuple[int, ...]:
     """First ``depth`` letters of w . Theta(part)(ray); every translation runs here.
 
-    The last c letters of w cancel the first c image letters; the result is
-    the surviving letters of w, then image letters from c on. Only image
-    letters the scan and the result read are fetched: depth + 1 at first,
-    twice as many only when the scan reaches the end of the cached prefix, and
-    c + depth - (|w| - c) in all when fewer than ``depth`` letters of w
-    survive. c stays short however long w is: w . Theta(p)(ray) equals
-    Theta(p)(u . ray) with u = Theta(p)^-1(w), and by bounded cancellation
-    Theta(p) cancels at most a constant more than the images of the few
-    letters u and the ray cancel. Over the probe translations of the
-    benchmark's ``boundary`` workload (seed 1), |w| has median 174 and
-    maximum 832, c has median 0 and maximum 71.
+    The last c letters of w cancel the first c image letters (``_cancelled``);
+    the result is the surviving letters of w, then image letters from c on,
+    c + depth - (|w| - c) image letters in all when fewer than ``depth``
+    letters of w survive. The image is exact, so the result is the true
+    prefix of the translate for every part and ray.
     """
-    n = len(w)
-    img = images.at_least(part, ray_idx, depth + 1)
-    c = 0
-    while c < n and w[n - 1 - c] == -img[c]:
-        c += 1
-        if c == len(img):
-            img = images.at_least(part, ray_idx, 2 * c)
-    surviving = n - c
+    c = _cancelled(w, images, part, ray_idx)
+    surviving = len(w) - c
     if surviving >= depth:
         return tuple(w[:depth])
     need = c + depth - surviving
-    if len(img) < need:
-        img = images.at_least(part, ray_idx, need)
-    return tuple(w[:surviving]) + img[c:need]
+    return tuple(w[:surviving]) + images.at_least(part, ray_idx, need)[c:need]
 
 
-def act_on_ray(
-    acting: ActingGroup,
-    g: ExtElement,
-    r: Ray,
-    depth: int,
-    margin: int | None = None,
-) -> Word:
-    """First ``depth`` letters of w . Theta(p)(r) for g = (w, p).
-
-    ``margin`` is the first guard zone tried for Theta(p) (``default_margin``
-    when None); it escalates as in the estimators before a truncation error
-    is raised.
-    """
+def act_on_ray(acting: ActingGroup, g: ExtElement, r: Ray, depth: int) -> Word:
+    """First ``depth`` letters of w . Theta(p)(r) for g = (w, p), exactly."""
     if depth < 1:
         raise ConfigError("depth must be >= 1")
     if r.rank != acting.base_rank or g.w.rank != acting.base_rank:
         raise ConfigError("ray and element must live over the acting group's base rank")
-    images = _RayImages(acting, (r,), margin)
+    images = _RayImages(acting, (r,))
     return Word(acting.base_rank, _translate_prefix(g.w.letters, images, g.p, 0, depth))
 
 
@@ -326,15 +302,11 @@ def _resolve_paths(
                 out.append(None)
                 continue
         stack, part = _endpoint(graph, idx[:run_to].tolist())
-        try:
-            first = _translate_prefix(stack, images, part, 0, depth)
-            agreed = all(
-                _translate_prefix(stack, images, part, i, depth) == first
-                for i in range(1, len(probes))
-            )
-        except TruncationError:
-            out.append(None)
-            continue
+        first = _translate_prefix(stack, images, part, 0, depth)
+        agreed = all(
+            _translate_prefix(stack, images, part, i, depth) == first
+            for i in range(1, len(probes))
+        )
         out.append(first if agreed else None)
     return out
 
@@ -491,7 +463,9 @@ class ConvergenceTrace:
     """Per-path, per-step common-prefix lengths of the translated probes.
 
     ``lengths[i, j]`` is the agreement depth after step j+1 of path i,
-    truncated at the tracking depth.
+    truncated at the tracking depth. ``truncation_events`` is 0: the boundary
+    action is exact, so no translation can overflow a guard zone; the field
+    stays so the ``track`` output keeps its keys.
     """
 
     probes: tuple[Ray, ...]
@@ -537,8 +511,8 @@ def track_convergence(
 ) -> ConvergenceTrace:
     """Record how far the translated probes agree after every step.
 
-    A step whose translation overflows its truncation margin records length 0
-    for that step and is counted, not raised.
+    A step after which every probe leaves at least ``depth`` letters of the
+    walk's word uncancelled agrees to the full depth without a translation.
     """
     if depth < 1 or n_paths < 1 or n_steps < 1:
         raise ConfigError("need depth, n_paths, n_steps all >= 1")
@@ -551,7 +525,6 @@ def track_convergence(
     graph = StepGraph(measure)
     n_probes = len(probes)
     lengths = np.zeros((n_paths, n_steps), dtype=np.int32)
-    truncations = 0
     for p_idx, rng in enumerate(path_generators(seed, STREAM_WALK, 0, n_paths)):
         idx = measure.draw_indices(rng, n_steps).tolist()
         stack: list[int] = []
@@ -560,28 +533,13 @@ def track_convergence(
         for n, i in enumerate(idx):
             node = graph.advance(stack, node, (i,))
             part = node.part
-            w_len = len(stack)
-            try:
-                surviving = []
-                for q in range(n_probes):
-                    img = images.at_least(part, q, min(w_len, depth) + 1)
-                    c = 0
-                    while c < w_len and stack[w_len - 1 - c] == -img[c]:
-                        if c + 1 >= len(img):
-                            img = images.at_least(part, q, w_len + depth)
-                        c += 1
-                    surviving.append(w_len - c)
-                if min(surviving) >= depth:
-                    row[n] = depth
-                    continue
-                translates = [
-                    _translate_prefix(stack, images, part, q, depth)
-                    for q in range(n_probes)
-                ]
-            except TruncationError:
-                truncations += 1
-                row[n] = 0
+            keep = len(stack) - depth
+            if all(_cancelled(stack, images, part, q) <= keep for q in range(n_probes)):
+                row[n] = depth
                 continue
+            translates = [
+                _translate_prefix(stack, images, part, q, depth) for q in range(n_probes)
+            ]
             first = translates[0]
             agree = depth
             for t in translates[1:]:
@@ -590,7 +548,7 @@ def track_convergence(
                     d += 1
                 agree = d
             row[n] = agree
-    return ConvergenceTrace(tuple(probes), depth, lengths, truncations, seed)
+    return ConvergenceTrace(tuple(probes), depth, lengths, 0, seed)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 One config (a file path or ``fixture:NAME``) plus one subcommand per run;
 results go to stdout or, with ``--out``, to a file written atomically. Exit
 codes: 0 success, 2 configuration problems, 3 convergence or resolution
-failures, 4 exhausted sampling budgets, 5 truncation overflow in a boundary
-action.
+failures, 4 exhausted sampling budgets, 5 truncation overflow (reserved: the
+boundary action is exact and cannot raise it).
 
 The seed is resolved in priority order: ``--seed`` flag, the
 ``WALKBOUND_SEED`` environment variable, the config's ``run.seed``, else 0.

@@ -22,9 +22,10 @@ class BudgetError(WalkboundError):
 
 
 class TruncationError(WalkboundError):
-    """Cancellation consumed the guard zone of a boundary prefix computation.
+    """Cancellation consumed the guard zone of a truncated computation.
 
-    Retry with a larger margin.
+    The CLI maps it to exit code 5. The boundary action is exact
+    (``morphisms.boundary_apply``) and never raises it.
     """
 
 

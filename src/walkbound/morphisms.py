@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BudgetError, InconclusiveGrowthError, TruncationError
-from .words import Ray, Word, free_reduce
+from .errors import BudgetError, InconclusiveGrowthError
+from .words import Ray, Word, _reduced_word
 
 __all__ = [
     "Automorphism",
@@ -26,7 +26,6 @@ __all__ = [
     "classify_growth",
     "cancellation_bound",
     "boundary_apply",
-    "default_margin",
     "DEFAULT_FIT_GAP",
 ]
 
@@ -380,30 +379,40 @@ def cancellation_bound(
 # -- boundary action -----------------------------------------------------------
 
 
-def default_margin(phi: Automorphism, power: int = 1) -> int:
-    """Crude safe guard zone for the boundary action of φ^power."""
-    return abs(power) * phi.max_image_length * 2
+def _ray_image(phi: Automorphism, r: Ray) -> Ray:
+    """φ applied to the boundary point of ``r``, exactly, as another ray.
+
+    With φ(cycle) = c·core·c⁻¹, core cyclically reduced (as
+    ``Word.cyclic_reduce`` splits it), φ(head·cycleⁿ) = X·coreⁿ·c⁻¹ for
+    X = φ(head)·c, and coreⁿ·c⁻¹ is reduced. So φ(r) = X·core^∞, where the
+    tail of X may cancel against core^∞; cancelling k letters rotates the
+    core by k. No prefix is cut, so no cancellation can be misread.
+    """
+    image = phi.apply_letters(r.cycle.letters)
+    lo = (len(image) - _cyclic_core_length(image)) // 2
+    core = tuple(image[lo : len(image) - lo])
+    x = phi.apply_letters(r.head.letters)
+    for s in image[:lo]:
+        if x and x[-1] == -s:
+            x.pop()
+        else:
+            x.append(s)
+    k = 0
+    while x and x[-1] == -core[k % len(core)]:
+        x.pop()
+        k += 1
+    k %= len(core)
+    return Ray(_reduced_word(phi.rank, tuple(x)), _reduced_word(phi.rank, core[k:] + core[:k]))
 
 
-def boundary_apply(phi: Automorphism, r: Ray, depth: int, margin: int) -> Word:
+def boundary_apply(phi: Automorphism, r: Ray, depth: int) -> Word:
     """First ``depth`` letters of φ applied to the boundary point of ``r``.
 
-    Applies φ to the (depth+margin)-prefix and truncates. The result is the
-    true prefix of φ(r) provided the margin dominates the cancellation φ can
-    produce; for margins at least ``default_margin`` the returned prefix does
-    not change when the margin grows further. If fewer than ``depth`` letters
-    survive reduction the guard zone was consumed and the call fails.
+    Exact for every φ and every ray: the image is built as a ray
+    (``_ray_image``), never by applying φ to a cut prefix.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
     if phi.rank != r.rank:
         raise ValueError(f"rank mismatch: {phi.rank} vs {r.rank}")
-    image = phi.apply_letters(r.prefix(depth + margin).letters)
-    if len(image) < depth:
-        raise TruncationError(
-            f"cancellation consumed the guard zone: {len(image)} of {depth} "
-            f"letters survive at margin {margin}; retry with a larger margin"
-        )
-    return Word(phi.rank, tuple(image[:depth]))
+    return _ray_image(phi, r).prefix(depth)

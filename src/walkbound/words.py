@@ -166,9 +166,10 @@ class Word:
 def _reduced_word(rank: int, letters: tuple[int, ...]) -> Word:
     """A Word built without checking its letters.
 
-    Only for the step kernel's letter stacks: the kernel pushes letters of
-    valid words and cancels at every junction, so a stack is always reduced
-    and in range, and re-checking it would cost a pass over the whole word.
+    Only for letters reduced by construction: the step kernel's stacks (it
+    pushes letters of valid words and cancels at every junction) and the
+    prefixes and exact images of rays. Re-checking them would cost a pass
+    over the whole word.
     """
     word = object.__new__(Word)
     object.__setattr__(word, "rank", rank)
@@ -244,8 +245,8 @@ class Ray:
             raise ValueError("prefix length must be >= 0")
         h = self.head.letters
         if k <= len(h):
-            return Word(self.rank, h[:k])
+            return _reduced_word(self.rank, h[:k])
         c = self.cycle.letters
         need = k - len(h)
         reps = need // len(c) + 1
-        return Word(self.rank, (h + c * reps)[:k])
+        return _reduced_word(self.rank, (h + c * reps)[:k])

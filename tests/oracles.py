@@ -146,3 +146,29 @@ def two_state_parity_split(word_mass: float) -> float:
 def identity_law(measure: StepMeasure) -> dict[tuple, float]:
     key = element_key(measure.acting, ext_identity(measure.acting))
     return {key: 1.0}
+
+
+def eager_image(acting, part, ray, length: int) -> tuple[int, ...] | None:
+    """The first ``length`` letters of Theta(part)(ray), by the margin route.
+
+    Applies Theta(part) (``Automorphism.apply_letters`` alone) to ever longer
+    prefixes of the ray: the guard zone past ``length`` doubles until a
+    doubling changes nothing. That is evidence, not proof, that the cut no
+    longer reaches the first ``length`` letters; None when no two successive
+    guard zones agree within twelve doublings.
+    """
+    if length == 0:
+        return ()
+    if acting.part_is_identity(part):
+        return ray.prefix(length).letters
+    phi = acting.automorphism_for(part)
+    margin = 2 * phi.max_image_length + 2 * length
+    last = None
+    for _ in range(12):
+        image = phi.apply_letters(ray.prefix(length + margin).letters)
+        got = tuple(image[:length]) if len(image) >= length else None
+        if got is not None and got == last:
+            return got
+        last = got
+        margin *= 2
+    return None

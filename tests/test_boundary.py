@@ -15,13 +15,11 @@ from walkbound import (
     ModuliSpec,
     Ray,
     StepMeasure,
-    TruncationError,
     Word,
     act_on_ray,
     boundary_apply,
     build_acting_group,
     build_measure,
-    default_margin,
     empirical_hitting_measure,
     extend_to_ray,
     first_return_sampler,
@@ -33,7 +31,7 @@ from walkbound import (
     track_convergence,
 )
 from walkbound.boundary import _RayImages, _translate_prefix, default_probes
-from oracles import markov_cylinder_table, tv_distance
+from oracles import eager_image, markov_cylinder_table, tv_distance
 
 
 def trivial_point_mass(word_text: str, rank: int = 2) -> StepMeasure:
@@ -55,11 +53,20 @@ def test_act_on_ray_examples(srw_measure, semidirect_measure):
     z_acting = semidirect_measure.acting
     shift = ExtElement(Word.identity(2), (1,))
     assert act_on_ray(z_acting, shift, Ray.parse(2, "1|b"), 4) == Word.parse(2, "abab")
-    # Theta(t^-3) = (a, AAAb) maps (aab)^oo to (Ab)^oo; the default margin
-    # alone cuts a block in half and reads the fifteenth letter as a
+    # Theta(t^-3) = (a, AAAb) maps (aab)^oo to (Ab)^oo; a cut prefix with a
+    # fixed guard zone splits a block and reads the fifteenth letter as a
     back = ExtElement(Word.identity(2), (-3,))
     got = act_on_ray(z_acting, back, Ray.parse(2, "1|aab"), 15)
     assert got == Word.parse(2, "AbAbAbAbAbAbAbA")
+    # Theta(t^-1) = (a, Ab) halves (ab)^oo into b^oo, past any guard zone
+    # that does not scale with the prefix read
+    halve = ExtElement(Word.identity(2), (-1,))
+    assert act_on_ray(z_acting, halve, Ray.parse(2, "1|ab"), 3) == Word.parse(2, "bbb")
+    # Theta(t^20) on fibonacci: images of about 10^4 letters per generator,
+    # which a cut prefix with a guard zone would multiply by its length
+    fib = fixture_acting("fibonacci")
+    far = ExtElement(Word.identity(2), (20,))
+    assert act_on_ray(fib, far, Ray.constant(2, 1), 5) == Word.parse(2, "abaab")
 
 
 def test_extend_to_ray_stays_in_cylinder():
@@ -111,31 +118,6 @@ def shrunk_ray(acting, part, ray):
     return Ray(Word.identity(ray.rank), core)
 
 
-def eager_image(acting, part, ray, length):
-    """The first ``length`` letters of Theta(part)(ray), from one application.
-
-    The guard zone doubles until a doubling changes nothing, so the letters
-    are the true prefix even where the default margin is too small.
-    """
-    if length == 0:
-        return ()
-    if acting.part_is_identity(part):
-        return ray.prefix(length).letters
-    phi = acting.automorphism_for(part)
-    margin = default_margin(phi) + 2 * length
-    last = None
-    for _ in range(12):
-        try:
-            got = boundary_apply(phi, ray, length, margin).letters
-        except TruncationError:
-            got = None
-        if got is not None and got == last:
-            return got
-        last = got
-        margin *= 2
-    raise AssertionError("no stable prefix")
-
-
 @pytest.mark.parametrize("name", TWISTED)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -151,62 +133,56 @@ def test_translate_prefix_equals_eager_reference(name, data):
     # prefix a first fetch keeps, behind a random head
     cancel = data.draw(st.integers(0, 200), label="cancel")
     image = eager_image(acting, part, rays[ray_idx], cancel)
+    assume(image is not None)
     long_word = Word.from_letters(
         rank, draw_word(data, rank).letters + tuple(-s for s in reversed(image))
     )
     images = _RayImages(acting, rays)
     for w in (draw_word(data, rank), long_word, draw_word(data, rank, 80)):
-        try:
-            got = _translate_prefix(w.letters, images, part, ray_idx, depth)
-        except TruncationError:
-            continue  # escalation ran out; the estimators count this as unresolved
-        ref = w * Word(rank, eager_image(acting, part, rays[ray_idx], depth + len(w)))
-        assert got == ref.letters[:depth]
+        ref = eager_image(acting, part, rays[ray_idx], depth + len(w))
+        if ref is None:
+            continue
+        got = _translate_prefix(w.letters, images, part, ray_idx, depth)
+        assert got == (w * Word(rank, ref)).letters[:depth]
 
 
 @pytest.mark.parametrize("part, text", [((-3,), "A|BAA"), ((3,), "Ba|aaB")])
 def test_translate_prefix_never_misreads_a_shrunken_image(part, text):
     # Theta(t^-3) = (a, AAAb) shrinks (BAA)^oo to (Ba)^oo, and Theta(t^3)
     # shrinks (aaB)^oo: a cut through such a ray can fall inside a block
-    # that the rest of the ray cancels, and with the default margin the
-    # image letters next to the cut come out wrong. Words that cancel up to
-    # 143 image letters read up to the last letters of fetched prefixes:
-    # each answer must be right or a truncation error
+    # that the rest of the ray cancels, and the image letters next to the
+    # cut come out wrong. Words that cancel up to 143 image letters read up
+    # to the last letters of served prefixes: every answer must be right
     acting = fixture_acting("semidirect-linear")
     ray = Ray.parse(2, text)
     image = eager_image(acting, part, ray, 160)
-    answered = 0
     for cancel in range(144):
         w = tuple(-s for s in reversed(image[:cancel]))
         for depth in (1, 3, 8):
-            try:
-                got = _translate_prefix(w, _RayImages(acting, (ray,)), part, 0, depth)
-            except TruncationError:
-                continue
+            got = _translate_prefix(w, _RayImages(acting, (ray,)), part, 0, depth)
             assert got == image[cancel : cancel + depth]
-            answered += 1
-    assert answered >= 100
 
 
 @pytest.mark.parametrize("name", TWISTED)
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_act_on_ray_stable_as_margin_grows(name, data):
+def test_exact_action_equals_eager_reference(name, data):
+    # the exact image against the margin route, wherever the latter answers:
+    # boundary_apply, and act_on_ray at (1, p) and at (w, p)
     acting = fixture_acting(name)
     rank = acting.base_rank
-    g = ExtElement(draw_word(data, rank, 40), draw_part(data, acting, PART_RADIUS.get(name, 12)))
-    ray = draw_ray(data, rank)
-    depth = data.draw(st.integers(1, 10), label="depth")
-    base = default_margin(acting.automorphism_for(g.p))
-    seen = set()
-    for margin in (None, base, base + 1, 2 * base + 3, 8 * base):
-        try:
-            seen.add(act_on_ray(acting, g, ray, depth, margin=margin))
-        except TruncationError:
-            pass  # escalation ran out below the cancellation this ray needs
-    assume(seen)
-    assert len(seen) == 1
-    assert len(seen.pop()) == depth
+    part = draw_part(data, acting, PART_RADIUS.get(name, 12))
+    drawn = draw_ray(data, rank)
+    ray = data.draw(st.sampled_from([drawn, shrunk_ray(acting, part, drawn)]), label="ray")
+    depth = data.draw(st.integers(1, 40), label="depth")
+    w = draw_word(data, rank, 40)
+    ref = eager_image(acting, part, ray, depth + len(w))
+    assume(ref is not None)
+    assert boundary_apply(acting.automorphism_for(part), ray, depth).letters == ref[:depth]
+    twist = ExtElement(Word.identity(rank), part)
+    assert act_on_ray(acting, twist, ray, depth).letters == ref[:depth]
+    translate = act_on_ray(acting, ExtElement(w, part), ray, depth)
+    assert translate.letters == (w * Word(rank, ref)).letters[:depth]
 
 
 # -- cylinder distributions --------------------------------------------------------

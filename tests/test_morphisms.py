@@ -10,11 +10,9 @@ from walkbound import (
     InconclusiveGrowthError,
     Ray,
     Word,
-    TruncationError,
     boundary_apply,
     cancellation_bound,
     classify_growth,
-    default_margin,
     identity_automorphism,
     inner_automorphism,
 )
@@ -149,27 +147,37 @@ def test_cancellation_bound_bounds_observed_cancellation(xs, ys):
 
 def test_boundary_apply_examples():
     inner = inner_automorphism(2, Word.parse(2, "a"))
-    assert boundary_apply(inner, Ray.parse(2, "1|b"), 3, 4) == Word.parse(2, "abb")
+    assert boundary_apply(inner, Ray.parse(2, "1|b"), 3) == Word.parse(2, "abb")
 
     alpha = shift_rank3()
-    got = boundary_apply(alpha, Ray.constant(3, 3), 4, default_margin(alpha))
-    assert got == Word.parse(3, "caca")
+    assert boundary_apply(alpha, Ray.constant(3, 3), 4) == Word.parse(3, "caca")
 
     ident = identity_automorphism(2)
     r = Ray.parse(2, "ab|a")
-    assert boundary_apply(ident, r, 5, 0) == r.prefix(5)
+    assert boundary_apply(ident, r, 5) == r.prefix(5)
+
+    # (a, AAAb) maps (aab)^oo to (Ab)^oo; a cut prefix with a guard zone of
+    # twice the longest image splits a block and ends in a instead of A
+    back = linear_rank2().power(-3)
+    got = boundary_apply(back, Ray.parse(2, "1|aab"), 15)
+    assert got == Word.parse(2, "AbAbAbAbAbAbAbA")
 
 
-def test_boundary_apply_margin_stability():
+def test_boundary_apply_prefixes_extend_each_other():
+    # the image of (ab)^oo is (aba)^oo, whatever depth is asked for
     phi = fibonacci()
-    base = default_margin(phi)
-    first = boundary_apply(phi, Ray.parse(2, "1|ab"), 6, base)
-    for extra in (1, 3, 7):
-        assert boundary_apply(phi, Ray.parse(2, "1|ab"), 6, base + extra) == first
+    ray = Ray.parse(2, "1|ab")
+    assert boundary_apply(phi, ray, 6) == Word.parse(2, "abaaba")
+    for depth in (7, 9, 13, 200):
+        assert boundary_apply(phi, ray, depth).prefix(6) == Word.parse(2, "abaaba")
 
 
-def test_boundary_apply_guard_zone_failure():
-    # the inverse substitution halves (ab)^k, so a zero margin starves depth 4
+def test_boundary_apply_exact_on_shrinking_ray():
+    # the inverse substitution maps each ab to a, halving (ab)^oo into a^oo;
+    # a prefix cut with no guard zone would starve depth 4
     shrinking = fibonacci().inverse()
-    with pytest.raises(TruncationError):
-        boundary_apply(shrinking, Ray.parse(2, "1|ab"), 4, 0)
+    assert boundary_apply(shrinking, Ray.parse(2, "1|ab"), 4) == Word.parse(2, "aaaa")
+    # the image of the head, Bab, ends in a letter that the image of the
+    # cycle, (Ba)^oo, cancels: ba . b^oo maps to Ba . (aB)^oo
+    got = boundary_apply(shrinking, Ray.parse(2, "ba|b"), 6)
+    assert got == Word.parse(2, "BaaBaB")
