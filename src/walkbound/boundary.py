@@ -29,10 +29,7 @@ from .errors import BudgetError, ConfigError, ConvergenceError
 from .groups import (
     ActingGroup,
     ExtElement,
-    ModuliSpec,
-    PermKernelSpec,
     SublatticeSpec,
-    _word_permutation,
     gauge_length,
     part_in_sublattice,
 )
@@ -227,39 +224,33 @@ def act_on_ray(acting: ActingGroup, g: ExtElement, r: Ray, depth: int) -> Word:
 # -- shared walk-endpoint machinery ---------------------------------------------
 
 
-def _last_lattice_step(
-    measure: StepMeasure,
-    idx: np.ndarray,
-    spec: SublatticeSpec,
-) -> int:
+class _Inside(dict):
+    """``part_in_sublattice`` of each visited step-graph node, computed once.
+
+    The root's entry is filled on construction, so a spec that does not match
+    the acting group raises before any path is walked.
+    """
+
+    def __init__(self, graph: StepGraph, spec: SublatticeSpec):
+        super().__init__()
+        self.acting = graph.acting
+        self.spec = spec
+        self[graph.root]
+
+    def __missing__(self, node) -> bool:
+        member = self[node] = part_in_sublattice(self.acting, node.part, self.spec)
+        return member
+
+
+def _last_lattice_step(graph: StepGraph, indices: list[int], inside: _Inside) -> int:
     """Last step n >= 1 whose acting part lies in the sublattice, else 0."""
-    acting = measure.acting
-    if isinstance(spec, ModuliSpec):
-        if acting.kind != "lattice" or len(spec.moduli) != acting.k:
-            raise ConfigError("moduli spec does not match the acting group")
-        incs = np.zeros((len(measure.atoms), acting.k), dtype=np.int64)
-        for i, g in enumerate(measure.atoms):
-            incs[i] = g.p
-        path = np.cumsum(incs[idx], axis=0)
-        moduli = np.asarray(spec.moduli, dtype=np.int64)
-        member = np.all(path % moduli == 0, axis=1)
-        hits = np.nonzero(member)[0]
-        return int(hits[-1]) + 1 if len(hits) else 0
-    if isinstance(spec, PermKernelSpec):
-        if acting.kind != "free" or len(spec.images) != acting.k:
-            raise ConfigError("permutation spec does not match the acting group")
-        atom_perms = [_word_permutation(g.p, spec) for g in measure.atoms]
-        identity = tuple(range(spec.degree))
-        perm = identity
-        last = 0
-        for n, i in enumerate(idx, start=1):
-            q = atom_perms[i]
-            if q is not None:
-                perm = tuple(perm[x] for x in q)
-            if perm == identity:
-                last = n
-        return last
-    raise ConfigError(f"unknown sublattice spec {spec!r}")
+    node = graph.root
+    last = 0
+    for n, i in enumerate(indices, start=1):
+        node = (node.edges[i] or graph._link(node, i))[1]
+        if inside[node]:
+            last = n
+    return last
 
 
 def _endpoint(graph: StepGraph, indices: list[int]):
@@ -292,16 +283,17 @@ def _resolve_paths(
     """Per path: the resolved depth-prefix letters, or None."""
     images = _RayImages(measure.acting, probes)
     graph = StepGraph(measure)
+    inside = None if return_lattice is None else _Inside(graph, return_lattice)
     out: list[tuple[int, ...] | None] = []
     for rng in path_generators(seed, stream, 0, n_paths):
-        idx = measure.draw_indices(rng, n_steps)
+        idx = measure.draw_indices(rng, n_steps).tolist()
         run_to = n_steps
-        if return_lattice is not None:
-            run_to = _last_lattice_step(measure, idx, return_lattice)
+        if inside is not None:
+            run_to = _last_lattice_step(graph, idx, inside)
             if run_to == 0:
                 out.append(None)
                 continue
-        stack, part = _endpoint(graph, idx[:run_to].tolist())
+        stack, part = _endpoint(graph, idx[:run_to])
         first = _translate_prefix(stack, images, part, 0, depth)
         agreed = all(
             _translate_prefix(stack, images, part, i, depth) == first
@@ -593,12 +585,9 @@ def first_return_sampler(
     """
     if n_samples < 1 or step_budget < 1:
         raise ConfigError("need n_samples >= 1 and step_budget >= 1")
-    acting = measure.acting
     graph = StepGraph(measure)
-    # membership of each visited acting position, computed once per node;
-    # the root's entry also checks the spec against the acting group
-    inside = {graph.root: part_in_sublattice(acting, graph.root.part, sublattice)}
-    rank = acting.base_rank
+    inside = _Inside(graph, sublattice)
+    rank = measure.acting.base_rank
     samples: list[ExtElement] = []
     times: list[int] = []
     failures = 0
@@ -613,10 +602,7 @@ def first_return_sampler(
             for i in idx:
                 n += 1
                 node = graph.advance(stack, node, (i,))
-                member = inside.get(node)
-                if member is None:
-                    member = inside[node] = part_in_sublattice(acting, node.part, sublattice)
-                if member:
+                if inside[node]:
                     samples.append(ExtElement(_reduced_word(rank, tuple(stack)), node.part))
                     times.append(n)
                     found = True

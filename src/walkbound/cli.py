@@ -229,6 +229,24 @@ def _split_counts(total: int, workers: int) -> list[tuple[int, int]]:
     return chunks
 
 
+def _fan_out(workers: int, sample, merge, measure, seed: int, n_paths: int, *args):
+    """``sample(measure, seed, n_paths, *args)``, split over worker processes.
+
+    Each worker samples one contiguous chunk of paths (``first_path``) and
+    ``merge`` joins the parts; path streams are keyed by absolute index, so
+    the result does not depend on the split. One chunk runs in this process.
+    """
+    chunks = _split_counts(n_paths, workers)
+    if len(chunks) == 1:
+        return sample(measure, seed, n_paths, *args)
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        futures = [
+            pool.submit(sample, measure, seed, count, *args, first_path=first)
+            for first, count in chunks
+        ]
+        return merge([f.result() for f in futures])
+
+
 # -- commands -------------------------------------------------------------------
 
 
@@ -241,18 +259,9 @@ def _cmd_walk(args, config: RunConfig, seed: int) -> tuple[str, str]:
         record = tuple(int(x) for x in args.record.split(","))
     else:
         record = (n_steps,)
-    if args.workers > 1:
-        chunks = _split_counts(n_paths, args.workers)
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(
-                pool.map(
-                    _walk_chunk,
-                    [(measure, seed, count, n_steps, record, first) for first, count in chunks],
-                )
-            )
-        batch = merge_batches(parts)
-    else:
-        batch = sample_paths(measure, seed, n_paths, n_steps, record_steps=record)
+    batch = _fan_out(
+        args.workers, sample_paths, merge_batches, measure, seed, n_paths, n_steps, record
+    )
     drift = drift_estimate(batch)
     payload = {
         "command": "walk",
@@ -279,13 +288,6 @@ def _cmd_walk(args, config: RunConfig, seed: int) -> tuple[str, str]:
             )
     csv_out = _csv_text(["path_id", "step", "w", "p", "gauge_length"], rows)
     return _json_text(payload), csv_out
-
-
-def _walk_chunk(packed) -> object:
-    measure, seed, count, n_steps, record, first = packed
-    return sample_paths(
-        measure, seed, count, n_steps, record_steps=record, first_path=first
-    )
 
 
 def _cmd_hitting(args, config: RunConfig, seed: int) -> tuple[str, str]:
@@ -357,6 +359,10 @@ def _cmd_track(args, config: RunConfig, seed: int) -> tuple[str, str]:
     depth = _pick(args.depth, config, "depth", 56)
     burn_in = _pick(args.burn_in, config, "burn_in", 200)
     resolve_depth = _pick(args.resolve_depth, config, "resolve_depth", 1)
+    if not 1 <= burn_in <= n_steps:
+        raise ConfigError(f"burn_in must be in 1..{n_steps}")
+    if not 1 <= resolve_depth <= depth:
+        raise ConfigError(f"resolve_depth must be in 1..{depth}")
     trace = track_convergence(measure, seed, n_paths, n_steps, depth)
     payload = {
         "command": "track",
@@ -420,18 +426,9 @@ def _cmd_entropy_rate(args, config: RunConfig, seed: int) -> tuple[str, str]:
     depths = tuple(sorted(set(depths)))
     if not depths or depths[0] < 1:
         raise ConfigError("need at least one positive depth")
-    if args.workers > 1:
-        chunks = _split_counts(n_paths, args.workers)
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(
-                pool.map(
-                    _entropy_chunk,
-                    [(measure, seed, count, depths, first) for first, count in chunks],
-                )
-            )
-        counts = merge_depth_counts(parts)
-    else:
-        counts = entropy_depth_counts(measure, seed, n_paths, depths)
+    counts = _fan_out(
+        args.workers, entropy_depth_counts, merge_depth_counts, measure, seed, n_paths, depths
+    )
     estimate = entropy_from_counts(counts, n_paths)
     payload = {
         "command": "entropy-rate",
@@ -449,11 +446,6 @@ def _cmd_entropy_rate(args, config: RunConfig, seed: int) -> tuple[str, str]:
         for d, (h, support) in sorted(estimate.per_depth.items())
     ]
     return _json_text(payload), _csv_text(["depth", "entropy", "support"], rows)
-
-
-def _entropy_chunk(packed) -> dict:
-    measure, seed, count, depths, first = packed
-    return entropy_depth_counts(measure, seed, count, depths, first_path=first)
 
 
 def _cmd_first_return(args, config: RunConfig, seed: int) -> tuple[str, str]:

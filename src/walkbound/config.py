@@ -36,7 +36,9 @@ __all__ = [
     "build_acting_group",
     "build_measure",
     "emit_config",
+    "named_automorphisms",
     "parse_config",
+    "sublattice_spec",
 ]
 
 

@@ -4,6 +4,15 @@ The CLI maps these onto fixed exit codes, so library code should raise the
 most specific class that applies.
 """
 
+__all__ = [
+    "BudgetError",
+    "ConfigError",
+    "ConvergenceError",
+    "InconclusiveGrowthError",
+    "TruncationError",
+    "WalkboundError",
+]
+
 
 class WalkboundError(Exception):
     """Base class for all errors raised by this package."""

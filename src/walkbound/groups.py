@@ -349,28 +349,28 @@ class PermKernelSpec:
 SublatticeSpec = Union[ModuliSpec, PermKernelSpec]
 
 
-def _word_permutation(p: Word, spec: PermKernelSpec) -> tuple[int, ...] | None:
-    """The permutation of a free acting part, or None for the empty word.
+def _word_permutation(p: Word, spec: PermKernelSpec) -> tuple[int, ...]:
+    """The permutation of a free acting part; the identity for the empty word.
 
-    Letters compose left to right as ``perm = perm ∘ image``, the order in
-    which the samplers extend a path's permutation by each atom's.
+    Letters compose left to right as ``perm = perm ∘ image``, so the
+    permutation of a product p·q is that of p composed with that of q.
+    Samplers never compose permutations themselves: they ask
+    ``part_in_sublattice`` once per acting position they visit.
     """
     perm = list(range(spec.degree))
-    moved = False
     for s in p.letters:
         img = spec.images[abs(s) - 1]
         if s < 0:
             inv = [0] * spec.degree
             for a, b in enumerate(img):
                 inv[b] = a
-            img = tuple(inv)
+            img = inv
         perm = [perm[x] for x in img]
-        moved = True
-    return tuple(perm) if moved else None
+    return tuple(perm)
 
 
 def part_in_sublattice(acting: ActingGroup, p: ActingPart, spec: SublatticeSpec) -> bool:
-    """Whether the acting part ``p`` lies in the finite-index subgroup."""
+    """Whether ``p`` lies in the subgroup: the one membership rule and spec check."""
     if isinstance(spec, ModuliSpec):
         if acting.kind != "lattice" or len(spec.moduli) != acting.k:
             raise ConfigError("moduli spec does not match the acting group")
@@ -378,8 +378,7 @@ def part_in_sublattice(acting: ActingGroup, p: ActingPart, spec: SublatticeSpec)
     if isinstance(spec, PermKernelSpec):
         if acting.kind != "free" or len(spec.images) != acting.k:
             raise ConfigError("permutation spec does not match the acting group")
-        perm = _word_permutation(p, spec)
-        return perm is None or perm == tuple(range(spec.degree))
+        return _word_permutation(p, spec) == tuple(range(spec.degree))
     raise ConfigError(f"unknown sublattice spec {spec!r}")
 
 

@@ -151,6 +151,13 @@ def _translated_values(
     return np.array(distinct, dtype=np.float64)[sample_index]
 
 
+def _check_samples(acting: ActingGroup, fn: CylinderFunction, rays: Sequence[Ray]) -> None:
+    if fn.rank != acting.base_rank:
+        raise ConfigError("function rank does not match the acting group")
+    if not rays:
+        raise ConfigError("need at least one boundary sample")
+
+
 def poisson_eval(
     acting: ActingGroup,
     fn: CylinderFunction,
@@ -163,10 +170,7 @@ def poisson_eval(
     returned standard error treats the rays as i.i.d. draws; pass the same
     list to related evaluations so their errors correlate and cancel.
     """
-    if fn.rank != acting.base_rank:
-        raise ConfigError("function rank does not match the acting group")
-    if not rays:
-        raise ConfigError("need at least one boundary sample")
+    _check_samples(acting, fn, rays)
     images, sample_index = _distinct_rays(acting, rays)
     values = _translated_values(images, fn, g, sample_index)
     n = len(values)
@@ -220,9 +224,10 @@ def harmonicity_residual(
     constant F no matter how the weights round, and whose standard error
     reflects the correlation between f(g) and its translates.
     """
+    acting = measure.acting
+    _check_samples(acting, fn, rays)
     if not test_set:
         raise ConfigError("need at least one test element")
-    acting = measure.acting
     images, sample_index = _distinct_rays(acting, rays)
     translate_cache: dict[object, np.ndarray] = {}
 

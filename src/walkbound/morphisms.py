@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetError, InconclusiveGrowthError
-from .words import Ray, Word, _reduced_word
+from .words import MAX_RANK, Ray, Word, _reduced_word
 
 __all__ = [
     "Automorphism",
@@ -112,14 +112,14 @@ class Automorphism:
     def apply(self, w: Word) -> Word:
         if w.rank != self.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {w.rank}")
-        return Word(self.rank, tuple(_apply_table(self._table, w.letters)))
+        return _reduced_word(self.rank, tuple(_apply_table(self._table, w.letters)))
 
     __call__ = apply
 
     def apply_inverse(self, w: Word) -> Word:
         if w.rank != self.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {w.rank}")
-        return Word(self.rank, tuple(_apply_table(self._inv_table, w.letters)))
+        return _reduced_word(self.rank, tuple(_apply_table(self._inv_table, w.letters)))
 
     def apply_letters(self, letters: tuple[int, ...]) -> list[int]:
         """Reduced image of a raw letter sequence; internal fast path."""
@@ -178,7 +178,9 @@ def _letter_table(images: tuple[Word, ...]) -> dict[int, tuple[int, ...]]:
 
 
 def identity_automorphism(rank: int) -> Automorphism:
-    gens = tuple(Word(rank, (i,)) for i in range(1, rank + 1))
+    if not 1 <= rank <= MAX_RANK:
+        raise ValueError(f"rank must be in [1, {MAX_RANK}], got {rank}")
+    gens = tuple(_reduced_word(rank, (i,)) for i in range(1, rank + 1))
     return Automorphism(rank, gens, gens, _verified=True)
 
 

@@ -126,10 +126,10 @@ class Word:
         while i > 0 and j < len(b) and a[i - 1] == -b[j]:
             i -= 1
             j += 1
-        return Word(self.rank, a[:i] + b[j:])
+        return _reduced_word(self.rank, a[:i] + b[j:])
 
     def inverse(self) -> "Word":
-        return Word(self.rank, tuple(-s for s in reversed(self.letters)))
+        return _reduced_word(self.rank, tuple(-s for s in reversed(self.letters)))
 
     def conjugate(self, by: "Word") -> "Word":
         """``by * self * by^-1``."""
@@ -167,9 +167,9 @@ def _reduced_word(rank: int, letters: tuple[int, ...]) -> Word:
     """A Word built without checking its letters.
 
     Only for letters reduced by construction: the step kernel's stacks (it
-    pushes letters of valid words and cancels at every junction) and the
-    prefixes and exact images of rays. Re-checking them would cost a pass
-    over the whole word.
+    pushes letters of valid words and cancels at every junction), products
+    and inverses of words, automorphism images, and the prefixes and exact
+    images of rays. Re-checking them would cost a pass over the whole word.
     """
     word = object.__new__(Word)
     object.__setattr__(word, "rank", rank)

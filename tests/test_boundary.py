@@ -13,6 +13,7 @@ from walkbound import (
     CylinderDistribution,
     ExtElement,
     ModuliSpec,
+    PermKernelSpec,
     Ray,
     StepMeasure,
     Word,
@@ -30,6 +31,7 @@ from walkbound import (
     stationarity_residual,
     track_convergence,
 )
+from walkbound import boundary
 from walkbound.boundary import _RayImages, _translate_prefix, default_probes
 from oracles import eager_image, markov_cylinder_table, tv_distance
 
@@ -360,3 +362,26 @@ def test_pure_word_walk_returns_immediately(srw_measure):
 def test_shift_dominated_walk_exhausts_budget(mixed_measure):
     with pytest.raises(BudgetError):
         first_return_sampler(mixed_measure, ModuliSpec((2,)), 5, 300, step_budget=1)
+
+
+@pytest.mark.parametrize(
+    "name, spec, message",
+    [
+        ("srw-f2", ModuliSpec((2,)), "moduli spec"),
+        ("lattice-rank2", ModuliSpec((2,)), "moduli spec"),
+        ("semidirect-mixed", PermKernelSpec(2, ((1, 0),)), "permutation spec"),
+        ("free-acting", ModuliSpec((2, 2)), "moduli spec"),
+    ],
+)
+def test_mismatched_sublattice_spec_raises_before_any_path(monkeypatch, name, spec, message):
+    measure = build_measure(load_fixture(name))
+
+    def no_paths(*args):
+        raise AssertionError("a path was walked")
+
+    monkeypatch.setattr(boundary, "path_generators", no_paths)
+    match = f"{message} does not match the acting group"
+    with pytest.raises(ConfigError, match=match):
+        empirical_hitting_measure(measure, 1, 10, 10, 1, return_lattice=spec)
+    with pytest.raises(ConfigError, match=match):
+        first_return_sampler(measure, spec, 1, 10)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from walkbound import cli
 from walkbound.cli import main
 
 SHIFT_ONLY = """
@@ -208,6 +209,29 @@ def test_track_csv_lists_final_lengths(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "path_id,final_length"
     assert len(lines) == 21
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ([], "burn_in must be in 1..100"),
+        (["--burn-in", "0"], "burn_in must be in 1..100"),
+        (["--burn-in", "10", "--resolve-depth", "0"], "resolve_depth must be in 1..12"),
+        (["--burn-in", "10", "--resolve-depth", "99"], "resolve_depth must be in 1..12"),
+    ],
+    ids=["default-burn-in", "zero-burn-in", "zero-resolve-depth", "deep-resolve-depth"],
+)
+def test_track_rejects_windows_before_simulating(monkeypatch, capsys, extra, message):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("track_convergence ran")
+
+    monkeypatch.setattr(cli, "track_convergence", no_simulation)
+    argv = ["track", "--config", "fixture:direct-product", "--seed", "1",
+            "--n-paths", "32", "--n-steps", "100", "--depth", "12", *extra]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_growth_classifies_configured_twists(capsys):
@@ -419,6 +443,19 @@ GOLDEN_DIGESTS = (
         "--n-steps 30",
         "d531cd03185fcb47a91bac903e16c6b8ad06300055a475dc5758879dbf5fe788",
         id="hitting-fibonacci",
+    ),
+    # recorded before sublattice membership was memoized per step-graph node
+    pytest.param(
+        "hitting --config fixture:lattice-rank2 --at-returns --seed 31 --n-paths 200 "
+        "--n-steps 150 --depth 2",
+        "b1bfc1fbec9087e94ef08ce6465f644cf371ac7fa2bc9065304c312560cfbb79",
+        id="hitting-at-returns-lattice-rank2",
+    ),
+    pytest.param(
+        "hitting --config fixture:fibonacci --at-returns --seed 32 --n-paths 60 "
+        "--n-steps 30 --depth 2",
+        "10171de218e97918e2bebde220435efb3917714c451e98ea580a63c87fc75b2a",
+        id="hitting-at-returns-fibonacci",
     ),
 )
 

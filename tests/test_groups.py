@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walkbound import (
+    Automorphism,
     ConfigError,
     ExtElement,
     ModuliSpec,
@@ -19,6 +20,7 @@ from walkbound import (
     load_fixture,
     standard_generators,
 )
+from walkbound import words
 
 
 def acting_for(name: str):
@@ -181,3 +183,43 @@ def test_part_text_round_trip():
     ]:
         acting = acting_for(name)
         assert acting.format_part(acting.parse_part(text)) == text
+
+
+# -- accumulated automorphisms -----------------------------------------------------
+
+def test_automorphism_for_rechecks_no_letters(monkeypatch):
+    acting = acting_for("fibonacci")
+    calls = []
+    check = words._check_letters
+
+    def counting_check(rank, letters):
+        calls.append(len(letters))
+        check(rank, letters)
+
+    monkeypatch.setattr(words, "_check_letters", counting_check)
+    phi = acting.automorphism_for((20,))
+    assert len(phi.images[0]) > 10000
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "name, texts",
+    [
+        ("fibonacci", ["12", "-7", "1"]),
+        ("semidirect-linear", ["5", "-4"]),
+        ("lattice-rank2", ["3,-2", "-1,4"]),
+        ("free-acting", ["abAB", "BBa", "aab"]),
+    ],
+)
+def test_composed_automorphisms_equal_checked_ones(name, texts):
+    acting = acting_for(name)
+    for text in texts:
+        phi = acting.automorphism_for(acting.parse_part(text))
+        # parsing checks every letter and the constructor verifies the inverse
+        checked = Automorphism.parse(
+            acting.base_rank,
+            [str(w) for w in phi.images],
+            [str(w) for w in phi.inverse_images],
+        )
+        assert checked == phi
+        assert checked.inverse_images == phi.inverse_images

@@ -131,3 +131,24 @@ def test_shift_invariant_function_kills_point_mass_residual(srw_rays):
     fn = CylinderFunction.constant(2, 1, 1.0)
     report = harmonicity_residual(pm, fn, srw_rays, ball(acting, 1))
     assert report.max_residual == 0.0
+
+
+EVALUATIONS = {
+    "poisson_eval": lambda m, fn, rays: poisson_eval(m.acting, fn, ext_identity(m.acting), rays),
+    "harmonicity_residual": lambda m, fn, rays: harmonicity_residual(
+        m, fn, rays, ball(m.acting, 1)
+    ),
+}
+
+
+@pytest.mark.parametrize("evaluate", list(EVALUATIONS))
+def test_evaluations_reject_empty_ray_lists(srw_measure, evaluate):
+    with pytest.raises(ConfigError, match="at least one boundary sample"):
+        EVALUATIONS[evaluate](srw_measure, indicator_a(), [])
+
+
+@pytest.mark.parametrize("evaluate", list(EVALUATIONS))
+def test_evaluations_reject_function_of_another_rank(srw_measure, srw_rays, evaluate):
+    fn = CylinderFunction.indicator(Word.parse(3, "c"))
+    with pytest.raises(ConfigError, match="function rank does not match"):
+        EVALUATIONS[evaluate](srw_measure, fn, srw_rays)

@@ -24,7 +24,7 @@ from walkbound import (
     sublattice_spec,
 )
 from walkbound._rng import STREAM_RETURN, STREAM_WALK, derived_rng
-from walkbound.boundary import _endpoint, _last_lattice_step
+from walkbound.boundary import _endpoint, _Inside, _last_lattice_step
 from walkbound.walk import StepGraph
 
 # exponential twists make fold words grow like phi^steps
@@ -157,4 +157,24 @@ def test_lattice_tracker_agrees_with_in_sublattice(images, indices):
     members = [
         n for n in range(1, len(indices) + 1) if in_sublattice(measure.acting, positions[n], spec)
     ]
-    assert _last_lattice_step(measure, indices, spec) == (members[-1] if members else 0)
+    graph = StepGraph(measure)
+    assert _last_lattice_step(graph, indices, _Inside(graph, spec)) == (
+        members[-1] if members else 0
+    )
+
+
+@pytest.mark.parametrize("name", RETURNING)
+@settings(max_examples=15, deadline=None)
+@given(seed=seeds, path=path_indices, data=st.data())
+def test_moduli_tracker_agrees_with_in_sublattice(name, seed, path, data):
+    measure = fixture_measure(name)
+    spec = sublattice_spec(load_fixture(name))
+    n_steps = data.draw(st.integers(0, MAX_STEPS.get(name, 60)), label="n_steps")
+    indices = measure.draw_indices(derived_rng(seed, STREAM_WALK, path), n_steps).tolist()
+    positions = fold(measure, indices)
+    members = [n for n in range(1, n_steps + 1) if in_sublattice(measure.acting, positions[n], spec)]
+    graph = StepGraph(measure)
+    inside = _Inside(graph, spec)
+    # a second path over the same graph reads memoized nodes and built edges
+    for _ in range(2):
+        assert _last_lattice_step(graph, indices, inside) == (members[-1] if members else 0)
