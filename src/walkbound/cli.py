@@ -8,9 +8,9 @@ boundary action is exact and cannot raise it).
 
 The seed is resolved in priority order: ``--seed`` flag, the
 ``WALKBOUND_SEED`` environment variable, the config's ``run.seed``, else 0.
-``--workers`` parallelizes the path-sampling commands (walk, entropy-rate);
-results are identical for every worker count because path streams are keyed
-by absolute path index.
+``--workers`` (at least 1, in every command) parallelizes the path-sampling
+commands (walk, entropy-rate); results are identical for every worker count
+because path streams are keyed by absolute path index.
 """
 
 from __future__ import annotations
@@ -607,6 +607,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         config = _load_config(args.config)
         seed = _resolve_seed(args, config)
         json_out, csv_out = _COMMANDS[args.command](args, config, seed)

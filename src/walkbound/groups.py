@@ -61,7 +61,7 @@ class ActingGroup:
     results never depend on cache state.
     """
 
-    __slots__ = ("kind", "k", "base_rank", "theta", "_cache", "_twist_cache")
+    __slots__ = ("kind", "k", "base_rank", "theta", "_signed_theta", "_cache", "_twist_cache")
 
     def __init__(self, kind: str, theta: tuple[Automorphism, ...], base_rank: int):
         if kind not in ("lattice", "free"):
@@ -85,6 +85,14 @@ class ActingGroup:
         self.k = len(theta)
         self.base_rank = base_rank
         self.theta = theta
+        self._start_caches()
+
+    def _start_caches(self) -> None:
+        # θ_j under the signed letter j and θ_j^-1 under -j, built once
+        self._signed_theta = {}
+        for j, phi in enumerate(self.theta, start=1):
+            self._signed_theta[j] = phi
+            self._signed_theta[-j] = phi.inverse()
         self._cache: dict[tuple[int, ...], Automorphism] = {}
         self._twist_cache: dict[tuple, tuple[int, ...]] = {}
 
@@ -159,28 +167,35 @@ class ActingGroup:
     # -- the accumulated automorphism Θ(p) --------------------------------------
 
     def automorphism_for(self, p: ActingPart) -> Automorphism:
-        """Θ(p); for a lattice ∏ θ_j^{p_j}, for a free part the composition along p."""
+        """Θ(p); for a lattice ∏ θ_j^{p_j}, for a free part the composition along p.
+
+        Θ(p) = Θ(q)∘θ_j^{±1}, where q peels the last letter off a free part,
+        or one unit off the first nonzero coordinate of a lattice part (the
+        θ_j commute). Composing the long Θ(q) after the short θ substitutes
+        whole images, and every Θ(q) on the way is cached, so long walks pay
+        per new acting position only.
+        """
+        cache = self._cache
         key = self.part_key(p)
-        cached = self._cache.get(key)
+        cached = cache.get(key)
         if cached is not None:
             return cached
-        if not key or not any(key):
-            result = identity_automorphism(self.base_rank)
-            self._cache[key] = result
-            return result
-        if self.kind == "lattice":
-            # peel one unit off the first nonzero coordinate; the neighbour is
-            # cached recursively, so long walks pay per new lattice point only
-            j = next(i for i, a in enumerate(key) if a)
-            step = 1 if key[j] > 0 else -1
-            neighbour = key[:j] + (key[j] - step,) + key[j + 1 :]
-            base = self.theta[j] if step > 0 else self.theta[j].inverse()
-            result = base.compose(self.automorphism_for(neighbour))
-        else:
-            prefix, last = key[:-1], key[-1]
-            tail = self.theta[last - 1] if last > 0 else self.theta[-last - 1].inverse()
-            result = self.automorphism_for(Word(self.k, prefix)).compose(tail)
-        self._cache[key] = result
+        # walk down to the nearest cached part, then compose back up
+        chain = []
+        while key not in cache and any(key):
+            if self.kind == "lattice":
+                j = next(i for i, a in enumerate(key) if a)
+                step = 1 if key[j] > 0 else -1
+                chain.append((key, step * (j + 1)))
+                key = key[:j] + (key[j] - step,) + key[j + 1 :]
+            else:
+                chain.append((key, key[-1]))
+                key = key[:-1]
+        result = cache.get(key)
+        if result is None:
+            result = cache[key] = identity_automorphism(self.base_rank)
+        for key, letter in reversed(chain):
+            result = cache[key] = result.compose(self._signed_theta[letter])
         return result
 
     def twist_letters(self, p: ActingPart, letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -192,7 +207,7 @@ class ActingGroup:
         key = (self.part_key(p), letters)
         cached = self._twist_cache.get(key)
         if cached is None:
-            cached = tuple(self.automorphism_for(p).apply_letters(list(letters)))
+            cached = tuple(self.automorphism_for(p).apply_letters(letters))
             self._twist_cache[key] = cached
         return cached
 
@@ -215,8 +230,7 @@ class ActingGroup:
         self.k = k
         self.base_rank = base_rank
         self.theta = theta
-        self._cache = {}
-        self._twist_cache = {}
+        self._start_caches()
 
     def __repr__(self) -> str:
         name = "Z^%d" % self.k if self.kind == "lattice" else "Free(%d)" % self.k

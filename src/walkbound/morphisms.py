@@ -1,11 +1,18 @@
 """Free-group automorphisms as generator-image tables.
 
-An automorphism is stored as the images of the basis generators together with
-a user-supplied table for its inverse. Inverting a free-group automorphism
-algorithmically is out of scope, but verifying a claimed inverse is cheap:
-both compositions must fix every generator, and the constructor checks this
-exactly. Everything downstream (composition, powers, the boundary action)
-relies only on the verified pair of tables.
+An automorphism is stored as a letter table: the image of every generator and
+of every inverse generator, as a reduced letter tuple. A user-built
+automorphism also carries a user-supplied table for its inverse. Inverting a
+free-group automorphism algorithmically is out of scope, but verifying a
+claimed inverse is cheap: both compositions must fix every generator, and the
+constructor checks this exactly.
+
+Composition and powers substitute whole images: the table of f∘g maps each
+letter s to f's table applied to g's image of s, which cancels only at the
+junctions between f's images and extends the rest. The inverse of a
+composition is built only when it is first read (``inverse_images``,
+``apply_inverse``, ``inverse``), from the inverses of its two operands, since
+the walk and the boundary action never read it.
 """
 
 from __future__ import annotations
@@ -35,27 +42,41 @@ __all__ = [
 DEFAULT_FIT_GAP = 0.08
 
 
-def _apply_table(table: dict[int, tuple[int, ...]], letters: tuple[int, ...]) -> list[int]:
+def _apply_table(table, letters) -> list[int]:
+    """Reduced word of the images of ``letters`` under a letter table.
+
+    Every image is reduced and so is the word built so far, so only the
+    junction can cancel: pop the letters it cancels and extend by the rest.
+    """
     out: list[int] = []
-    push = out.append
     pop = out.pop
+    extend = out.extend
     for s in letters:
-        for t in table[s]:
-            if out and out[-1] == -t:
-                pop()
-            else:
-                push(t)
+        image = table[s]
+        k, n = 0, len(image)
+        while k < n and out and out[-1] == -image[k]:
+            pop()
+            k += 1
+        extend(image[k:] if k else image)
     return out
+
+
+def _substitute(table, images) -> dict:
+    """The table s ↦ ``table`` applied to ``images[s]``, for every key of ``images``."""
+    return {s: tuple(_apply_table(table, image)) for s, image in images.items()}
 
 
 class Automorphism:
     """An automorphism of the rank-``d`` free group, with verified inverse.
 
     ``images[i-1]`` is the image of generator ``i``; ``inverse_images[i-1]``
-    the image of generator ``i`` under the declared inverse.
+    the image of generator ``i`` under the declared inverse. ``_table`` maps
+    every signed letter to its image. ``_inv_table`` is the inverse's table,
+    or None while it is deferred; then ``_operands`` is the pair (f, g) with
+    self = f∘g, and the table is built from theirs on first use.
     """
 
-    __slots__ = ("rank", "images", "inverse_images", "_table", "_inv_table")
+    __slots__ = ("rank", "images", "_table", "_inv_table", "_operands")
 
     def __init__(
         self,
@@ -74,25 +95,67 @@ class Automorphism:
                 raise ValueError("image words must all have the declared rank")
         self.rank = rank
         self.images = images
-        self.inverse_images = inverse_images
         self._table = _letter_table(images)
         self._inv_table = _letter_table(inverse_images)
+        self._operands = None
         if not _verified:
             self._verify_inverse()
+
+    @classmethod
+    def _from_tables(cls, rank: int, table: dict, inv_table: dict | None = None, operands=None):
+        """An automorphism from a table of reduced images, with no checks.
+
+        Its ``images`` share the table's tuples. Without ``inv_table``,
+        ``operands`` must be the pair (f, g) it was composed from.
+        """
+        phi = object.__new__(cls)
+        phi.rank = rank
+        phi.images = tuple(_reduced_word(rank, table[i]) for i in range(1, rank + 1))
+        phi._table = table
+        phi._inv_table = inv_table
+        phi._operands = operands
+        return phi
 
     def _verify_inverse(self) -> None:
         for i in range(1, self.rank + 1):
             target = (i,)
-            fwd = _apply_table(self._table, self.inverse_images[i - 1].letters)
+            fwd = _apply_table(self._table, self._inv_table[i])
             if tuple(fwd) != target:
                 raise ValueError(
                     f"inverse table rejected: images∘inverse moves generator {i}"
                 )
-            bwd = _apply_table(self._inv_table, self.images[i - 1].letters)
+            bwd = _apply_table(self._inv_table, self._table[i])
             if tuple(bwd) != target:
                 raise ValueError(
                     f"inverse table rejected: inverse∘images moves generator {i}"
                 )
+
+    def _inverse_table(self) -> dict:
+        """The inverse's letter table, built from the operands' on first use."""
+        if self._inv_table is None:
+            # an explicit stack, since a chain Θ(p) = Θ(prefix)∘θ is as deep
+            # as p is long; each table built releases its operands
+            todo = [self]
+            while todo:
+                phi = todo[-1]
+                if phi._inv_table is not None:
+                    todo.pop()
+                    continue
+                f, g = phi._operands
+                waiting = [x for x in (f, g) if x._inv_table is None]
+                if waiting:
+                    todo.extend(waiting)
+                    continue
+                # (f∘g)^-1 = g^-1 ∘ f^-1
+                phi._inv_table = _substitute(g._inv_table, f._inv_table)
+                phi._operands = None
+                todo.pop()
+        return self._inv_table
+
+    @property
+    def inverse_images(self) -> tuple[Word, ...]:
+        table = self._inverse_table()
+        return tuple(_reduced_word(self.rank, table[i]) for i in range(1, self.rank + 1))
 
     @classmethod
     def parse(
@@ -119,7 +182,7 @@ class Automorphism:
     def apply_inverse(self, w: Word) -> Word:
         if w.rank != self.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {w.rank}")
-        return _reduced_word(self.rank, tuple(_apply_table(self._inv_table, w.letters)))
+        return _reduced_word(self.rank, tuple(_apply_table(self._inverse_table(), w.letters)))
 
     def apply_letters(self, letters: tuple[int, ...]) -> list[int]:
         """Reduced image of a raw letter sequence; internal fast path."""
@@ -128,23 +191,31 @@ class Automorphism:
     # -- algebra -------------------------------------------------------------
 
     def inverse(self) -> "Automorphism":
-        return Automorphism(self.rank, self.inverse_images, self.images, _verified=True)
+        return Automorphism._from_tables(self.rank, self._inverse_table(), self._table)
 
     def compose(self, other: "Automorphism") -> "Automorphism":
-        """``self ∘ other``: apply ``other`` first."""
+        """``self ∘ other``: apply ``other`` first.
+
+        The table substitutes ``self``'s images into each of ``other``'s, for
+        both signs of every letter, so composing a long automorphism after a
+        short one costs about the length of the result. The inverse is
+        deferred: it is built from the operands' inverses when first read,
+        and until then the result keeps both operands alive.
+        """
         if other.rank != self.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
-        images = tuple(self.apply(w) for w in other.images)
-        # (f∘g)^-1 = g^-1 ∘ f^-1
-        inverse_images = tuple(other.apply_inverse(w) for w in self.inverse_images)
-        return Automorphism(self.rank, images, inverse_images, _verified=True)
+        table = _substitute(self._table, other._table)
+        return Automorphism._from_tables(self.rank, table, operands=(self, other))
 
     def power(self, k: int) -> "Automorphism":
+        """φ^k, built as φ^(k−1)∘φ (powers of φ commute), inverse included."""
         base = self if k >= 0 else self.inverse()
-        result = identity_automorphism(self.rank)
+        forward, backward = base._table, base._inverse_table()
+        table = inv_table = _identity_table(self.rank)
         for _ in range(abs(k)):
-            result = base.compose(result)
-        return result
+            table = _substitute(table, forward)
+            inv_table = _substitute(inv_table, backward)
+        return Automorphism._from_tables(self.rank, table, inv_table)
 
     def is_identity(self) -> bool:
         return all(w.letters == (i + 1,) for i, w in enumerate(self.images))
@@ -173,15 +244,19 @@ def _letter_table(images: tuple[Word, ...]) -> dict[int, tuple[int, ...]]:
     table: dict[int, tuple[int, ...]] = {}
     for i, w in enumerate(images, start=1):
         table[i] = w.letters
-        table[-i] = w.inverse().letters
+        table[-i] = tuple(-s for s in reversed(w.letters))
     return table
+
+
+def _identity_table(rank: int) -> dict[int, tuple[int, ...]]:
+    return {s: (s,) for i in range(1, rank + 1) for s in (i, -i)}
 
 
 def identity_automorphism(rank: int) -> Automorphism:
     if not 1 <= rank <= MAX_RANK:
         raise ValueError(f"rank must be in [1, {MAX_RANK}], got {rank}")
-    gens = tuple(_reduced_word(rank, (i,)) for i in range(1, rank + 1))
-    return Automorphism(rank, gens, gens, _verified=True)
+    table = _identity_table(rank)
+    return Automorphism._from_tables(rank, table, table)
 
 
 def inner_automorphism(rank: int, g: Word) -> Automorphism:
@@ -238,25 +313,38 @@ def classify_growth(
 ) -> GrowthReport:
     """Decide between polynomial and exponential growth of iterated images.
 
-    Records cyclically reduced lengths of φ^m(xᵢ) for m = 0..max_iter, then
-    fits log-length against log m (polynomial model) and against m
-    (exponential model) by least squares over the whole range. The better R²
-    wins; parameter estimates (rounded degree, rate in nats) come from the
-    tail half of the range where the asymptotic behaviour dominates. If the
-    two R² values are within ``fit_gap`` the classifier refuses to guess and
-    raises :class:`InconclusiveGrowthError`.
+    Records cyclically reduced lengths of φ^m(xᵢ) for m = 0..max_iter. The
+    table of φ^m is built by substituting the table of φ^(m−1) into φ's own
+    images, φ^m(s) = φ^(m−1)(φ(s)), only for the letters that the generators'
+    images reach; so each iterate costs about its length, never a pass
+    letter by letter over the previous iterate. It then fits log-length
+    against log m (polynomial model) and against m (exponential model) by
+    least squares over the whole range. The better R² wins; parameter
+    estimates (rounded degree, rate in nats) come from the tail half of the
+    range where the asymptotic behaviour dominates. If the two R² values are
+    within ``fit_gap`` the classifier refuses to guess and raises
+    :class:`InconclusiveGrowthError`.
     """
     if max_iter < 8:
         raise ValueError("max_iter must be >= 8")
     rank = phi.rank
-    lengths: list[list[int]] = []
-    for i in range(1, rank + 1):
-        current = (i,)
-        row = [1]
-        for _ in range(max_iter):
-            current = tuple(phi.apply_letters(current))
-            row.append(_cyclic_core_length(current))
-        lengths.append(row)
+    # the letters that the generators' images reach: only these are tabled
+    reach = list(range(1, rank + 1))
+    for s in reach:
+        for t in phi._table[s]:
+            if t not in reach:
+                reach.append(t)
+    images = {s: phi._table[s] for s in reach}
+    table = {s: [s] for s in reach}
+    lengths: list[list[int]] = [[1] for _ in range(rank)]
+    for _ in range(max_iter):
+        # φ^m(s) = φ^(m-1)(φ(s)); a one-letter image shares its entry
+        table = {
+            s: table[image[0]] if len(image) == 1 else _apply_table(table, image)
+            for s, image in images.items()
+        }
+        for i, row in enumerate(lengths, start=1):
+            row.append(_cyclic_core_length(table[i]))
     per_gen = tuple(tuple(row) for row in lengths)
 
     envelope = [max(row[m] for row in lengths) for m in range(max_iter + 1)]

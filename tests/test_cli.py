@@ -67,6 +67,41 @@ def test_walk_worker_count_does_not_change_output(tmp_path, capsys):
     assert solo.read_bytes() == pair.read_bytes()
 
 
+EVERY_COMMAND = [
+    ["walk", "--n-paths", "3", "--n-steps", "5"],
+    ["hitting", "--n-paths", "3", "--n-steps", "5"],
+    ["stationarity", "--n-paths", "3", "--n-steps", "5"],
+    ["track", "--n-paths", "3", "--n-steps", "5"],
+    ["growth"],
+    ["moments"],
+    ["entropy-rate", "--n-paths", "3"],
+    ["first-return", "--n-samples", "3"],
+    ["tree-liminf", "--vertices", "a,ab"],
+    ["tree-strips", "--from-vertex", "a", "--to-vertex", "b"],
+    ["poisson", "--n-samples", "3", "--n-steps", "5"],
+]
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+def test_workers_below_one_exit_two(monkeypatch, capsys, argv, workers):
+    def fail(*args, **kwargs):
+        raise AssertionError("the config was read before --workers was checked")
+
+    monkeypatch.setattr(cli, "_load_config", fail)
+    code = main([argv[0], "--config", "fixture:srw-f2", *argv[1:], "--workers", workers])
+    assert code == 2
+    assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+
+
+def test_more_workers_than_paths_run_one_chunk_per_path(capsys):
+    argv = ["walk", "--config", "fixture:srw-f2", "--seed", "4", "--n-paths", "3",
+            "--n-steps", "5"]
+    assert cli._split_counts(3, 4) == [(0, 1), (1, 1), (2, 1)]
+    solo = run_json(capsys, argv + ["--workers", "1"])
+    assert run_json(capsys, argv + ["--workers", "4"]) == solo
+
+
 def test_walk_recorded_steps_appear_in_csv(capsys):
     argv = ["walk", "--config", "fixture:srw-f2", "--seed", "2",
             "--n-paths", "5", "--n-steps", "20", "--record", "0,5",
@@ -456,6 +491,23 @@ GOLDEN_DIGESTS = (
         "--n-steps 30 --depth 2",
         "10171de218e97918e2bebde220435efb3917714c451e98ea580a63c87fc75b2a",
         id="hitting-at-returns-fibonacci",
+    ),
+    # recorded before twists and growth iterates were built by substituting
+    # whole image tables
+    pytest.param(
+        "growth --config fixture:fibonacci --iterations 27",
+        "f2aefcd17a71b6c0203f2158d7fc7c1bfbacb39c72fc2e7c0b09e5c3523c49d6",
+        id="growth-fibonacci",
+    ),
+    pytest.param(
+        "growth --config fixture:free-acting",
+        "6f1fd3e45fd9515678a9a8ba0fc3c54e3ea58ba4911de7aef7e259989bda13a1",
+        id="growth-free-acting",
+    ),
+    pytest.param(
+        "walk --config fixture:free-acting --n-paths 64 --n-steps 800 --seed 7",
+        "10e15d5ebdccb4183572353ab7d6bfe1c61899f62a78f8d46d0075e681ff12f8",
+        id="walk-json-free-acting",
     ),
 )
 

@@ -15,12 +15,14 @@ from walkbound import (
     ext_identity,
     ext_inverse,
     ext_multiply,
+    free_reduce,
     gauge_length,
     in_sublattice,
     load_fixture,
     standard_generators,
 )
-from walkbound import words
+from walkbound import morphisms, words
+from walkbound.cli import main
 
 
 def acting_for(name: str):
@@ -202,19 +204,33 @@ def test_automorphism_for_rechecks_no_letters(monkeypatch):
     assert calls == []
 
 
+def folded_twist(acting, part) -> list[Word]:
+    """Θ(p) on the generators, applying the θ_j of p one at a time, last first."""
+    if acting.kind == "lattice":
+        letters = [(j + 1) * (1 if a > 0 else -1) for j, a in enumerate(part) for _ in range(abs(a))]
+    else:
+        letters = list(part.letters)
+    images = [Word(acting.base_rank, (i,)) for i in range(1, acting.base_rank + 1)]
+    for s in reversed(letters):
+        theta = acting.theta[abs(s) - 1]
+        images = [theta.apply(w) if s > 0 else theta.apply_inverse(w) for w in images]
+    return images
+
+
 @pytest.mark.parametrize(
     "name, texts",
     [
-        ("fibonacci", ["12", "-7", "1"]),
+        ("fibonacci", ["12", "-7", "1", "15", "-12"]),
         ("semidirect-linear", ["5", "-4"]),
         ("lattice-rank2", ["3,-2", "-1,4"]),
-        ("free-acting", ["abAB", "BBa", "aab"]),
+        ("free-acting", ["abAB", "BBa", "aab", "abABaabbABBAbaBAbbab"]),
     ],
 )
 def test_composed_automorphisms_equal_checked_ones(name, texts):
     acting = acting_for(name)
     for text in texts:
-        phi = acting.automorphism_for(acting.parse_part(text))
+        part = acting.parse_part(text)
+        phi = acting.automorphism_for(part)
         # parsing checks every letter and the constructor verifies the inverse
         checked = Automorphism.parse(
             acting.base_rank,
@@ -223,3 +239,64 @@ def test_composed_automorphisms_equal_checked_ones(name, texts):
         )
         assert checked == phi
         assert checked.inverse_images == phi.inverse_images
+        assert list(phi.images) == folded_twist(acting, part)
+
+
+TWIST_PARTS = {
+    "fibonacci": ["6", "-5"],
+    "semidirect-linear": ["3", "-2"],
+    "semidirect-mixed": ["2", "-3"],
+    "lattice-rank2": ["2,-1", "-1,3"],
+    "direct-product": ["2", "-2"],
+    "free-acting": ["abA", "BBa"],
+}
+
+
+def substitution_cases() -> list:
+    """Each twisted fixture's θ_j and some composed Θ(p), with their inverses."""
+    cases = []
+    for name, texts in TWIST_PARTS.items():
+        acting = acting_for(name)
+        phis = list(acting.theta)
+        phis += [acting.automorphism_for(acting.parse_part(text)) for text in texts]
+        cases += [f for phi in phis for f in (phi, phi.inverse())]
+    return cases
+
+
+SUBSTITUTION_CASES = substitution_cases()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_apply_table_equals_reduced_concatenated_images(data):
+    phi = data.draw(st.sampled_from(SUBSTITUTION_CASES))
+    letters = data.draw(
+        st.lists(st.integers(min_value=-phi.rank, max_value=phi.rank).filter(bool), max_size=12)
+    )
+    concatenated = [t for s in letters for t in phi._table[s]]
+    assert morphisms._apply_table(phi._table, letters) == free_reduce(concatenated)
+
+
+def test_walks_build_no_inverse_of_an_accumulated_automorphism(monkeypatch, capsys):
+    built, composed = [], []
+    inverse_table = Automorphism._inverse_table
+    compose = Automorphism.compose
+
+    def spy_inverse_table(phi):
+        if phi._inv_table is None:
+            built.append(phi)
+        return inverse_table(phi)
+
+    def spy_compose(phi, other):
+        composed.append(phi)
+        return compose(phi, other)
+
+    monkeypatch.setattr(Automorphism, "_inverse_table", spy_inverse_table)
+    monkeypatch.setattr(Automorphism, "compose", spy_compose)
+    for name in ("free-acting", "fibonacci"):
+        composed.clear()
+        argv = ["walk", "--config", f"fixture:{name}", "--seed", "3",
+                "--n-paths", "20", "--n-steps", "60"]
+        assert main(argv) == 0
+        assert composed, name
+    assert built == []

@@ -13,8 +13,12 @@ from walkbound import (
     boundary_apply,
     cancellation_bound,
     classify_growth,
+    fixture_names,
+    free_reduce,
     identity_automorphism,
     inner_automorphism,
+    load_fixture,
+    named_automorphisms,
 )
 from oracles import fibonacci_rate
 
@@ -181,3 +185,62 @@ def test_boundary_apply_exact_on_shrinking_ray():
     # cycle, (Ba)^oo, cancels: ba . b^oo maps to Ba . (aB)^oo
     got = boundary_apply(shrinking, Ray.parse(2, "ba|b"), 6)
     assert got == Word.parse(2, "BaaBaB")
+
+
+# -- substitution against letter-by-letter references ----------------------------
+
+def letter_by_letter(phi: Automorphism, letters) -> tuple[int, ...]:
+    """φ(letters) from the image Words, reduced one image letter at a time."""
+    images = {}
+    for i, w in enumerate(phi.images, start=1):
+        images[i] = w.letters
+        images[-i] = w.inverse().letters
+    return tuple(free_reduce(t for s in letters for t in images[s]))
+
+
+def growth_cases() -> list:
+    cases = [
+        pytest.param(phi, id=f"{fixture}-{name}")
+        for fixture in fixture_names()
+        for name, phi in named_automorphisms(load_fixture(fixture)).items()
+    ]
+    # inner automorphisms put inverse letters into every image
+    for label, phi in (("fibonacci", fibonacci()), ("linear", linear_rank2())):
+        for g in ("bA", "Ab"):
+            inner = inner_automorphism(2, Word.parse(2, g))
+            cases.append(pytest.param(inner.compose(phi), id=f"{g}-conjugated-{label}"))
+    inner = inner_automorphism(3, Word.parse(3, "Cb"))
+    cases.append(pytest.param(inner.compose(shift_rank3()), id="Cb-conjugated-shift"))
+    return cases
+
+
+def test_power_equals_repeated_letter_by_letter_images():
+    for phi in (fibonacci(), linear_rank2(), shift_rank3()):
+        for k in range(-12, 13):
+            base = phi if k >= 0 else phi.inverse()
+            power = phi.power(k)
+            for i in range(1, phi.rank + 1):
+                expected = (i,)
+                for _ in range(abs(k)):
+                    expected = letter_by_letter(base, expected)
+                assert power.images[i - 1].letters == expected
+            # the inverse comes with the power, not from a chain of deferrals
+            assert power._operands is None
+            assert power.inverse_images == phi.power(-k).images
+            assert power.compose(phi.power(-k)).is_identity()
+
+
+@pytest.mark.parametrize("phi", growth_cases())
+def test_growth_lengths_equal_letter_by_letter_iterates(phi):
+    # a zero fit gap never refuses a verdict; only the lengths are compared
+    lengths = classify_growth(phi, 30, fit_gap=0.0).per_generator_lengths
+    for i in range(1, phi.rank + 1):
+        current = (i,)
+        row = [1]
+        for _ in range(30):
+            current = letter_by_letter(phi, current)
+            lo = 0
+            while len(current) - 2 * lo >= 2 and current[lo] == -current[-1 - lo]:
+                lo += 1
+            row.append(len(current) - 2 * lo)
+        assert lengths[i - 1] == tuple(row)
