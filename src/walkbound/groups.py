@@ -94,7 +94,8 @@ class ActingGroup:
             self._signed_theta[j] = phi
             self._signed_theta[-j] = phi.inverse()
         self._cache: dict[tuple[int, ...], Automorphism] = {}
-        self._twist_cache: dict[tuple, tuple[int, ...]] = {}
+        # always empty, kept because bench/tracing.py reads its size
+        self._twist_cache: dict = {}
 
     @classmethod
     def trivial(cls, base_rank: int) -> "ActingGroup":
@@ -199,17 +200,15 @@ class ActingGroup:
         return result
 
     def twist_letters(self, p: ActingPart, letters: tuple[int, ...]) -> tuple[int, ...]:
-        """Reduced letters of Θ(p) applied to ``letters``, memoized.
+        """Reduced letters of Θ(p) applied to ``letters``.
 
-        This is the hot call of every walk step; the cache stays small because
-        walks revisit the same acting positions and atom free parts.
+        Not memoized: a step graph calls this once per edge it builds. A
+        one-letter atom gets Θ(p)'s table entry itself, not a copy.
         """
-        key = (self.part_key(p), letters)
-        cached = self._twist_cache.get(key)
-        if cached is None:
-            cached = tuple(self.automorphism_for(p).apply_letters(letters))
-            self._twist_cache[key] = cached
-        return cached
+        phi = self.automorphism_for(p)
+        if len(letters) == 1:
+            return phi._table[letters[0]]
+        return tuple(phi.apply_letters(letters))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ActingGroup):

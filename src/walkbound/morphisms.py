@@ -9,10 +9,12 @@ constructor checks this exactly.
 
 Composition and powers substitute whole images: the table of f∘g maps each
 letter s to f's table applied to g's image of s, which cancels only at the
-junctions between f's images and extends the rest. The inverse of a
-composition is built only when it is first read (``inverse_images``,
-``apply_inverse``, ``inverse``), from the inverses of its two operands, since
-the walk and the boundary action never read it.
+junctions between f's images and extends the rest. Where g's image of s is
+one letter, the new entry is f's own tuple, shared rather than copied. The
+inverse of a composition is built only when it is first read
+(``inverse_images``, ``apply_inverse``, ``inverse``), from the inverses of its
+two operands, and the generator images as ``Word``s only when ``images`` is
+read, since the walk and the boundary action read neither.
 """
 
 from __future__ import annotations
@@ -62,8 +64,14 @@ def _apply_table(table, letters) -> list[int]:
 
 
 def _substitute(table, images) -> dict:
-    """The table s ↦ ``table`` applied to ``images[s]``, for every key of ``images``."""
-    return {s: tuple(_apply_table(table, image)) for s, image in images.items()}
+    """The table s ↦ ``table`` applied to ``images[s]``, for every key of ``images``.
+
+    A one-letter image maps to ``table``'s own entry, shared.
+    """
+    return {
+        s: table[image[0]] if len(image) == 1 else tuple(_apply_table(table, image))
+        for s, image in images.items()
+    }
 
 
 class Automorphism:
@@ -71,12 +79,13 @@ class Automorphism:
 
     ``images[i-1]`` is the image of generator ``i``; ``inverse_images[i-1]``
     the image of generator ``i`` under the declared inverse. ``_table`` maps
-    every signed letter to its image. ``_inv_table`` is the inverse's table,
-    or None while it is deferred; then ``_operands`` is the pair (f, g) with
+    every signed letter to its image. ``_images`` holds ``images``, or None
+    until it is first read. ``_inv_table`` is the inverse's table, or None
+    while it is deferred; then ``_operands`` is the pair (f, g) with
     self = f∘g, and the table is built from theirs on first use.
     """
 
-    __slots__ = ("rank", "images", "_table", "_inv_table", "_operands")
+    __slots__ = ("rank", "_images", "_table", "_inv_table", "_operands")
 
     def __init__(
         self,
@@ -94,7 +103,7 @@ class Automorphism:
             if not isinstance(w, Word) or w.rank != rank:
                 raise ValueError("image words must all have the declared rank")
         self.rank = rank
-        self.images = images
+        self._images = images
         self._table = _letter_table(images)
         self._inv_table = _letter_table(inverse_images)
         self._operands = None
@@ -105,12 +114,13 @@ class Automorphism:
     def _from_tables(cls, rank: int, table: dict, inv_table: dict | None = None, operands=None):
         """An automorphism from a table of reduced images, with no checks.
 
-        Its ``images`` share the table's tuples. Without ``inv_table``,
-        ``operands`` must be the pair (f, g) it was composed from.
+        Its ``images`` are built from the table when first read. Without
+        ``inv_table``, ``operands`` must be the pair (f, g) it was composed
+        from.
         """
         phi = object.__new__(cls)
         phi.rank = rank
-        phi.images = tuple(_reduced_word(rank, table[i]) for i in range(1, rank + 1))
+        phi._images = None
         phi._table = table
         phi._inv_table = inv_table
         phi._operands = operands
@@ -151,6 +161,16 @@ class Automorphism:
                 phi._operands = None
                 todo.pop()
         return self._inv_table
+
+    @property
+    def images(self) -> tuple[Word, ...]:
+        images = self._images
+        if images is None:
+            table = self._table
+            images = self._images = tuple(
+                _reduced_word(self.rank, table[i]) for i in range(1, self.rank + 1)
+            )
+        return images
 
     @property
     def inverse_images(self) -> tuple[Word, ...]:

@@ -11,10 +11,11 @@ Every sampler runs one step kernel, ``StepGraph.advance``. The free part is a
 mutable letter stack; the acting part is a node of a step graph that each
 estimator call builds lazily over the acting positions its paths visit. Slot i
 of a node holds, once first traversed, the free part of atom i twisted by the
-node's accumulated automorphism (taken from the ActingGroup's twist cache) and
-the successor node. Walks revisit few acting positions, so a step is one list
-index, the junction cancellation and a pointer move: its cost is the twisted
-increment length, not the length of the whole word.
+node's accumulated automorphism (``ActingGroup.twist_letters``, computed once
+per edge) and the successor node. A step along a built edge is one list index,
+the junction cancellation and a pointer move: its cost is the twisted
+increment length, not the length of the whole word. A new acting position
+costs about the length of its twisted images.
 """
 
 from __future__ import annotations
@@ -183,9 +184,8 @@ class StepGraph:
 
     Built lazily and kept only for the call that builds it: nothing is stored
     on the measure or the acting group, so what is pickled for worker
-    processes does not grow with the walk. Twisted letters come from
-    ``ActingGroup.twist_letters``, so the twist cache stays their only store;
-    each edge is built once, on its first traversal.
+    processes does not grow with the walk. Each edge is built once, on its
+    first traversal; for a one-letter atom it holds Θ(p)'s own table entry.
     """
 
     __slots__ = ("measure", "acting", "root", "_nodes", "_twisted")

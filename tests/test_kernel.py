@@ -57,11 +57,33 @@ def keys(acting, elements):
     return [element_key(acting, g) for g in elements]
 
 
-@pytest.mark.parametrize("name", fixture_names())
+# Every fixture's atoms have free parts of at most one letter. These reuse a
+# fixture's acting group with two-letter free parts, with and without an
+# acting increment, so that twist_letters substitutes whole words.
+TWO_LETTER_ATOMS = {
+    "free-acting": (("ab", "1"), ("cA", "1"), ("Ba", "a"), ("ab", "B"), ("cA", "b"), ("1", "A")),
+    "fibonacci": (("ab", "0"), ("Ba", "0"), ("ab", "1"), ("Ba", "-1"), ("1", "1"), ("1", "-1")),
+}
+KERNEL_CASES = [pytest.param(name, None, id=name) for name in fixture_names()] + [
+    pytest.param(name, atoms, id=f"{name}-two-letter") for name, atoms in TWO_LETTER_ATOMS.items()
+]
+
+
+@functools.lru_cache(maxsize=None)
+def case_measure(name, atoms):
+    """The fixture's measure, or its acting group under ``atoms`` (word, part)."""
+    if atoms is None:
+        return fixture_measure(name)
+    acting = fixture_measure(name).acting
+    elements = [ExtElement(Word.parse(acting.base_rank, w), acting.parse_part(p)) for w, p in atoms]
+    return StepMeasure(acting, elements, [1 / len(atoms)] * len(atoms), check_generation=False)
+
+
+@pytest.mark.parametrize("name, atoms", KERNEL_CASES)
 @settings(max_examples=15, deadline=None)
 @given(seed=seeds, path=path_indices, data=st.data())
-def test_sample_paths_equal_fold(name, seed, path, data):
-    measure = fixture_measure(name)
+def test_sample_paths_equal_fold(name, atoms, seed, path, data):
+    measure = case_measure(name, atoms)
     n_steps = data.draw(st.integers(1, MAX_STEPS.get(name, 60)), label="n_steps")
     record = data.draw(st.sets(st.integers(0, n_steps), max_size=5), label="record")
     batch = sample_paths(measure, seed, 1, n_steps, record_steps=sorted(record), first_path=path)
@@ -73,11 +95,11 @@ def test_sample_paths_equal_fold(name, seed, path, data):
         assert keys(acting, batch.positions[step]) == keys(acting, [expected[step]])
 
 
-@pytest.mark.parametrize("name", fixture_names())
+@pytest.mark.parametrize("name, atoms", KERNEL_CASES)
 @settings(max_examples=15, deadline=None)
 @given(seed=seeds, path=path_indices, data=st.data())
-def test_endpoint_equals_fold(name, seed, path, data):
-    measure = fixture_measure(name)
+def test_endpoint_equals_fold(name, atoms, seed, path, data):
+    measure = case_measure(name, atoms)
     n_steps = data.draw(st.integers(0, MAX_STEPS.get(name, 60)), label="n_steps")
     indices = measure.draw_indices(derived_rng(seed, STREAM_WALK, path), n_steps).tolist()
     expected = keys(measure.acting, fold(measure, indices)[-1:])
@@ -87,6 +109,20 @@ def test_endpoint_equals_fold(name, seed, path, data):
         stack, part = _endpoint(graph, indices)
         got = ExtElement(Word(measure.acting.base_rank, tuple(stack)), part)
         assert keys(measure.acting, [got]) == expected
+
+
+@pytest.mark.parametrize("name", sorted(TWO_LETTER_ATOMS))
+def test_twist_letters_equals_automorphism_image(name):
+    acting = fixture_measure(name).acting
+    parts = ("aaB", "AbbA") if acting.kind == "free" else ("5", "-4")
+    for text in parts:
+        p = acting.parse_part(text)
+        phi = acting.automorphism_for(p)
+        for w, _ in TWO_LETTER_ATOMS[name]:
+            word = Word.parse(acting.base_rank, w)
+            assert acting.twist_letters(p, word.letters) == phi.apply(word).letters
+        # a one-letter atom gets Θ(p)'s own table entry
+        assert acting.twist_letters(p, (-1,)) is phi._table[-1]
 
 
 def assert_first_returns(measure, spec, seed, n_samples, budget):

@@ -3,11 +3,15 @@
 ``bench/tracing.py`` wraps package functions and methods by name from
 outside the package. A name renamed or deleted in ``src/walkbound`` would
 only fail a traced benchmark run; here it fails the test suite. The module
-is loaded from its file and nothing is installed.
+is loaded from its file; one test installs it around two small commands,
+since the counters it reads after each operation (the acting group's caches,
+the automorphisms' images) would otherwise also fail only in a traced run.
 """
 
 import importlib.util
 from pathlib import Path
+
+from walkbound import cli, walk
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -38,3 +42,23 @@ def test_every_traced_method_resolves():
         if not callable(cls.__dict__.get(attr))
     ]
     assert missing == []
+
+
+def test_traced_commands_complete(capsys):
+    tracer = tracing.Tracer()
+    original = walk.sample_paths
+    tracer.install()
+    try:
+        commands = (
+            "walk --config fixture:free-acting --n-paths 8 --n-steps 100 --seed 1",
+            "hitting --config fixture:fibonacci --depth 2 --n-paths 20 --n-steps 30 --seed 1",
+        )
+        codes = [
+            tracer.run_op(i, f"cli.{argv[0]}", cli.main, argv)[0]
+            for i, argv in enumerate(command.split() for command in commands)
+        ]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0]
+    assert tracer.counts["groups.aut.misses"] > 0
+    assert walk.sample_paths is original
