@@ -134,6 +134,17 @@ def default_probes(rank: int) -> tuple[Ray, Ray]:
     return (Ray.constant(rank, 1), Ray.constant(rank, -1))
 
 
+def _checked_probes(rank: int, probes: tuple[Ray, ...] | None) -> tuple[Ray, ...]:
+    """``default_probes`` when None, else at least two pairwise distinct rays."""
+    if probes is None:
+        return default_probes(rank)
+    if len(probes) < 2 or len(set(probes)) != len(probes):
+        raise ConfigError("need at least two pairwise distinct probe rays")
+    if any(r.rank != rank for r in probes):
+        raise ConfigError(f"probe rays must have the walk's base rank {rank}")
+    return tuple(probes)
+
+
 class _RayImages:
     """Prefixes of the exact images Theta(p)(ray), cached per (p, ray index).
 
@@ -225,7 +236,7 @@ def act_on_ray(acting: ActingGroup, g: ExtElement, r: Ray, depth: int) -> Word:
 
 
 class _Inside(dict):
-    """``part_in_sublattice`` of each visited step-graph node, computed once.
+    """``part_in_sublattice`` of each visited step-graph node id, computed once.
 
     The root's entry is filled on construction, so a spec that does not match
     the acting group raises before any path is walked.
@@ -233,21 +244,23 @@ class _Inside(dict):
 
     def __init__(self, graph: StepGraph, spec: SublatticeSpec):
         super().__init__()
-        self.acting = graph.acting
+        self.graph = graph
         self.spec = spec
         self[graph.root]
 
-    def __missing__(self, node) -> bool:
-        member = self[node] = part_in_sublattice(self.acting, node.part, self.spec)
+    def __missing__(self, node: int) -> bool:
+        graph = self.graph
+        member = self[node] = part_in_sublattice(graph.acting, graph.parts[node], self.spec)
         return member
 
 
 def _last_lattice_step(graph: StepGraph, indices: list[int], inside: _Inside) -> int:
     """Last step n >= 1 whose acting part lies in the sublattice, else 0."""
+    edges = graph.edges
     node = graph.root
     last = 0
     for n, i in enumerate(indices, start=1):
-        node = (node.edges[i] or graph._link(node, i))[1]
+        node = (edges[node][i] or graph.link(node, i))[1]
         if inside[node]:
             last = n
     return last
@@ -257,7 +270,7 @@ def _endpoint(graph: StepGraph, indices: list[int]):
     """Run the walk over pre-drawn atom indices; returns (letters, part)."""
     stack: list[int] = []
     node = graph.advance(stack, graph.root, indices)
-    return stack, node.part
+    return stack, graph.parts[node]
 
 
 @dataclass(frozen=True)
@@ -323,10 +336,7 @@ def empirical_hitting_measure(
     """
     if depth < 1 or n_paths < 1 or n_steps < 1:
         raise ConfigError("need depth, n_paths, n_steps all >= 1")
-    if probes is None:
-        probes = default_probes(measure.acting.base_rank)
-    if len(probes) < 2 or len(set(probes)) != len(probes):
-        raise ConfigError("need at least two pairwise distinct probe rays")
+    probes = _checked_probes(measure.acting.base_rank, probes)
     resolved = _resolve_paths(
         measure, seed, STREAM_WALK, n_paths, n_steps, depth, probes, return_lattice
     )
@@ -366,8 +376,7 @@ def sample_boundary_rays(
     """
     if n_samples < 1 or n_steps < 1 or depth < 1:
         raise ConfigError("need n_samples, n_steps, depth all >= 1")
-    if probes is None:
-        probes = default_probes(measure.acting.base_rank)
+    probes = _checked_probes(measure.acting.base_rank, probes)
     resolved = _resolve_paths(
         measure, seed, STREAM_BOUNDARY, n_samples, n_steps, depth, probes, return_lattice
     )
@@ -509,10 +518,7 @@ def track_convergence(
     if depth < 1 or n_paths < 1 or n_steps < 1:
         raise ConfigError("need depth, n_paths, n_steps all >= 1")
     acting = measure.acting
-    if probes is None:
-        probes = default_probes(acting.base_rank)
-    if len(probes) < 2 or len(set(probes)) != len(probes):
-        raise ConfigError("need at least two pairwise distinct probe rays")
+    probes = _checked_probes(acting.base_rank, probes)
     images = _RayImages(acting, probes)
     graph = StepGraph(measure)
     n_probes = len(probes)
@@ -524,7 +530,7 @@ def track_convergence(
         row = lengths[p_idx]
         for n, i in enumerate(idx):
             node = graph.advance(stack, node, (i,))
-            part = node.part
+            part = graph.parts[node]
             keep = len(stack) - depth
             if all(_cancelled(stack, images, part, q) <= keep for q in range(n_probes)):
                 row[n] = depth
@@ -540,7 +546,7 @@ def track_convergence(
                     d += 1
                 agree = d
             row[n] = agree
-    return ConvergenceTrace(tuple(probes), depth, lengths, 0, seed)
+    return ConvergenceTrace(probes, depth, lengths, 0, seed)
 
 
 @dataclass(frozen=True)
@@ -603,7 +609,7 @@ def first_return_sampler(
                 n += 1
                 node = graph.advance(stack, node, (i,))
                 if inside[node]:
-                    samples.append(ExtElement(_reduced_word(rank, tuple(stack)), node.part))
+                    samples.append(ExtElement(_reduced_word(rank, tuple(stack)), graph.parts[node]))
                     times.append(n)
                     found = True
                     break

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetError, InconclusiveGrowthError
-from .words import MAX_RANK, Ray, Word, _reduced_word
+from .words import MAX_RANK, Ray, Word, _conjugator_length, _reduced_word
 
 __all__ = [
     "Automorphism",
@@ -364,7 +364,7 @@ def classify_growth(
             for s, image in images.items()
         }
         for i, row in enumerate(lengths, start=1):
-            row.append(_cyclic_core_length(table[i]))
+            row.append(len(table[i]) - 2 * _conjugator_length(table[i]))
     per_gen = tuple(tuple(row) for row in lengths)
 
     envelope = [max(row[m] for row in lengths) for m in range(max_iter + 1)]
@@ -421,14 +421,6 @@ def classify_growth(
         r2_polynomial=r2_poly,
         r2_exponential=r2_exp,
     )
-
-
-def _cyclic_core_length(letters: tuple[int, ...]) -> int:
-    lo, hi = 0, len(letters)
-    while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
-        lo += 1
-        hi -= 1
-    return hi - lo
 
 
 # -- bounded cancellation ------------------------------------------------------
@@ -499,7 +491,7 @@ def _ray_image(phi: Automorphism, r: Ray) -> Ray:
     core by k. No prefix is cut, so no cancellation can be misread.
     """
     image = phi.apply_letters(r.cycle.letters)
-    lo = (len(image) - _cyclic_core_length(image)) // 2
+    lo = _conjugator_length(image)
     core = tuple(image[lo : len(image) - lo])
     x = phi.apply_letters(r.head.letters)
     for s in image[:lo]:

@@ -8,14 +8,14 @@ stream keys of a path range are computed in one batched pass, bit-identical to
 ``SeedSequence(seed, spawn_key=(stream, index))`` (see ``_rng``).
 
 Every sampler runs one step kernel, ``StepGraph.advance``. The free part is a
-mutable letter stack; the acting part is a node of a step graph that each
-estimator call builds lazily over the acting positions its paths visit. Slot i
-of a node holds, once first traversed, the free part of atom i twisted by the
-node's accumulated automorphism (``ActingGroup.twist_letters``, computed once
-per edge) and the successor node. A step along a built edge is one list index,
-the junction cancellation and a pointer move: its cost is the twisted
-increment length, not the length of the whole word. A new acting position
-costs about the length of its twisted images.
+mutable letter stack; the acting part is an integer node of a step graph that
+each estimator call builds lazily over the acting positions its paths visit.
+``edges[n][i]`` holds, once atom i is first taken from node n, the free part of
+atom i twisted by the node's accumulated automorphism
+(``ActingGroup.twist_letters``, computed once per edge) and the successor id.
+A step along a built edge is two list indexes and the junction cancellation:
+its cost is the twisted increment length, not the length of the whole word. A
+new acting position costs about the length of its twisted images.
 """
 
 from __future__ import annotations
@@ -165,65 +165,60 @@ class StepMeasure:
         self.__init__(acting, atoms, weights, check_generation=False)
 
 
-class _Node:
-    """One acting position of a step graph.
-
-    ``edges[i]`` is None until atom i is first taken from here, then the pair
-    (free part of atom i twisted by Θ(part), successor node).
-    """
-
-    __slots__ = ("part", "edges")
-
-    def __init__(self, part, n_atoms: int):
-        self.part = part
-        self.edges: list = [None] * n_atoms
-
-
 class StepGraph:
-    """The acting positions one estimator call has visited, linked by atom.
+    """The acting positions one estimator call has visited, as a table.
 
-    Built lazily and kept only for the call that builds it: nothing is stored
-    on the measure or the acting group, so what is pickled for worker
-    processes does not grow with the walk. Each edge is built once, on its
-    first traversal; for a one-letter atom it holds Θ(p)'s own table entry.
+    Node n is an int, the ``root`` 0 is the identity: ``parts[n]`` is its
+    acting part, and ``edges[n][i]`` is None until atom i is first taken from
+    n, then (atom i's free part twisted by Θ(parts[n]), successor id). Ids hold
+    no references, so no graph is a reference cycle. Built lazily per call,
+    nothing stored on the measure or acting group; each edge is built once,
+    and for a one-letter atom holds Θ(p)'s own table entry.
     """
 
-    __slots__ = ("measure", "acting", "root", "_nodes", "_twisted")
+    __slots__ = ("measure", "acting", "root", "parts", "edges", "_ids", "_twisted")
 
     def __init__(self, measure: StepMeasure):
         self.measure = measure
         self.acting = measure.acting
-        self._nodes: dict = {}
+        self.parts: list = []
+        self.edges: list[list] = []
+        self._ids: dict = {}
         self._twisted = self.acting.k > 0
         self.root = self._node(self.acting.identity_part())
 
-    def _node(self, part) -> _Node:
+    def _node(self, part) -> int:
         key = self.acting.part_key(part)
-        node = self._nodes.get(key)
+        node = self._ids.get(key)
         if node is None:
-            node = self._nodes[key] = _Node(part, len(self.measure.atoms))
+            node = self._ids[key] = len(self.parts)
+            self.parts.append(part)
+            self.edges.append([None] * len(self.measure.atoms))
         return node
 
-    def _link(self, node: _Node, i: int) -> tuple:
+    def link(self, node: int, i: int) -> tuple:
+        """Build and return edge i of ``node``: (twisted letters, successor id)."""
         letters, increment = self.measure._step_data[i]
+        part = self.parts[node]
         if letters and self._twisted:
-            letters = self.acting.twist_letters(node.part, letters)
+            letters = self.acting.twist_letters(part, letters)
         succ = node
         if increment is not None:
-            succ = self._node(self.acting.part_multiply(node.part, increment))
-        edge = node.edges[i] = (letters, succ)
+            succ = self._node(self.acting.part_multiply(part, increment))
+        edge = self.edges[node][i] = (letters, succ)
         return edge
 
-    def advance(self, stack: list[int], node: _Node, indices: Sequence[int]) -> _Node:
+    def advance(self, stack: list[int], node: int, indices: Sequence[int]) -> int:
         """Right-multiply the position (stack, node) by the atoms at ``indices``.
 
         ``stack`` holds the reduced free part and is updated in place; the
-        returned node is the new acting position. Pass Python ints
+        returned id is the new acting position. Pass Python ints
         (``draw_indices(...).tolist()``): numpy scalars index lists slowly.
         """
-        link = self._link
+        edges = self.edges
+        link = self.link
         for i in indices:
-            letters, node = node.edges[i] or link(node, i)
+            letters, node = edges[node][i] or link(node, i)
             if not letters:
                 continue
             if stack and stack[-1] == -letters[0]:
@@ -279,7 +274,7 @@ def _run_one_path(
     for step in record:
         node = graph.advance(stack, node, idx[done:step])
         done = step
-        snaps[step] = ExtElement(_reduced_word(rank, tuple(stack)), node.part)
+        snaps[step] = ExtElement(_reduced_word(rank, tuple(stack)), graph.parts[node])
     return snaps
 
 
@@ -421,7 +416,7 @@ def entropy_depth_counts(
         for d in ascending:
             node = graph.advance(stack, node, idx[done:d])
             done = d
-            key = (tuple(stack), part_key(node.part))
+            key = (tuple(stack), part_key(graph.parts[node]))
             table = counts[d]
             table[key] = table.get(key, 0) + 1
     return counts

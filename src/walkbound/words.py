@@ -17,7 +17,7 @@ words of different ranks is an error, never a silent re-interpretation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Word",
@@ -142,11 +142,8 @@ class Word:
         its last), hence of minimal length in the conjugacy class.
         """
         letters = self.letters
-        lo, hi = 0, len(letters)
-        while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
-            lo += 1
-            hi -= 1
-        return Word(self.rank, letters[lo:hi]), Word(self.rank, letters[:lo])
+        lo = _conjugator_length(letters)
+        return Word(self.rank, letters[lo : len(letters) - lo]), Word(self.rank, letters[:lo])
 
     def is_cyclically_reduced(self) -> bool:
         w = self.letters
@@ -161,6 +158,14 @@ class Word:
 
     def starts_with(self, other: "Word") -> bool:
         return self.letters[: len(other.letters)] == other.letters
+
+
+def _conjugator_length(letters: Sequence[int]) -> int:
+    """|c| for a reduced word c·core·c⁻¹ with a cyclically reduced core."""
+    lo, n = 0, len(letters)
+    while n - 2 * lo >= 2 and letters[lo] == -letters[n - 1 - lo]:
+        lo += 1
+    return lo
 
 
 def _reduced_word(rank: int, letters: tuple[int, ...]) -> Word:

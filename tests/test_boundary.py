@@ -276,6 +276,32 @@ def test_sample_boundary_rays_rejects_empty_sizes(srw_measure, n_samples, depth,
         sample_boundary_rays(srw_measure, 3, n_samples, depth, n_steps)
 
 
+PROBED = {
+    "hitting": lambda m, probes: empirical_hitting_measure(m, 3, 10, 50, 2, probes=probes),
+    "rays": lambda m, probes: sample_boundary_rays(m, 3, 10, 2, 50, probes=probes),
+    "track": lambda m, probes: track_convergence(m, 3, 10, 50, 2, probes=probes),
+}
+
+
+@pytest.mark.parametrize(
+    "probes, message",
+    [
+        ((Ray.constant(2, 1),), "two pairwise distinct"),
+        ((Ray.constant(2, 1),) * 2, "two pairwise distinct"),
+        ((Ray.constant(3, 1), Ray.constant(3, 3)), "base rank 2"),
+    ],
+    ids=["one-probe", "repeated-probe", "wrong-rank"],
+)
+@pytest.mark.parametrize("estimator", sorted(PROBED))
+def test_estimators_reject_bad_probes(monkeypatch, srw_measure, estimator, probes, message):
+    def no_paths(*args):
+        raise AssertionError("a path was walked")
+
+    monkeypatch.setattr(boundary, "path_generators", no_paths)
+    with pytest.raises(ConfigError, match=message):
+        PROBED[estimator](srw_measure, probes)
+
+
 # -- stationarity ------------------------------------------------------------------
 
 def test_point_mass_on_point_law_residual_is_zero():

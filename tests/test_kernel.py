@@ -1,6 +1,7 @@
 """The one step kernel against a left fold of ext_multiply over the same draws."""
 
 import functools
+import gc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +14,8 @@ from walkbound import (
     Word,
     build_measure,
     element_key,
+    empirical_hitting_measure,
+    entropy_depth_counts,
     ext_identity,
     ext_multiply,
     first_return_sampler,
@@ -22,6 +25,7 @@ from walkbound import (
     load_fixture,
     sample_paths,
     sublattice_spec,
+    track_convergence,
 )
 from walkbound._rng import STREAM_RETURN, STREAM_WALK, derived_rng
 from walkbound.boundary import _endpoint, _Inside, _last_lattice_step
@@ -214,3 +218,32 @@ def test_moduli_tracker_agrees_with_in_sublattice(name, seed, path, data):
     # a second path over the same graph reads memoized nodes and built edges
     for _ in range(2):
         assert _last_lattice_step(graph, indices, inside) == (members[-1] if members else 0)
+
+
+def test_finished_estimators_leave_no_reference_cycles():
+    """A step graph holds node ids, not nodes, so refcounting frees each walk."""
+    name = "semidirect-linear"
+    measure = fixture_measure(name)
+    spec = sublattice_spec(load_fixture(name))
+    runs = {
+        "sample_paths": lambda: sample_paths(measure, 1, 20, 60),
+        "entropy_depth_counts": lambda: entropy_depth_counts(measure, 1, 20, (3, 6)),
+        "hitting": lambda: empirical_hitting_measure(
+            measure, 1, 40, 200, 2, unresolved_ceiling=1.0
+        ),
+        "hitting-lattice": lambda: empirical_hitting_measure(
+            measure, 1, 40, 200, 2, return_lattice=spec, unresolved_ceiling=1.0
+        ),
+        "track": lambda: track_convergence(measure, 1, 10, 60, 2),
+        "first_return": lambda: first_return_sampler(
+            measure, spec, 1, 20, failure_ceiling=1.0
+        ),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for label, run in runs.items():
+            run()
+            assert gc.collect() == 0, label
+    finally:
+        gc.enable()
