@@ -464,15 +464,12 @@ class ConvergenceTrace:
     """Per-path, per-step common-prefix lengths of the translated probes.
 
     ``lengths[i, j]`` is the agreement depth after step j+1 of path i,
-    truncated at the tracking depth. ``truncation_events`` is 0: the boundary
-    action is exact, so no translation can overflow a guard zone; the field
-    stays so the ``track`` output keeps its keys.
+    truncated at the tracking depth.
     """
 
     probes: tuple[Ray, ...]
     depth: int
     lengths: np.ndarray
-    truncation_events: int
     seed: int
 
     @property
@@ -546,7 +543,7 @@ def track_convergence(
                     d += 1
                 agree = d
             row[n] = agree
-    return ConvergenceTrace(probes, depth, lengths, 0, seed)
+    return ConvergenceTrace(probes, depth, lengths, seed)
 
 
 @dataclass(frozen=True)

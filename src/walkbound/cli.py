@@ -11,17 +11,25 @@ The seed is resolved in priority order: ``--seed`` flag, the
 ``--workers`` (at least 1, in every command) parallelizes the path-sampling
 commands (walk, entropy-rate); results are identical for every worker count
 because path streams are keyed by absolute path index.
+
+Every numeric option is one row of ``_OPTIONS``. Its value is the flag's,
+else the config's ``run.<key>``, else the row's default; an integer option
+takes only an integral ``run.*`` value. The parser is built from that table
+once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
 import sys
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
+from typing import NamedTuple
 
 from .boundary import (
     empirical_hitting_measure,
@@ -68,7 +76,30 @@ from .words import Word
 __all__ = ["main"]
 
 
+class _Option(NamedTuple):
+    """One numeric option of one command.
+
+    Its value is the flag's, else the config's ``run.<config_key>``, else
+    ``default``; the default's type is the option's type.
+    """
+
+    flag: str
+    default: int | float
+    help: str = ""
+    key: str = ""  # the run.* key, where it is not the flag's name
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+    @property
+    def config_key(self) -> str:
+        return self.key or self.dest
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser for every command, built from ``_OPTIONS`` once per process."""
     parser = argparse.ArgumentParser(
         prog="walkbound",
         description="Random walks on free-group extensions and their boundaries.",
@@ -82,72 +113,30 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--workers", type=int, default=1, help="parallel workers")
 
-    p = sub.add_parser("walk", parents=[common], help="sample paths, estimate drift")
-    p.add_argument("--n-paths", type=int, default=None)
-    p.add_argument("--n-steps", type=int, default=None)
-    p.add_argument("--record", default=None, help="comma list of steps to snapshot")
-
-    p = sub.add_parser("hitting", parents=[common], help="empirical boundary law")
-    p.add_argument("--n-paths", type=int, default=None)
-    p.add_argument("--n-steps", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--ceiling", type=float, default=None, help="unresolved ceiling")
-    p.add_argument(
+    subs = {}
+    for name, (_, help_text) in _COMMANDS.items():
+        p = subs[name] = sub.add_parser(name, parents=[common], help=help_text)
+        for opt in _OPTIONS[name]:
+            note = f"{opt.help}; " if opt.help else ""
+            p.add_argument(
+                opt.flag,
+                type=type(opt.default),
+                help=f"{note}default {opt.default}, config run.{opt.config_key}",
+            )
+    subs["walk"].add_argument("--record", help="comma list of steps to snapshot")
+    subs["hitting"].add_argument(
         "--at-returns",
         action="store_true",
         help="subsample at first returns to the configured sublattice",
     )
-
-    p = sub.add_parser("stationarity", parents=[common], help="pushforward residual")
-    p.add_argument("--n-paths", type=int, default=None)
-    p.add_argument("--n-steps", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None, help="comparison depth")
-    p.add_argument(
-        "--pad",
-        type=int,
-        default=None,
-        help="extra letters of source material beyond the comparison depth",
+    subs["entropy-rate"].add_argument("--depths", help="comma list, e.g. 8,12,16")
+    subs["tree-liminf"].add_argument("--base", default="1", help="base vertex word")
+    subs["tree-liminf"].add_argument(
+        "--vertices", required=True, help="comma list of vertex words"
     )
-    p.add_argument("--n-resample", type=int, default=None)
-
-    p = sub.add_parser("track", parents=[common], help="prefix convergence trace")
-    p.add_argument("--n-paths", type=int, default=None)
-    p.add_argument("--n-steps", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None, help="tracking cap")
-    p.add_argument("--burn-in", type=int, default=None)
-    p.add_argument("--resolve-depth", type=int, default=None)
-
-    p = sub.add_parser("growth", parents=[common], help="classify the config twists")
-    p.add_argument("--iterations", type=int, default=None)
-
-    p = sub.add_parser("moments", parents=[common], help="step-measure summaries")
-
-    p = sub.add_parser("entropy-rate", parents=[common], help="entropy per step")
-    p.add_argument("--n-paths", type=int, default=None)
-    p.add_argument("--depths", default=None, help="comma list, e.g. 8,12,16")
-
-    p = sub.add_parser("first-return", parents=[common], help="sublattice returns")
-    p.add_argument("--n-samples", type=int, default=None)
-    p.add_argument("--step-budget", type=int, default=None)
-    p.add_argument("--ceiling", type=float, default=None, help="failure ceiling")
-
-    p = sub.add_parser("tree-liminf", parents=[common], help="observers-topology limit")
-    p.add_argument("--base", default="1", help="base vertex word")
-    p.add_argument("--vertices", required=True, help="comma list of vertex words")
-    p.add_argument("--horizon", type=int, default=None)
-
-    p = sub.add_parser("tree-strips", parents=[common], help="strip growth profile")
-    p.add_argument("--from-vertex", required=True, help="strip endpoint word")
-    p.add_argument("--to-vertex", required=True, help="strip endpoint word")
-    p.add_argument("--k-max", type=int, default=None)
-
-    p = sub.add_parser("poisson", parents=[common], help="harmonic evaluation")
-    p.add_argument("--function", default=None, help="CSV of cylinder,value rows")
-    p.add_argument("--n-samples", type=int, default=None)
-    p.add_argument("--n-steps", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None, help="boundary sample depth")
-    p.add_argument("--radius", type=int, default=None, help="test-set ball radius")
-
+    subs["tree-strips"].add_argument("--from-vertex", required=True, help="strip endpoint word")
+    subs["tree-strips"].add_argument("--to-vertex", required=True, help="strip endpoint word")
+    subs["poisson"].add_argument("--function", help="CSV of cylinder,value rows")
     return parser
 
 
@@ -171,22 +160,26 @@ def _resolve_seed(args: argparse.Namespace, config: RunConfig) -> int:
             return int(env)
         except ValueError as exc:
             raise ConfigError(f"WALKBOUND_SEED must be an integer, got {env!r}") from exc
-    from_config = config.param("seed")
-    if from_config is not None:
-        return int(from_config)
-    return 0
+    return _run_value(config, "seed", 0)
 
 
-def _pick(flag_value, config: RunConfig, name: str, default):
-    """Flag beats config run.* beats the built-in default."""
-    if flag_value is not None:
-        return flag_value
-    from_config = config.param(name)
-    if from_config is not None:
-        if isinstance(default, int):
-            return int(from_config)
-        return from_config
-    return default
+def _run_value(config: RunConfig, key: str, default: int | float) -> int | float:
+    """The config's ``run.<key>``, else ``default``, as the default's type."""
+    value = config.param(key)
+    if value is None:
+        return default
+    if isinstance(default, float):
+        return float(value)
+    if not isinstance(value, int):
+        raise ConfigError(f"run.{key} must be an integer, got {value!r}")
+    return value
+
+
+def _resolve_options(args: argparse.Namespace, config: RunConfig) -> None:
+    """Fill each numeric option the command line left unset."""
+    for opt in _OPTIONS[args.command]:
+        if getattr(args, opt.dest) is None:
+            setattr(args, opt.dest, _run_value(config, opt.config_key, opt.default))
 
 
 def _write_output(out_path: str | None, text: str) -> None:
@@ -199,11 +192,12 @@ def _write_output(out_path: str | None, text: str) -> None:
     os.replace(tmp, out_path)
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+# What a command returns: its JSON payload, its CSV header and its CSV rows.
+# The rows are lazy, so they are built only when ``--format csv`` prints them.
+_Output = tuple[dict, list[str], Iterable]
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: Iterable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -211,9 +205,9 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _kv_csv(payload: dict) -> str:
-    rows = [[key, payload[key]] for key in sorted(payload)]
-    return _csv_text(["key", "value"], rows)
+def _kv_rows(payload: dict) -> _Output:
+    """A payload whose CSV form is one key,value row per key."""
+    return payload, ["key", "value"], ([key, payload[key]] for key in sorted(payload))
 
 
 def _split_counts(total: int, workers: int) -> list[tuple[int, int]]:
@@ -250,52 +244,36 @@ def _fan_out(workers: int, sample, merge, measure, seed: int, n_paths: int, *arg
 # -- commands -------------------------------------------------------------------
 
 
-def _cmd_walk(args, config: RunConfig, seed: int) -> tuple[str, str]:
+def _cmd_walk(args, config: RunConfig, seed: int) -> _Output:
     measure = build_measure(config)
     acting = measure.acting
-    n_paths = _pick(args.n_paths, config, "n_paths", 1000)
-    n_steps = _pick(args.n_steps, config, "n_steps", 1000)
     if args.record is not None:
         record = tuple(int(x) for x in args.record.split(","))
     else:
-        record = (n_steps,)
+        record = (args.n_steps,)
     batch = _fan_out(
-        args.workers, sample_paths, merge_batches, measure, seed, n_paths, n_steps, record
+        args.workers, sample_paths, merge_batches, measure, seed,
+        args.n_paths, args.n_steps, record,
     )
     drift = drift_estimate(batch)
     payload = {
         "command": "walk",
         "seed": seed,
-        "n_paths": n_paths,
-        "n_steps": n_steps,
+        "n_paths": args.n_paths,
+        "n_steps": args.n_steps,
         "drift": drift.value,
         "drift_stderr": drift.stderr,
     }
-    if args.format != "csv":
-        # final words run to thousands of letters; format them only when printed
-        return _json_text(payload), ""
-    rows = []
-    for step in sorted(batch.positions):
-        for i, g in enumerate(batch.positions[step]):
-            rows.append(
-                [
-                    batch.first_path + i,
-                    step,
-                    str(g.w),
-                    acting.format_part(g.p),
-                    gauge_length(g),
-                ]
-            )
-    csv_out = _csv_text(["path_id", "step", "w", "p", "gauge_length"], rows)
-    return _json_text(payload), csv_out
+    rows = (
+        [batch.first_path + i, step, str(g.w), acting.format_part(g.p), gauge_length(g)]
+        for step in sorted(batch.positions)
+        for i, g in enumerate(batch.positions[step])
+    )
+    return payload, ["path_id", "step", "w", "p", "gauge_length"], rows
 
 
-def _cmd_hitting(args, config: RunConfig, seed: int) -> tuple[str, str]:
+def _cmd_hitting(args, config: RunConfig, seed: int) -> _Output:
     measure = build_measure(config)
-    n_paths = _pick(args.n_paths, config, "n_paths", 20000)
-    n_steps = _pick(args.n_steps, config, "n_steps", 2000)
-    depth = _pick(args.depth, config, "depth", 2)
-    ceiling = _pick(args.ceiling, config, "unresolved_ceiling", 0.05)
     lattice = None
     if args.at_returns:
         lattice = sublattice_spec(config)
@@ -304,11 +282,11 @@ def _cmd_hitting(args, config: RunConfig, seed: int) -> tuple[str, str]:
     estimate = empirical_hitting_measure(
         measure,
         seed,
-        n_paths,
-        n_steps,
-        depth,
+        args.n_paths,
+        args.n_steps,
+        args.depth,
         return_lattice=lattice,
-        unresolved_ceiling=ceiling,
+        unresolved_ceiling=args.ceiling,
     )
     dist = estimate.distribution
     table = {
@@ -317,77 +295,68 @@ def _cmd_hitting(args, config: RunConfig, seed: int) -> tuple[str, str]:
     payload = {
         "command": "hitting",
         "seed": seed,
-        "depth": depth,
-        "n_paths": n_paths,
+        "depth": args.depth,
+        "n_paths": args.n_paths,
         "resolved_count": estimate.resolved_count,
         "unresolved_fraction": estimate.unresolved_fraction,
         "cells": len(table),
         "table": table,
     }
-    rows = [[cyl, freq] for cyl, freq in table.items()]
-    return _json_text(payload), _csv_text(["cylinder", "frequency"], rows)
+    return payload, ["cylinder", "frequency"], table.items()
 
 
-def _cmd_stationarity(args, config: RunConfig, seed: int) -> tuple[str, str]:
+def _cmd_stationarity(args, config: RunConfig, seed: int) -> _Output:
     measure = build_measure(config)
-    depth = _pick(args.depth, config, "depth", 3)
-    pad = _pick(args.pad, config, "pad", 2)
-    n_paths = _pick(args.n_paths, config, "n_paths", 20000)
-    n_steps = _pick(args.n_steps, config, "n_steps", 2000)
-    n_resample = _pick(args.n_resample, config, "n_resample", 20000)
-    estimate = empirical_hitting_measure(measure, seed, n_paths, n_steps, depth + pad)
+    source_depth = args.depth + args.pad
+    estimate = empirical_hitting_measure(measure, seed, args.n_paths, args.n_steps, source_depth)
     residual = stationarity_residual(
-        measure, estimate.distribution, seed, n_resample, compare_depth=depth
+        measure, estimate.distribution, seed, args.n_resample, compare_depth=args.depth
     )
-    payload = {
-        "command": "stationarity",
-        "seed": seed,
-        "depth": depth,
-        "source_depth": depth + pad,
-        "n_paths": n_paths,
-        "n_resample": n_resample,
-        "unresolved_fraction": estimate.unresolved_fraction,
-        "residual": residual,
-    }
-    return _json_text(payload), _kv_csv(payload)
+    return _kv_rows(
+        {
+            "command": "stationarity",
+            "seed": seed,
+            "depth": args.depth,
+            "source_depth": source_depth,
+            "n_paths": args.n_paths,
+            "n_resample": args.n_resample,
+            "unresolved_fraction": estimate.unresolved_fraction,
+            "residual": residual,
+        }
+    )
 
 
-def _cmd_track(args, config: RunConfig, seed: int) -> tuple[str, str]:
+def _cmd_track(args, config: RunConfig, seed: int) -> _Output:
     measure = build_measure(config)
-    n_paths = _pick(args.n_paths, config, "n_paths", 500)
-    n_steps = _pick(args.n_steps, config, "n_steps", 2000)
-    depth = _pick(args.depth, config, "depth", 56)
-    burn_in = _pick(args.burn_in, config, "burn_in", 200)
-    resolve_depth = _pick(args.resolve_depth, config, "resolve_depth", 1)
-    if not 1 <= burn_in <= n_steps:
-        raise ConfigError(f"burn_in must be in 1..{n_steps}")
-    if not 1 <= resolve_depth <= depth:
-        raise ConfigError(f"resolve_depth must be in 1..{depth}")
-    trace = track_convergence(measure, seed, n_paths, n_steps, depth)
+    if not 1 <= args.burn_in <= args.n_steps:
+        raise ConfigError(f"burn_in must be in 1..{args.n_steps}")
+    if not 1 <= args.resolve_depth <= args.depth:
+        raise ConfigError(f"resolve_depth must be in 1..{args.depth}")
+    trace = track_convergence(measure, seed, args.n_paths, args.n_steps, args.depth)
     payload = {
         "command": "track",
         "seed": seed,
-        "n_paths": n_paths,
-        "n_steps": n_steps,
-        "depth": depth,
-        "burn_in": burn_in,
-        "monotone_fraction": trace.monotone_fraction(burn_in),
+        "n_paths": args.n_paths,
+        "n_steps": args.n_steps,
+        "depth": args.depth,
+        "burn_in": args.burn_in,
+        "monotone_fraction": trace.monotone_fraction(args.burn_in),
         "median_final_length": trace.median_final_length(),
-        "resolved_fraction": trace.resolved_fraction(resolve_depth),
-        "truncation_events": trace.truncation_events,
+        "resolved_fraction": trace.resolved_fraction(args.resolve_depth),
+        # the boundary action is exact, so no translation is ever truncated
+        "truncation_events": 0,
     }
-    rows = [[i, int(x)] for i, x in enumerate(trace.final_lengths())]
-    return _json_text(payload), _csv_text(["path_id", "final_length"], rows)
+    rows = enumerate(map(int, trace.final_lengths()))
+    return payload, ["path_id", "final_length"], rows
 
 
-def _cmd_growth(args, config: RunConfig, seed: int) -> tuple[str, str]:
-    iterations = _pick(args.iterations, config, "iterations", 30)
+def _cmd_growth(args, config: RunConfig, seed: int) -> _Output:
     autos = named_automorphisms(config)
     if not autos:
         raise ConfigError("the config defines no automorphisms to classify")
     reports = {}
     for name in sorted(autos):
-        report = classify_growth(autos[name], iterations)
+        report = classify_growth(autos[name], args.iterations)
         reports[name] = {
             "kind": report.kind,
             "degree_estimate": report.degree_estimate,
@@ -396,29 +365,29 @@ def _cmd_growth(args, config: RunConfig, seed: int) -> tuple[str, str]:
             "r2_polynomial": report.r2_polynomial,
             "r2_exponential": report.r2_exponential,
         }
-    payload = {"command": "growth", "iterations": iterations, "reports": reports}
-    rows = [
+    payload = {"command": "growth", "iterations": args.iterations, "reports": reports}
+    rows = (
         [name, rep["kind"], rep["degree_estimate"], rep["rate_estimate"]]
-        for name, rep in sorted(reports.items())
-    ]
-    return _json_text(payload), _csv_text(["name", "kind", "degree", "rate"], rows)
+        for name, rep in reports.items()
+    )
+    return payload, ["name", "kind", "degree", "rate"], rows
 
 
-def _cmd_moments(args, config: RunConfig, seed: int) -> tuple[str, str]:
+def _cmd_moments(args, config: RunConfig, seed: int) -> _Output:
     measure = build_measure(config)
-    payload = {
-        "command": "moments",
-        "atoms": len(measure),
-        "first_moment": measure.first_moment(),
-        "log_moment": measure.log_moment(),
-        "entropy": measure.entropy(),
-    }
-    return _json_text(payload), _kv_csv(payload)
+    return _kv_rows(
+        {
+            "command": "moments",
+            "atoms": len(measure),
+            "first_moment": measure.first_moment(),
+            "log_moment": measure.log_moment(),
+            "entropy": measure.entropy(),
+        }
+    )
 
 
-def _cmd_entropy_rate(args, config: RunConfig, seed: int) -> tuple[str, str]:
+def _cmd_entropy_rate(args, config: RunConfig, seed: int) -> _Output:
     measure = build_measure(config)
-    n_paths = _pick(args.n_paths, config, "n_paths", 100000)
     if args.depths is not None:
         depths = tuple(int(x) for x in args.depths.split(","))
     else:
@@ -427,13 +396,13 @@ def _cmd_entropy_rate(args, config: RunConfig, seed: int) -> tuple[str, str]:
     if not depths or depths[0] < 1:
         raise ConfigError("need at least one positive depth")
     counts = _fan_out(
-        args.workers, entropy_depth_counts, merge_depth_counts, measure, seed, n_paths, depths
+        args.workers, entropy_depth_counts, merge_depth_counts, measure, seed, args.n_paths, depths
     )
-    estimate = entropy_from_counts(counts, n_paths)
+    estimate = entropy_from_counts(counts, args.n_paths)
     payload = {
         "command": "entropy-rate",
         "seed": seed,
-        "n_paths": n_paths,
+        "n_paths": args.n_paths,
         "value": estimate.value,
         "coverage_flag": estimate.coverage_flag,
         "per_depth": {
@@ -441,76 +410,69 @@ def _cmd_entropy_rate(args, config: RunConfig, seed: int) -> tuple[str, str]:
             for d, (h, support) in estimate.per_depth.items()
         },
     }
-    rows = [
-        [d, h, support]
-        for d, (h, support) in sorted(estimate.per_depth.items())
-    ]
-    return _json_text(payload), _csv_text(["depth", "entropy", "support"], rows)
+    rows = (
+        [d, h, support] for d, (h, support) in sorted(estimate.per_depth.items())
+    )
+    return payload, ["depth", "entropy", "support"], rows
 
 
-def _cmd_first_return(args, config: RunConfig, seed: int) -> tuple[str, str]:
+def _cmd_first_return(args, config: RunConfig, seed: int) -> _Output:
     measure = build_measure(config)
     acting = measure.acting
     lattice = sublattice_spec(config)
     if lattice is None:
         raise ConfigError("first-return needs sublattice.moduli in the config")
-    n_samples = _pick(args.n_samples, config, "n_samples", 10000)
-    step_budget = _pick(args.step_budget, config, "step_budget", 1024)
-    ceiling = _pick(args.ceiling, config, "failure_ceiling", 0.05)
     sample = first_return_sampler(
         measure,
         lattice,
         seed,
-        n_samples,
-        step_budget=step_budget,
-        failure_ceiling=ceiling,
+        args.n_samples,
+        step_budget=args.step_budget,
+        failure_ceiling=args.ceiling,
     )
     times = sample.return_times
     payload = {
         "command": "first-return",
         "seed": seed,
-        "n_samples": n_samples,
+        "n_samples": args.n_samples,
         "returned": len(times),
         "failure_fraction": sample.failure_fraction,
         "mean_return_time": sample.mean_return_time(),
         "mean_gauge": sample.mean_gauge(),
         "p_tau_1": sum(1 for t in times if t == 1) / len(times) if times else 0.0,
     }
-    rows = [
+    rows = (
         [i, t, str(g.w), acting.format_part(g.p)]
         for i, (g, t) in enumerate(zip(sample.samples, times))
-    ]
-    return _json_text(payload), _csv_text(["sample_id", "return_time", "w", "p"], rows)
+    )
+    return payload, ["sample_id", "return_time", "w", "p"], rows
 
 
-def _cmd_tree_liminf(args, config: RunConfig, seed: int) -> tuple[str, str]:
+def _cmd_tree_liminf(args, config: RunConfig, seed: int) -> _Output:
     tree = build_tree(config.rank)
     base = tree.vertex(Word.parse(config.rank, args.base))
-    horizon = _pick(args.horizon, config, "horizon", 30)
     sequence = [
         tree.vertex(Word.parse(config.rank, text.strip()))
         for text in args.vertices.split(",")
     ]
-    result = liminf_observers(tree, base, sequence, horizon)
+    result = liminf_observers(tree, base, sequence, args.horizon)
     payload = {
         "command": "tree-liminf",
         "kind": result.kind,
         "vertex": str(result.vertex.rep) if result.vertex is not None else None,
         "path": [str(v.rep) for v in result.path],
         "prefix_lengths": list(result.prefix_lengths),
-        "horizon": horizon,
+        "horizon": args.horizon,
     }
-    rows = [[i, str(v.rep)] for i, v in enumerate(result.path)]
-    return _json_text(payload), _csv_text(["position", "vertex"], rows)
+    return payload, ["position", "vertex"], enumerate(payload["path"])
 
 
-def _cmd_tree_strips(args, config: RunConfig, seed: int) -> tuple[str, str]:
+def _cmd_tree_strips(args, config: RunConfig, seed: int) -> _Output:
     tree = build_tree(config.rank)
     v_from = tree.vertex(Word.parse(config.rank, args.from_vertex))
     v_to = tree.vertex(Word.parse(config.rank, args.to_vertex))
-    k_max = _pick(args.k_max, config, "k_max", 12)
     strip = strip_exit_points(tree, v_from, v_to)
-    profile = strip_growth_profile(strip, k_max)
+    profile = strip_growth_profile(strip, args.k_max)
     payload = {
         "command": "tree-strips",
         "size": len(strip),
@@ -520,8 +482,7 @@ def _cmd_tree_strips(args, config: RunConfig, seed: int) -> tuple[str, str]:
         "max_residual": profile.max_residual,
         "bound_holds": profile.bound_holds(),
     }
-    rows = [[k, c] for k, c in enumerate(profile.counts, start=1)]
-    return _json_text(payload), _csv_text(["k", "count"], rows)
+    return payload, ["k", "count"], enumerate(profile.counts, start=1)
 
 
 def _load_cylinder_function(path: str, rank: int) -> CylinderFunction:
@@ -548,24 +509,20 @@ def _load_cylinder_function(path: str, rank: int) -> CylinderFunction:
     return CylinderFunction(rank, depths.pop(), table, sup)
 
 
-def _cmd_poisson(args, config: RunConfig, seed: int) -> tuple[str, str]:
+def _cmd_poisson(args, config: RunConfig, seed: int) -> _Output:
     measure = build_measure(config)
     acting = measure.acting
-    n_samples = _pick(args.n_samples, config, "n_samples", 20000)
-    n_steps = _pick(args.n_steps, config, "n_steps", 2000)
-    depth = _pick(args.depth, config, "depth", 5)
-    radius = _pick(args.radius, config, "radius", 2)
     if args.function is not None:
         fn = _load_cylinder_function(args.function, config.rank)
     else:
         fn = CylinderFunction.indicator(Word(config.rank, (1,)))
-    if depth < fn.depth:
+    if args.depth < fn.depth:
         raise ConfigError(
-            f"sample depth {depth} is shallower than the function depth {fn.depth}"
+            f"sample depth {args.depth} is shallower than the function depth {fn.depth}"
         )
-    rays = sample_boundary_rays(measure, seed, n_samples, depth, n_steps)
+    rays = sample_boundary_rays(measure, seed, args.n_samples, args.depth, args.n_steps)
     at_identity = poisson_eval(acting, fn, ext_identity(acting), rays)
-    test_set = ball(acting, radius)
+    test_set = ball(acting, args.radius)
     report = harmonicity_residual(measure, fn, rays, test_set)
     payload = {
         "command": "poisson",
@@ -578,29 +535,69 @@ def _cmd_poisson(args, config: RunConfig, seed: int) -> tuple[str, str]:
         "max_residual": report.max_residual,
         "max_residual_se": report.max_residual_se,
     }
-    rows = [
+    rows = (
         [str(g.w), acting.format_part(g.p), value, corr, comb]
         for g, (value, corr, comb) in zip(report.elements, report.residuals)
-    ]
-    csv_out = _csv_text(
-        ["element_w", "element_p", "residual", "stderr_correlated", "stderr_combined"],
-        rows,
     )
-    return _json_text(payload), csv_out
+    header = ["element_w", "element_p", "residual", "stderr_correlated", "stderr_combined"]
+    return payload, header, rows
 
 
+# One row per command: its function and its help line.
 _COMMANDS = {
-    "walk": _cmd_walk,
-    "hitting": _cmd_hitting,
-    "stationarity": _cmd_stationarity,
-    "track": _cmd_track,
-    "growth": _cmd_growth,
-    "moments": _cmd_moments,
-    "entropy-rate": _cmd_entropy_rate,
-    "first-return": _cmd_first_return,
-    "tree-liminf": _cmd_tree_liminf,
-    "tree-strips": _cmd_tree_strips,
-    "poisson": _cmd_poisson,
+    "walk": (_cmd_walk, "sample paths, estimate drift"),
+    "hitting": (_cmd_hitting, "empirical boundary law"),
+    "stationarity": (_cmd_stationarity, "pushforward residual"),
+    "track": (_cmd_track, "prefix convergence trace"),
+    "growth": (_cmd_growth, "classify the config twists"),
+    "moments": (_cmd_moments, "step-measure summaries"),
+    "entropy-rate": (_cmd_entropy_rate, "entropy per step"),
+    "first-return": (_cmd_first_return, "sublattice returns"),
+    "tree-liminf": (_cmd_tree_liminf, "observers-topology limit"),
+    "tree-strips": (_cmd_tree_strips, "strip growth profile"),
+    "poisson": (_cmd_poisson, "harmonic evaluation"),
+}
+
+# Every numeric option of every command, declared once: the parser's flags,
+# their help and the value each command reads all come from these rows.
+_OPTIONS = {
+    "walk": (_Option("--n-paths", 1000), _Option("--n-steps", 1000)),
+    "hitting": (
+        _Option("--n-paths", 20000),
+        _Option("--n-steps", 2000),
+        _Option("--depth", 2),
+        _Option("--ceiling", 0.05, "unresolved ceiling", "unresolved_ceiling"),
+    ),
+    "stationarity": (
+        _Option("--n-paths", 20000),
+        _Option("--n-steps", 2000),
+        _Option("--depth", 3, "comparison depth"),
+        _Option("--pad", 2, "extra letters of source material beyond the comparison depth"),
+        _Option("--n-resample", 20000),
+    ),
+    "track": (
+        _Option("--n-paths", 500),
+        _Option("--n-steps", 2000),
+        _Option("--depth", 56, "tracking cap"),
+        _Option("--burn-in", 200),
+        _Option("--resolve-depth", 1),
+    ),
+    "growth": (_Option("--iterations", 30),),
+    "moments": (),
+    "entropy-rate": (_Option("--n-paths", 100000),),
+    "first-return": (
+        _Option("--n-samples", 10000),
+        _Option("--step-budget", 1024),
+        _Option("--ceiling", 0.05, "failure ceiling", "failure_ceiling"),
+    ),
+    "tree-liminf": (_Option("--horizon", 30),),
+    "tree-strips": (_Option("--k-max", 12),),
+    "poisson": (
+        _Option("--n-samples", 20000),
+        _Option("--n-steps", 2000),
+        _Option("--depth", 5, "boundary sample depth"),
+        _Option("--radius", 2, "test-set ball radius"),
+    ),
 }
 
 
@@ -611,8 +608,13 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         config = _load_config(args.config)
         seed = _resolve_seed(args, config)
-        json_out, csv_out = _COMMANDS[args.command](args, config, seed)
-        _write_output(args.out, csv_out if args.format == "csv" else json_out)
+        _resolve_options(args, config)
+        payload, header, rows = _COMMANDS[args.command][0](args, config, seed)
+        if args.format == "csv":
+            text = _csv_text(header, rows)
+        else:
+            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        _write_output(args.out, text)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

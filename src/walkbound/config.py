@@ -18,7 +18,8 @@ The grammar is deliberately tiny so fixture files diff cleanly:
 Words use the package's letter encoding (a..z lowercase, A..Z inverses,
 "1" the identity); lattice parts are comma-separated integers and free
 acting parts are words over the acting generators. `run.*` keys hold
-numeric per-command defaults that command-line flags override.
+numeric per-command defaults that command-line flags override; integral
+values are kept as exact ints, so a 64-bit seed survives.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ class RunConfig:
     atoms: tuple[tuple[str, str, float], ...]
     check_generation: bool = True
     moduli: tuple[int, ...] | None = None
-    params: tuple[tuple[str, float], ...] = field(default_factory=tuple)
+    params: tuple[tuple[str, int | float], ...] = field(default_factory=tuple)
 
-    def param(self, name: str, default: float | None = None) -> float | None:
+    def param(self, name: str, default: float | None = None) -> int | float | None:
         for key, value in self.params:
             if key == name:
                 return value
@@ -211,12 +212,7 @@ def parse_config(text: str) -> RunConfig:
     for key in sorted(pairs):
         if not key.startswith("run."):
             raise ConfigError(f"unknown config key {key!r}")
-        value_text = pairs[key]
-        try:
-            value = float(value_text)
-        except ValueError as exc:
-            raise ConfigError(f"bad numeric value for {key!r}: {value_text!r}") from exc
-        params.append((key[len("run."):], value))
+        params.append((key[len("run."):], _parse_number(key, pairs[key])))
 
     return RunConfig(
         rank=rank,
@@ -228,6 +224,19 @@ def parse_config(text: str) -> RunConfig:
         moduli=moduli,
         params=tuple(params),
     )
+
+
+def _parse_number(key: str, text: str) -> int | float:
+    """An exact int when ``text`` is integral, else a float."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad numeric value for {key!r}: {text!r}") from exc
+    return int(value) if value.is_integer() else value
 
 
 def _build_thetas(
@@ -297,5 +306,5 @@ def emit_config(config: RunConfig) -> str:
     if config.moduli is not None:
         lines.append(f"sublattice.moduli = {','.join(str(m) for m in config.moduli)}")
     for key, value in config.params:
-        lines.append(f"run.{key} = {_format_number(value)}")
+        lines.append(f"run.{key} = {value!r}")
     return "\n".join(lines) + "\n"

@@ -357,7 +357,6 @@ def test_identity_point_mass_never_converges():
 def test_srw_median_final_length_scales_with_drift(srw_measure):
     trace = track_convergence(srw_measure, 19, 100, 1000, 600)
     assert trace.median_final_length() >= 0.4 * 1000
-    assert trace.truncation_events == 0
     assert trace.resolved_fraction(1) == 1.0
 
 

@@ -1,11 +1,12 @@
 """End-to-end command-line behavior, run in process through main()."""
 
+import gc
 import hashlib
 import json
 
 import pytest
 
-from walkbound import cli
+from walkbound import cli, parse_config
 from walkbound.cli import main
 
 SHIFT_ONLY = """
@@ -174,6 +175,106 @@ def test_seed_priority_flag_env_config(tmp_path, monkeypatch, capsys):
     assert run_json(capsys, argv_bare)["seed"] == 0
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("run.n_paths = 2.5", "run.n_paths must be an integer, got 2.5"),
+        ("run.seed = 1.7", "run.seed must be an integer, got 1.7"),
+    ],
+    ids=["n-paths", "seed"],
+)
+def test_non_integral_run_integer_exits_two(tmp_path, capsys, line, message):
+    cfg = tmp_path / "fractional.cfg"
+    cfg.write_text(SHIFT_ONLY + line + "\n", encoding="utf-8")
+    assert main(["walk", "--config", str(cfg), "--n-steps", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_config_seed_keeps_all_64_bits(tmp_path, capsys):
+    cfg = tmp_path / "seeded.cfg"
+    cfg.write_text(SHIFT_ONLY + "run.seed = 6148914691236517205\n", encoding="utf-8")
+    argv = ["walk", "--config", str(cfg), "--n-paths", "2", "--n-steps", "3"]
+    assert run_json(capsys, argv)["seed"] == 6148914691236517205
+
+
+# the flags a command needs besides its numeric options
+REQUIRED_FLAGS = {
+    "tree-liminf": ["--vertices", "a"],
+    "tree-strips": ["--from-vertex", "a", "--to-vertex", "b"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        pytest.param(command, option, id=command + option.flag)
+        for command, options in cli._OPTIONS.items()
+        for option in options
+    ],
+)
+def test_option_reads_config_and_its_flag_wins(command, option):
+    if isinstance(option.default, int):
+        from_config, from_flag = option.default + 7, option.default + 11
+    else:
+        from_config, from_flag = 0.125, 0.375
+    config = parse_config(SHIFT_ONLY + f"run.{option.config_key} = {from_config}\n")
+    argv = [command, "--config", "unread", *REQUIRED_FLAGS.get(command, [])]
+    for extra, expected in (
+        ([], from_config),
+        ([option.flag, str(from_flag)], from_flag),
+    ):
+        args = cli._build_parser().parse_args(argv + extra)
+        cli._resolve_options(args, config)
+        value = getattr(args, option.dest)
+        assert value == expected
+        assert type(value) is type(option.default)
+    args = cli._build_parser().parse_args(argv)
+    cli._resolve_options(args, parse_config(SHIFT_ONLY))
+    assert getattr(args, option.dest) == option.default
+
+
+def test_ceiling_reads_a_different_key_per_command():
+    keys = {
+        command: option.config_key
+        for command, options in cli._OPTIONS.items()
+        for option in options
+        if option.flag == "--ceiling"
+    }
+    assert keys == {"hitting": "unresolved_ceiling", "first-return": "failure_ceiling"}
+
+
+def test_config_run_values_reach_the_command(tmp_path, capsys):
+    cfg = tmp_path / "sized.cfg"
+    cfg.write_text(SHIFT_ONLY + "run.n_paths = 3\nrun.n_steps = 4.0\n", encoding="utf-8")
+    payload = run_json(capsys, ["walk", "--config", str(cfg)])
+    assert (payload["n_paths"], payload["n_steps"]) == (3, 4)
+    payload = run_json(capsys, ["walk", "--config", str(cfg), "--n-paths", "5"])
+    assert (payload["n_paths"], payload["n_steps"]) == (5, 4)
+
+
+def test_parser_is_built_once_and_a_call_leaves_only_json_garbage(capsys):
+    cli._build_parser.cache_clear()
+    argv = ["moments", "--config", "fixture:srw-f2"]
+    payload = run_json(capsys, argv)
+    run_json(capsys, argv)
+    assert cli._build_parser.cache_info().misses == 1
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert main(argv) == 0
+        from_main = gc.collect()
+        json.dumps(payload, indent=2, sort_keys=True)
+        from_dumps = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
+    assert from_main <= from_dumps
+
+
 def test_unresolved_walk_exits_three(tmp_path, capsys):
     cfg = tmp_path / "shift.cfg"
     cfg.write_text(SHIFT_ONLY, encoding="utf-8")
@@ -244,6 +345,16 @@ def test_track_csv_lists_final_lengths(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "path_id,final_length"
     assert len(lines) == 21
+
+
+def test_track_json_reports_no_truncation(capsys):
+    payload = run_json(
+        capsys,
+        ["track", "--config", "fixture:srw-f2", "--seed", "19", "--n-paths", "20",
+         "--n-steps", "200", "--depth", "120", "--burn-in", "10"],
+    )
+    assert payload["truncation_events"] == 0
+    assert payload["median_final_length"] >= 0.4 * 200
 
 
 @pytest.mark.parametrize(
@@ -508,6 +619,81 @@ GOLDEN_DIGESTS = (
         "walk --config fixture:free-acting --n-paths 64 --n-steps 800 --seed 7",
         "10e15d5ebdccb4183572353ab7d6bfe1c61899f62a78f8d46d0075e681ff12f8",
         id="walk-json-free-acting",
+    ),
+    # recorded before the option table replaced per-command flag parsing, one
+    # row for each command and format no digest above covered
+    pytest.param(
+        "moments --config fixture:semidirect-mixed",
+        "cd2f7adbf93cb57758bebb33758740e79c08190eb04f202b1ad811b9cabb6c3b",
+        id="moments-json",
+    ),
+    pytest.param(
+        "moments --config fixture:lattice-rank2 --format csv",
+        "c61ac9128bfd3a6d4b5e071ae6b7d69ed47897452a9dce5b8f5a441c94d6c242",
+        id="moments-csv",
+    ),
+    pytest.param(
+        "growth --config fixture:free-acting --format csv",
+        "f7db4b6d92d87705de299fd6bcaebaeda8855f99dfdfc81b1ee6b79acd3eb2b9",
+        id="growth-csv",
+    ),
+    pytest.param(
+        "hitting --config fixture:semidirect-linear --seed 4 --n-paths 200 --n-steps 60 "
+        "--depth 2 --format csv",
+        "3d260c3260bde79723ab93d8273d482eee2a3fd1b6893ab3d6c784762ad5b6ac",
+        id="hitting-csv",
+    ),
+    pytest.param(
+        "stationarity --config fixture:srw-f2 --seed 8 --n-paths 500 --n-steps 60 "
+        "--depth 1 --pad 2 --n-resample 500 --format csv",
+        "1f98fc0578355ad9c2895c717f7f7d9d0e09087de6c07850c1333c6e3dd8c4b8",
+        id="stationarity-csv",
+    ),
+    pytest.param(
+        "track --config fixture:direct-product --seed 6 --n-paths 60 --n-steps 20 "
+        "--depth 10 --burn-in 5",
+        "6c1359a0290194a87aab0117540eaa1ba3d37313f8ee1ea506aaceff7c1e2f8e",
+        id="track-json",
+    ),
+    pytest.param(
+        "entropy-rate --config fixture:srw-f2 --seed 9 --n-paths 3000 --depths 3,5 "
+        "--format csv",
+        "e46b15b1ced717a05d94eec6df01494ddf509eba12f245beb39129c39cf6a924",
+        id="entropy-rate-csv",
+    ),
+    pytest.param(
+        "first-return --config fixture:semidirect-mixed --seed 3 --n-samples 1000",
+        "c3112a2d2f2c79dab524b2fad6154626b333ed9509276974d13f0af32ce5cbf4",
+        id="first-return-json",
+    ),
+    pytest.param(
+        "poisson --config fixture:srw-f2 --seed 12 --n-samples 200 --n-steps 100 "
+        "--format csv",
+        "a4cb2276e60bfd555d015b2c970e3781daae600beec89ceb1081b0adfbd89eec",
+        id="poisson-csv",
+    ),
+    pytest.param(
+        "tree-liminf --config fixture:srw-f2 --vertices b,bb,bbb,bbbb,bbbbb,bbbbbb "
+        "--horizon 3",
+        "08cc859b2cd9b89aa01cfed4fe8977d424bee0ae04ac89bd2e24effb0d401523",
+        id="tree-liminf-json",
+    ),
+    pytest.param(
+        "tree-liminf --config fixture:srw-f2 --base a --vertices "
+        "ab,abb,abbb,abbbb,abbbbb --horizon 4 --format csv",
+        "1d0b128a03b66c366eed9a33fa8f9f75db8f5835476b23d11dedfc351e9b0365",
+        id="tree-liminf-csv",
+    ),
+    pytest.param(
+        "tree-strips --config fixture:srw-f2 --from-vertex B --to-vertex b --k-max 4",
+        "463cc54d0845232628e298bd126013b6debd642bd3f18b790b343702b6944363",
+        id="tree-strips-json",
+    ),
+    pytest.param(
+        "tree-strips --config fixture:lattice-rank2 --from-vertex aB --to-vertex ba "
+        "--k-max 6 --format csv",
+        "e3d348d93f5f7b62b5ee9bd48b287ff4817a5e68402a16c25849ddbefaabe1d0",
+        id="tree-strips-csv",
     ),
 )
 

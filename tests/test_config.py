@@ -65,6 +65,20 @@ def test_run_params_are_collected_and_queried():
     assert config.param("missing", 3.5) == 3.5
 
 
+def test_integral_run_values_stay_exact_ints():
+    config = parse_config(
+        MINIMAL
+        + "run.seed = 6148914691236517205\n"
+        + "run.n_paths = 2000.0\n"
+        + "run.unresolved_ceiling = 0.05\n"
+    )
+    seed, n_paths, ceiling = (config.param(k) for k in ("seed", "n_paths", "unresolved_ceiling"))
+    assert (type(seed), seed) == (int, 6148914691236517205)
+    assert (type(n_paths), n_paths) == (int, 2000)
+    assert (type(ceiling), ceiling) == (float, 0.05)
+    assert parse_config(emit_config(config)) == config
+
+
 @pytest.mark.parametrize(
     "mangle,message",
     [
