@@ -13,6 +13,7 @@ Boundary-sample draws and stationarity resampling use separate stream tags.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,6 +233,31 @@ def act_on_ray(acting: ActingGroup, g: ExtElement, r: Ray, depth: int) -> Word:
     return Word(acting.base_rank, _translate_prefix(g.w.letters, images, g.p, 0, depth))
 
 
+def _agreement(w: list[int], images: _RayImages, part, depth: int) -> int:
+    """How many leading letters, at most ``depth``, all probe translates of (w, part) share.
+
+    When no probe cancels more than |w| - depth letters of w, every translate
+    starts with w's first ``depth`` letters, and no translate is built.
+    """
+    probes = range(len(images.rays))
+    keep = len(w) - depth
+    # a loop, not all() over a generator: track calls this once per step
+    for q in probes:
+        if _cancelled(w, images, part, q) > keep:
+            break
+    else:
+        return depth
+    first = _translate_prefix(w, images, part, 0, depth)
+    agree = depth
+    for q in probes[1:]:
+        t = _translate_prefix(w, images, part, q, depth)
+        d = 0
+        while d < agree and t[d] == first[d]:
+            d += 1
+        agree = d
+    return agree
+
+
 # -- shared walk-endpoint machinery ---------------------------------------------
 
 
@@ -290,29 +316,42 @@ def _resolve_paths(
     n_paths: int,
     n_steps: int,
     depth: int,
-    probes: tuple[Ray, ...],
+    probes: tuple[Ray, ...] | None,
     return_lattice: SublatticeSpec | None,
-):
-    """Per path: the resolved depth-prefix letters, or None."""
+    unresolved_ceiling: float,
+) -> list[tuple[int, ...] | None]:
+    """Per path of ``stream``: the resolved depth-prefix letters, or None.
+
+    The one route of hitting and boundary samples: it validates the sizes and
+    probes, walks every path, resolves it by ``_agreement`` and raises a
+    convergence error when the unresolved fraction exceeds the ceiling.
+    """
+    if depth < 1 or n_paths < 1 or n_steps < 1:
+        raise ConfigError("need depth, n_paths, n_steps all >= 1")
+    probes = _checked_probes(measure.acting.base_rank, probes)
     images = _RayImages(measure.acting, probes)
     graph = StepGraph(measure)
     inside = None if return_lattice is None else _Inside(graph, return_lattice)
     out: list[tuple[int, ...] | None] = []
+    misses = 0
     for rng in path_generators(seed, stream, 0, n_paths):
         idx = measure.draw_indices(rng, n_steps).tolist()
         run_to = n_steps
         if inside is not None:
             run_to = _last_lattice_step(graph, idx, inside)
-            if run_to == 0:
-                out.append(None)
-                continue
-        stack, part = _endpoint(graph, idx[:run_to])
-        first = _translate_prefix(stack, images, part, 0, depth)
-        agreed = all(
-            _translate_prefix(stack, images, part, i, depth) == first
-            for i in range(1, len(probes))
+        key = None
+        if run_to:
+            stack, part = _endpoint(graph, idx[:run_to])
+            if _agreement(stack, images, part, depth) == depth:
+                key = _translate_prefix(stack, images, part, 0, depth)
+        misses += key is None
+        out.append(key)
+    if misses / n_paths > unresolved_ceiling:
+        raise ConvergenceError(
+            f"{misses / n_paths:.1%} of paths left unresolved at depth {depth} "
+            f"after {n_steps} steps (ceiling {unresolved_ceiling:.1%}); "
+            "run longer or lower the depth"
         )
-        out.append(first if agreed else None)
     return out
 
 
@@ -334,28 +373,14 @@ def empirical_hitting_measure(
     ``depth`` letters. Raises a convergence error when the unresolved
     fraction exceeds the ceiling.
     """
-    if depth < 1 or n_paths < 1 or n_steps < 1:
-        raise ConfigError("need depth, n_paths, n_steps all >= 1")
-    probes = _checked_probes(measure.acting.base_rank, probes)
     resolved = _resolve_paths(
-        measure, seed, STREAM_WALK, n_paths, n_steps, depth, probes, return_lattice
+        measure, seed, STREAM_WALK, n_paths, n_steps, depth, probes, return_lattice,
+        unresolved_ceiling,
     )
-    counts: dict[tuple[int, ...], int] = {}
-    misses = 0
-    for key in resolved:
-        if key is None:
-            misses += 1
-        else:
-            counts[key] = counts.get(key, 0) + 1
-    unresolved_fraction = misses / n_paths
-    if unresolved_fraction > unresolved_ceiling:
-        raise ConvergenceError(
-            f"{unresolved_fraction:.1%} of paths left unresolved at depth {depth} "
-            f"after {n_steps} steps (ceiling {unresolved_ceiling:.1%}); "
-            "run longer or lower the depth"
-        )
+    counts = Counter(key for key in resolved if key is not None)
+    hits = sum(counts.values())
     distribution = CylinderDistribution.from_counts(measure.acting.base_rank, depth, counts)
-    return HittingEstimate(distribution, unresolved_fraction, n_paths - misses, n_paths)
+    return HittingEstimate(distribution, (n_paths - hits) / n_paths, hits, n_paths)
 
 
 def sample_boundary_rays(
@@ -374,18 +399,10 @@ def sample_boundary_rays(
     path batch with the same seed. Unresolved paths are dropped; exceeding
     the ceiling raises.
     """
-    if n_samples < 1 or n_steps < 1 or depth < 1:
-        raise ConfigError("need n_samples, n_steps, depth all >= 1")
-    probes = _checked_probes(measure.acting.base_rank, probes)
     resolved = _resolve_paths(
-        measure, seed, STREAM_BOUNDARY, n_samples, n_steps, depth, probes, return_lattice
+        measure, seed, STREAM_BOUNDARY, n_samples, n_steps, depth, probes, return_lattice,
+        unresolved_ceiling,
     )
-    misses = sum(1 for key in resolved if key is None)
-    if misses / n_samples > unresolved_ceiling:
-        raise ConvergenceError(
-            f"{misses / n_samples:.1%} of boundary samples unresolved "
-            f"(ceiling {unresolved_ceiling:.1%})"
-        )
     rank = measure.acting.base_rank
     return [extend_to_ray(Word(rank, key)) for key in resolved if key is not None]
 
@@ -429,16 +446,10 @@ def stationarity_residual(
         if depth == distribution.depth
         else distribution.marginalize(depth).table
     )
-    cell_index: dict[tuple[int, ...], int] = {}
-    for k in sorted(base_table):
-        cell_index[k] = len(cell_index)
+    cell_index = {k: i for i, k in enumerate(sorted(base_table))}
 
     def cell_of(key: tuple[int, ...]) -> int:
-        got = cell_index.get(key)
-        if got is None:
-            got = len(cell_index)
-            cell_index[key] = got
-        return got
+        return cell_index.setdefault(key, len(cell_index))
 
     images = _RayImages(acting, rays)
     pushed = np.empty((len(measure.atoms), len(cyl_keys)), dtype=np.int64)
@@ -447,8 +458,7 @@ def stationarity_residual(
             pushed[a, c] = cell_of(_translate_prefix(atom.w.letters, images, atom.p, c, depth))
 
     rng = derived_rng(seed, STREAM_RESAMPLE)
-    atom_cum = measure._cumulative
-    atom_draw = np.searchsorted(atom_cum, rng.random(n_resample), side="right")
+    atom_draw = measure.draw_indices(rng, n_resample)
     cyl_draw = np.searchsorted(cyl_cum, rng.random(n_resample), side="right")
     cells = pushed[atom_draw, cyl_draw]
     counts = np.bincount(cells, minlength=len(cell_index)).astype(np.float64)
@@ -509,40 +519,22 @@ def track_convergence(
 ) -> ConvergenceTrace:
     """Record how far the translated probes agree after every step.
 
-    A step after which every probe leaves at least ``depth`` letters of the
-    walk's word uncancelled agrees to the full depth without a translation.
+    Each step's length comes from ``_agreement``, the rule by which hitting
+    resolves a path, so a path of the same seed whose final length reaches
+    ``depth`` is one that hitting resolves.
     """
     if depth < 1 or n_paths < 1 or n_steps < 1:
         raise ConfigError("need depth, n_paths, n_steps all >= 1")
-    acting = measure.acting
-    probes = _checked_probes(acting.base_rank, probes)
-    images = _RayImages(acting, probes)
+    probes = _checked_probes(measure.acting.base_rank, probes)
+    images = _RayImages(measure.acting, probes)
     graph = StepGraph(measure)
-    n_probes = len(probes)
     lengths = np.zeros((n_paths, n_steps), dtype=np.int32)
-    for p_idx, rng in enumerate(path_generators(seed, STREAM_WALK, 0, n_paths)):
-        idx = measure.draw_indices(rng, n_steps).tolist()
+    for row, rng in zip(lengths, path_generators(seed, STREAM_WALK, 0, n_paths)):
         stack: list[int] = []
         node = graph.root
-        row = lengths[p_idx]
-        for n, i in enumerate(idx):
+        for n, i in enumerate(measure.draw_indices(rng, n_steps).tolist()):
             node = graph.advance(stack, node, (i,))
-            part = graph.parts[node]
-            keep = len(stack) - depth
-            if all(_cancelled(stack, images, part, q) <= keep for q in range(n_probes)):
-                row[n] = depth
-                continue
-            translates = [
-                _translate_prefix(stack, images, part, q, depth) for q in range(n_probes)
-            ]
-            first = translates[0]
-            agree = depth
-            for t in translates[1:]:
-                d = 0
-                while d < agree and t[d] == first[d]:
-                    d += 1
-                agree = d
-            row[n] = agree
+            row[n] = _agreement(stack, images, graph.parts[node], depth)
     return ConvergenceTrace(probes, depth, lengths, seed)
 
 

@@ -15,7 +15,8 @@ because path streams are keyed by absolute path index.
 Every numeric option is one row of ``_OPTIONS``. Its value is the flag's,
 else the config's ``run.<key>``, else the row's default; an integer option
 takes only an integral ``run.*`` value. The parser is built from that table
-once per process.
+once per process. A ``run.*`` key that no option of any command reads, other
+than ``run.seed``, is a configuration error.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .tree import (
     strip_growth_profile,
 )
 from .walk import (
+    _checked_depths,
     drift_estimate,
     entropy_depth_counts,
     entropy_from_counts,
@@ -176,7 +178,15 @@ def _run_value(config: RunConfig, key: str, default: int | float) -> int | float
 
 
 def _resolve_options(args: argparse.Namespace, config: RunConfig) -> None:
-    """Fill each numeric option the command line left unset."""
+    """Fill each numeric option the command line left unset.
+
+    A ``run.*`` key that no command's option reads, other than ``seed``, is
+    rejected, so a misspelt key cannot fall back to a default unnoticed.
+    """
+    known = {"seed"} | {opt.config_key for rows in _OPTIONS.values() for opt in rows}
+    for key, _ in config.params:
+        if key not in known:
+            raise ConfigError(f"unknown config key run.{key}: no command reads it")
     for opt in _OPTIONS[args.command]:
         if getattr(args, opt.dest) is None:
             setattr(args, opt.dest, _run_value(config, opt.config_key, opt.default))
@@ -388,13 +398,8 @@ def _cmd_moments(args, config: RunConfig, seed: int) -> _Output:
 
 def _cmd_entropy_rate(args, config: RunConfig, seed: int) -> _Output:
     measure = build_measure(config)
-    if args.depths is not None:
-        depths = tuple(int(x) for x in args.depths.split(","))
-    else:
-        depths = (8, 12, 16)
-    depths = tuple(sorted(set(depths)))
-    if not depths or depths[0] < 1:
-        raise ConfigError("need at least one positive depth")
+    depths = (8, 12, 16) if args.depths is None else args.depths.split(",")
+    depths = _checked_depths(measure, args.n_paths, depths)
     counts = _fan_out(
         args.workers, entropy_depth_counts, merge_depth_counts, measure, seed, args.n_paths, depths
     )

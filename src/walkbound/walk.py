@@ -176,7 +176,7 @@ class StepGraph:
     and for a one-letter atom holds Θ(p)'s own table entry.
     """
 
-    __slots__ = ("measure", "acting", "root", "parts", "edges", "_ids", "_twisted")
+    __slots__ = ("measure", "acting", "root", "parts", "edges", "_ids")
 
     def __init__(self, measure: StepMeasure):
         self.measure = measure
@@ -184,7 +184,6 @@ class StepGraph:
         self.parts: list = []
         self.edges: list[list] = []
         self._ids: dict = {}
-        self._twisted = self.acting.k > 0
         self.root = self._node(self.acting.identity_part())
 
     def _node(self, part) -> int:
@@ -200,7 +199,7 @@ class StepGraph:
         """Build and return edge i of ``node``: (twisted letters, successor id)."""
         letters, increment = self.measure._step_data[i]
         part = self.parts[node]
-        if letters and self._twisted:
+        if letters:
             letters = self.acting.twist_letters(part, letters)
         succ = node
         if increment is not None:
@@ -460,12 +459,38 @@ def entropy_from_counts(
     return EntropyEstimate(float(value), per_depth, n_paths, coverage_flag)
 
 
+_MAX_CELLS = 20_000_000
+
+
+def _checked_depths(
+    measure: StepMeasure,
+    n_paths: int,
+    depths: Sequence[int],
+    max_cells: int = _MAX_CELLS,
+) -> tuple[int, ...]:
+    """The sorted distinct depths of an entropy run, within its cell budget.
+
+    Each depth's occupancy table holds at most min(|support|^depth, n_paths)
+    cells, so the budget is checked on the total path count, before any path
+    is walked or split over workers.
+    """
+    depths = tuple(sorted(set(int(d) for d in depths)))
+    if not depths or depths[0] < 1:
+        raise ConfigError("need at least one positive depth")
+    support_bound = len(measure) ** depths[-1]
+    if min(support_bound, n_paths) * len(depths) > max_cells:
+        raise BudgetError(
+            f"plug-in tabulation would exceed {max_cells} cells; lower the depths"
+        )
+    return depths
+
+
 def asymptotic_entropy_estimate(
     measure: StepMeasure,
     seed: int,
     n_paths: int,
     depths: tuple[int, ...] | list[int],
-    max_cells: int = 20_000_000,
+    max_cells: int = _MAX_CELLS,
 ) -> EntropyEstimate:
     """Estimate the entropy rate by plug-in entropies extrapolated in 1/n.
 
@@ -476,13 +501,6 @@ def asymptotic_entropy_estimate(
     when the deepest table is too thinly occupied for the correction to be
     trusted; more paths are the remedy.
     """
-    depths = tuple(sorted(set(int(d) for d in depths)))
-    if not depths or depths[0] < 1:
-        raise ConfigError("need at least one positive depth")
-    support_bound = len(measure) ** depths[-1]
-    if min(support_bound, n_paths) * len(depths) > max_cells:
-        raise BudgetError(
-            f"plug-in tabulation would exceed {max_cells} cells; lower the depths"
-        )
+    depths = _checked_depths(measure, n_paths, depths, max_cells)
     counts = entropy_depth_counts(measure, seed, n_paths, depths)
     return entropy_from_counts(counts, n_paths)

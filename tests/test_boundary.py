@@ -28,10 +28,12 @@ from walkbound import (
     in_sublattice,
     load_fixture,
     sample_boundary_rays,
+    sample_paths,
     stationarity_residual,
     track_convergence,
 )
 from walkbound import boundary
+from walkbound._rng import STREAM_WALK
 from walkbound.boundary import _RayImages, _translate_prefix, default_probes
 from oracles import eager_image, markov_cylinder_table, tv_distance
 
@@ -300,6 +302,41 @@ def test_estimators_reject_bad_probes(monkeypatch, srw_measure, estimator, probe
     monkeypatch.setattr(boundary, "path_generators", no_paths)
     with pytest.raises(ConfigError, match=message):
         PROBED[estimator](srw_measure, probes)
+
+
+def common_prefix_length(words, depth: int) -> int:
+    first = words[0].letters
+    return min(
+        next((d for d in range(depth) if w.letters[d] != first[d]), depth) for w in words[1:]
+    )
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_hitting_and_track_agree_path_by_path(name):
+    # hitting takes the no-translation shortcut whenever it can; the full
+    # translation of every probe (act_on_ray) on the same endpoints must
+    # resolve the same paths to the same cylinders, with track's final lengths
+    measure = build_measure(load_fixture(name))
+    acting = measure.acting
+    probes = default_probes(acting.base_rank)
+    n_paths, n_steps, depth = 40, 15, 3
+    for seed in (1, 2, 3):
+        keys = boundary._resolve_paths(
+            measure, seed, STREAM_WALK, n_paths, n_steps, depth, None, None, 1.0
+        )
+        est = empirical_hitting_measure(measure, seed, n_paths, n_steps, depth, unresolved_ceiling=1.0)
+        final = track_convergence(measure, seed, n_paths, n_steps, depth).final_lengths()
+        ends = sample_paths(measure, seed, n_paths, n_steps).final_positions
+        assert est.resolved_count == (final >= depth).sum()
+        expected = {}
+        for key, length, g in zip(keys, final, ends):
+            translates = [act_on_ray(acting, g, r, depth) for r in probes]
+            agree = common_prefix_length(translates, depth)
+            assert length == agree
+            assert key == (translates[0].letters if agree == depth else None)
+            if key is not None:
+                expected[key] = expected.get(key, 0) + 1
+        assert est.distribution.table == {k: c / est.resolved_count for k, c in expected.items()}
 
 
 # -- stationarity ------------------------------------------------------------------

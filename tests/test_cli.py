@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from walkbound import cli, parse_config
+from walkbound import cli, fixture_names, parse_config, walk
 from walkbound.cli import main
 
 SHIFT_ONLY = """
@@ -254,6 +254,21 @@ def test_config_run_values_reach_the_command(tmp_path, capsys):
     assert (payload["n_paths"], payload["n_steps"]) == (5, 4)
 
 
+def test_misspelt_run_key_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(SHIFT_ONLY + "run.n_path = 3\n", encoding="utf-8")
+    assert main(["walk", "--config", str(cfg), "--n-steps", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown config key run.n_path" in captured.err
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_every_fixture_run_key_is_read(capsys, name):
+    assert main(["moments", "--config", f"fixture:{name}"]) == 0
+    capsys.readouterr()
+
+
 def test_parser_is_built_once_and_a_call_leaves_only_json_garbage(capsys):
     cli._build_parser.cache_clear()
     argv = ["moments", "--config", "fixture:srw-f2"]
@@ -414,6 +429,21 @@ def test_entropy_rate_workers_match(capsys):
     assert solo == pair
     assert solo["per_depth"]["4"]["support"] > 1
     assert 0.2 < solo["value"] < 0.9
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_entropy_rate_past_the_cell_budget_exits_four_before_walking(
+    monkeypatch, capsys, workers
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a path was walked or a pool started")
+
+    monkeypatch.setattr(walk, "path_generators", refuse)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+    code = main(["entropy-rate", "--config", "fixture:srw-f2", "--seed", "1",
+                 "--n-paths", "7000000", "--workers", workers])
+    assert code == 4
+    assert "would exceed 20000000 cells" in capsys.readouterr().err
 
 
 def test_first_return_reports_parity_time(capsys):
