@@ -7,10 +7,17 @@ bit-for-bit reproducible no matter how work is split across workers.
 
 The key of item ``i`` is the one numpy derives from
 ``SeedSequence(entropy=seed, spawn_key=(stream, i))``. ``derived_rng`` builds
-that SeedSequence for a single item. ``path_generators`` computes the keys of
-a whole index range in one batched numpy pass of the same hash, bit-identical
-to the SeedSequence keys, and re-keys one reused Philox per item, so a path
-costs neither a SeedSequence nor a generator construction.
+that SeedSequence for a single item. ``philox_keys`` computes the keys of a
+whole index range in one batched numpy pass of the same hash, bit-identical to
+the SeedSequence keys.
+
+``draw_rows`` turns a range of items into rows of categorical draws. Rows of
+at most ``HEAD`` uniforms come from a numpy transcription of Philox4x64-10
+and ``Generator.random``, vectorized over all rows of a block, so a run of
+short rows never imports ``numpy.random``; a longer row comes from one C
+Philox re-keyed per item. ``streams_past_head`` continues the items' streams
+after their first ``HEAD`` uniforms, also on one re-keyed Philox. No row
+costs a SeedSequence, and a call builds at most one generator.
 """
 
 from __future__ import annotations
@@ -43,6 +50,21 @@ XSHIFT = 16
 # numpy encodes a spawn-key word above 32 bits as two words, which the batched
 # pass does not reproduce.
 MAX_INDEX = MASK32
+
+# numpy's Philox4x64-10 constants (numpy/random/src/philox/philox.h): the
+# multipliers of lanes 0 and 2, and the Weyl increments of the two key words.
+PHILOX_ROUNDS = 10
+PHILOX_MULT = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64).reshape(2, 1, 1)
+PHILOX_BUMP = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64).reshape(2, 1, 1)
+_MULT_LO = PHILOX_MULT & MASK32
+_MULT_HI = PHILOX_MULT >> 32
+
+# The longest row drawn by the vectorized pass: four Philox blocks. The pass
+# costs about 90 ns per uniform and numpy's C generator about 8, plus a re-key
+# of about 1.3 us per row, so a longer row is cheaper drawn whole in C.
+HEAD = 16
+# Uniforms per block of rows (one row when a row alone is longer).
+BLOCK = 4096
 
 
 def derived_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
@@ -130,32 +152,125 @@ def philox_keys(seed: int, stream: int, first: int, count: int) -> np.ndarray:
     return keys
 
 
-def path_generators(
-    seed: int, stream: int, first: int, count: int
-) -> Iterator[np.random.Generator]:
-    """Yield the generators of items ``first .. first + count - 1`` in order.
+def draw_rows(
+    cumulative: np.ndarray, seed: int, stream: int, first: int, count: int, n: int
+) -> Iterator[list[int]]:
+    """Yield the categorical draws of items ``first .. first + count - 1`` in order.
 
-    The generator of item ``i`` draws exactly what ``derived_rng(seed, stream,
-    i)`` draws. One Philox is re-keyed per item (counter 0, empty buffer), so
-    a yielded generator is valid only until the next one is yielded. Arguments
-    are checked and the keys computed on the call, not on the first item.
+    Row ``j`` is ``searchsorted(cumulative, derived_rng(seed, stream, first +
+    j).random(n), side="right")`` as a list of ints: one search and one
+    ``tolist`` per block of ``uniform_blocks``.
     """
-    return _rekeyed(philox_keys(seed, stream, first, count))
+    blocks = uniform_blocks(seed, stream, first, count, n)
+    return (
+        row for block in blocks for row in np.searchsorted(cumulative, block, side="right").tolist()
+    )
 
 
-def _rekeyed(keys: np.ndarray) -> Iterator[np.random.Generator]:
-    bit_gen = np.random.Philox(0)
+def uniform_blocks(seed: int, stream: int, first: int, count: int, n: int) -> Iterator[np.ndarray]:
+    """Yield the uniforms of items ``first .. first + count - 1`` as (rows, n) blocks.
+
+    Stacked, row ``j`` equals ``derived_rng(seed, stream, first + j).random(n)``
+    bit for bit, for every split into blocks. Rows of at most ``HEAD``
+    uniforms come from ``_head_uniforms``, vectorized over a block; a longer
+    row from one C Philox re-keyed per item. A block holds about ``BLOCK``
+    uniforms. Arguments are checked and the keys computed on the call, not on
+    the first block.
+    """
+    if n < 1:
+        raise ConfigError("need at least one draw per row")
+    return _uniform_blocks(philox_keys(seed, stream, first, count), n)
+
+
+def _uniform_blocks(keys: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    rows = max(1, BLOCK // n)
+    if n <= HEAD:
+        for start in range(0, len(keys), rows):
+            yield _head_uniforms(keys[start : start + rows], n)
+        return
+    rekeyed = _rekeyed(0)
+    for start in range(0, len(keys), rows):
+        chunk = keys[start : start + rows]
+        block = np.empty((len(chunk), n))
+        for key, row in zip(chunk, block):
+            rekeyed(key).random(out=row)
+        yield block
+
+
+def streams_past_head(seed: int, stream: int, first: int, count: int):
+    """A function from an item index to that item's stream after ``HEAD`` uniforms.
+
+    For ``index`` in ``first .. first + count - 1`` it returns a generator
+    that draws what ``derived_rng(seed, stream, index)`` draws after
+    ``random(HEAD)``: ``first_return_sampler`` goes on with it once a
+    sample's batched head is used up. The range's keys and one Philox are
+    made on the first call, and every call re-keys that Philox, so a
+    returned generator is valid only until the next call.
+    """
+    made = None
+
+    def past_head(index: int) -> np.random.Generator:
+        nonlocal made
+        if made is None:
+            made = philox_keys(seed, stream, first, count), _rekeyed(HEAD // 4)
+        keys, rekeyed = made
+        return rekeyed(keys[index - first])
+
+    return past_head
+
+
+def _rekeyed(counter: int):
+    """A function from a Philox key to that key's generator, ``counter`` blocks in.
+
+    One Philox is re-keyed per call (the given counter, an empty buffer), so a
+    returned generator is valid only until the next call.
+    """
+    bit_gen = np.random.Philox(counter=counter, key=np.zeros(2, dtype=np.uint64))
     rng = np.random.Generator(bit_gen)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    inner = state["state"]
-    for key in keys:
-        inner["key"] = key
+    state = bit_gen.state
+
+    def at(key: np.ndarray) -> np.random.Generator:
+        state["state"]["key"] = key
         bit_gen.state = state
-        yield rng
+        return rng
+
+    return at
+
+
+def _head_uniforms(keys: np.ndarray, h: int) -> np.ndarray:
+    """The first ``h <= HEAD`` uniforms of each key's stream, as a (rows, h) array.
+
+    A transcription of numpy's Philox4x64-10 with ``Generator.random``: the
+    stream's k-th block of four words is the Philox bijection of the counter
+    (k + 1, 0, 0, 0) under the key, and a uniform is a word's top 53 bits
+    times 2**-53. The state is held as (4 lanes, rows, blocks), and the two
+    multiplier lanes of a round are one array product.
+    """
+    rows = len(keys)
+    blocks = -(-h // 4)
+    key = keys.T.reshape(2, rows, 1)
+    state = np.zeros((4, rows, blocks), dtype=np.uint64)
+    state[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    for r in range(PHILOX_ROUNDS):
+        if r:
+            key = key + PHILOX_BUMP
+        hi, lo = _mulhilo(state[0::2])
+        nxt = np.empty_like(state)
+        nxt[0::2] = hi[::-1] ^ state[1::2] ^ key
+        nxt[1::2] = lo[::-1]
+        state = nxt
+    words = state.transpose(1, 2, 0).reshape(rows, 4 * blocks)[:, :h]
+    return (words >> 11) * (1.0 / 9007199254740992.0)
+
+
+def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products x * PHILOX_MULT.
+
+    The high word is built from 32-bit halves so that no partial sum
+    overflows 64 bits; the low word is uint64's wrapping product.
+    """
+    x_lo = x & MASK32
+    x_hi = x >> 32
+    t = x_hi * _MULT_LO + (x_lo * _MULT_LO >> 32)
+    u = (t & MASK32) + x_lo * _MULT_HI
+    return x_hi * _MULT_HI + (t >> 32) + (u >> 32), x * PHILOX_MULT

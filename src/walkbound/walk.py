@@ -3,9 +3,11 @@
 A walk starts at the identity and multiplies i.i.d. increments drawn from a
 finitely supported step measure on the right: x_n = h_1 h_2 ... h_n. Paths are
 reproducible bit for bit from (seed, path index) regardless of batching or
-worker scheduling, because every path owns a counter-derived RNG stream. The
-stream keys of a path range are computed in one batched pass, bit-identical to
-``SeedSequence(seed, spawn_key=(stream, index))`` (see ``_rng``).
+worker scheduling, because every path owns a counter-derived RNG stream,
+keyed bit-identically to ``SeedSequence(seed, spawn_key=(stream, index))``.
+Samplers take their atom indices from ``StepMeasure.draw_rows``, a block of
+paths at once: paths of at most ``_rng.HEAD`` steps in one vectorized Philox
+pass, longer paths each from one re-keyed C generator.
 
 Every sampler runs one step kernel, ``StepGraph.advance``. The free part is a
 mutable letter stack; the acting part is an integer node of a step graph that
@@ -22,11 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._rng import STREAM_WALK, path_generators
+from ._rng import STREAM_WALK, draw_rows
 from .errors import BudgetError, ConfigError
 from .groups import (
     ActingGroup,
@@ -154,6 +156,16 @@ class StepMeasure:
         """n atom indices from one pre-drawn uniform block."""
         return np.searchsorted(self._cumulative, rng.random(n), side="right")
 
+    def draw_rows(
+        self, seed: int, stream: int, first: int, count: int, n: int
+    ) -> Iterator[list[int]]:
+        """The ``n`` atom indices of items ``first .. first + count - 1``, a list each.
+
+        Item ``j`` draws what ``draw_indices(derived_rng(seed, stream, j), n)``
+        draws, a block of items at a time (see ``_rng.draw_rows``).
+        """
+        return draw_rows(self._cumulative, seed, stream, first, count, n)
+
     def __repr__(self) -> str:
         return f"StepMeasure({len(self.atoms)} atoms on {self.acting!r})"
 
@@ -211,8 +223,8 @@ class StepGraph:
         """Right-multiply the position (stack, node) by the atoms at ``indices``.
 
         ``stack`` holds the reduced free part and is updated in place; the
-        returned id is the new acting position. Pass Python ints
-        (``draw_indices(...).tolist()``): numpy scalars index lists slowly.
+        returned id is the new acting position. Pass Python ints (a row of
+        ``StepMeasure.draw_rows``): numpy scalars index lists slowly.
         """
         edges = self.edges
         link = self.link
@@ -259,12 +271,14 @@ class PathBatch:
 
 def _run_one_path(
     graph: StepGraph,
-    rng: np.random.Generator,
+    idx: list[int],
     n_steps: int,
     record: list[int],
 ) -> dict[int, ExtElement]:
-    """Positions of one path of ``n_steps`` steps at the ascending ``record`` steps."""
-    idx = graph.measure.draw_indices(rng, n_steps).tolist()
+    """Positions of one path at the ascending ``record`` steps.
+
+    ``idx`` holds the path's ``n_steps`` atom indices.
+    """
     rank = graph.acting.base_rank
     stack: list[int] = []
     node = graph.root
@@ -303,8 +317,8 @@ def sample_paths(
     steps = sorted(record)
     graph = StepGraph(measure)
     per_step: dict[int, list[ExtElement]] = {s: [] for s in steps}
-    for rng in path_generators(seed, STREAM_WALK, first_path, n_paths):
-        snaps = _run_one_path(graph, rng, n_steps, steps)
+    for idx in measure.draw_rows(seed, STREAM_WALK, first_path, n_paths, n_steps):
+        snaps = _run_one_path(graph, idx, n_steps, steps)
         for s, g in snaps.items():
             per_step[s].append(g)
     return PathBatch(
@@ -407,8 +421,7 @@ def entropy_depth_counts(
     n_steps = max(depths)
     ascending = sorted(set(depths))
     counts: dict[int, dict] = {d: {} for d in depths}
-    for rng in path_generators(seed, STREAM_WALK, first_path, n_paths):
-        idx = measure.draw_indices(rng, n_steps).tolist()
+    for idx in measure.draw_rows(seed, STREAM_WALK, first_path, n_paths, n_steps):
         stack: list[int] = []
         node = graph.root
         done = 0

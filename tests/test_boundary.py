@@ -30,9 +30,10 @@ from walkbound import (
     sample_boundary_rays,
     sample_paths,
     stationarity_residual,
+    sublattice_spec,
     track_convergence,
 )
-from walkbound import boundary
+from walkbound import boundary, walk
 from walkbound._rng import STREAM_WALK
 from walkbound.boundary import _RayImages, _translate_prefix, default_probes
 from oracles import eager_image, markov_cylinder_table, tv_distance
@@ -278,6 +279,10 @@ def test_sample_boundary_rays_rejects_empty_sizes(srw_measure, n_samples, depth,
         sample_boundary_rays(srw_measure, 3, n_samples, depth, n_steps)
 
 
+def no_paths(*args):
+    raise AssertionError("a path was walked")
+
+
 PROBED = {
     "hitting": lambda m, probes: empirical_hitting_measure(m, 3, 10, 50, 2, probes=probes),
     "rays": lambda m, probes: sample_boundary_rays(m, 3, 10, 2, 50, probes=probes),
@@ -296,12 +301,12 @@ PROBED = {
 )
 @pytest.mark.parametrize("estimator", sorted(PROBED))
 def test_estimators_reject_bad_probes(monkeypatch, srw_measure, estimator, probes, message):
-    def no_paths(*args):
-        raise AssertionError("a path was walked")
-
-    monkeypatch.setattr(boundary, "path_generators", no_paths)
+    monkeypatch.setattr(walk, "draw_rows", no_paths)
     with pytest.raises(ConfigError, match=message):
         PROBED[estimator](srw_measure, probes)
+    # the patched routine is the one a valid call draws its paths from
+    with pytest.raises(AssertionError, match="a path was walked"):
+        PROBED[estimator](srw_measure, None)
 
 
 def common_prefix_length(words, depth: int) -> int:
@@ -437,13 +442,15 @@ def test_shift_dominated_walk_exhausts_budget(mixed_measure):
 )
 def test_mismatched_sublattice_spec_raises_before_any_path(monkeypatch, name, spec, message):
     measure = build_measure(load_fixture(name))
-
-    def no_paths(*args):
-        raise AssertionError("a path was walked")
-
-    monkeypatch.setattr(boundary, "path_generators", no_paths)
+    monkeypatch.setattr(walk, "draw_rows", no_paths)
     match = f"{message} does not match the acting group"
     with pytest.raises(ConfigError, match=match):
         empirical_hitting_measure(measure, 1, 10, 10, 1, return_lattice=spec)
     with pytest.raises(ConfigError, match=match):
         first_return_sampler(measure, spec, 1, 10)
+    # the patched routine is the one valid calls draw their paths from
+    with pytest.raises(AssertionError, match="a path was walked"):
+        empirical_hitting_measure(measure, 1, 10, 10, 1)
+    own = sublattice_spec(load_fixture("semidirect-mixed"))
+    with pytest.raises(AssertionError, match="a path was walked"):
+        first_return_sampler(build_measure(load_fixture("semidirect-mixed")), own, 1, 10)

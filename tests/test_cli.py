@@ -438,12 +438,16 @@ def test_entropy_rate_past_the_cell_budget_exits_four_before_walking(
     def refuse(*args, **kwargs):
         raise AssertionError("a path was walked or a pool started")
 
-    monkeypatch.setattr(walk, "path_generators", refuse)
+    monkeypatch.setattr(walk, "draw_rows", refuse)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
     code = main(["entropy-rate", "--config", "fixture:srw-f2", "--seed", "1",
                  "--n-paths", "7000000", "--workers", workers])
     assert code == 4
     assert "would exceed 20000000 cells" in capsys.readouterr().err
+    # the patched names are the ones a run within the budget reaches
+    with pytest.raises(AssertionError, match="a path was walked or a pool started"):
+        main(["entropy-rate", "--config", "fixture:srw-f2", "--seed", "1",
+              "--n-paths", "70", "--workers", workers])
 
 
 def test_first_return_reports_parity_time(capsys):

@@ -136,19 +136,20 @@ def assert_first_returns(measure, spec, seed, n_samples, budget):
     acting = measure.acting
     expected_samples, expected_times = [], []
     for path in range(n_samples):
+        # each sample's whole budget, drawn from its own stream in one block
         indices = measure.draw_indices(derived_rng(seed, STREAM_RETURN, path), budget).tolist()
-        positions = fold(measure, indices)
-        tau = next(
-            (n for n in range(1, budget + 1) if in_sublattice(acting, positions[n], spec)),
-            None,
-        )
-        if tau is not None:
-            expected_samples.append(positions[tau])
-            expected_times.append(tau)
+        x = ext_identity(acting)
+        for tau, i in enumerate(indices, start=1):
+            x = ext_multiply(acting, x, measure.atoms[i])
+            if in_sublattice(acting, x, spec):
+                expected_samples.append(x)
+                expected_times.append(tau)
+                break
     assert all(in_sublattice(acting, g, spec) for g in sample.samples)
     assert sample.return_times == tuple(expected_times)
     assert keys(acting, sample.samples) == keys(acting, expected_samples)
     assert sample.failures == n_samples - len(expected_times)
+    return sample
 
 
 @pytest.mark.parametrize("name", RETURNING)
@@ -159,6 +160,16 @@ def test_first_returns_are_first_sublattice_visits(name, seed, budget):
     measure = fixture_measure(name)
     spec = sublattice_spec(load_fixture(name))
     assert_first_returns(measure, spec, seed, 12, min(budget, MAX_STEPS.get(name, 60)))
+
+
+def test_first_returns_continue_past_the_head_on_their_own_streams():
+    # the first HEAD steps of all samples come in one batch; later steps, here
+    # up to 317, continue each sample's own stream in blocks of 128
+    name = "lattice-rank2"
+    spec = sublattice_spec(load_fixture(name))
+    sample = assert_first_returns(fixture_measure(name), spec, 7, 400, 1024)
+    assert max(sample.return_times) == 317
+    assert sample.failures == 0
 
 
 def free_rank3_measure():

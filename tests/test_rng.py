@@ -1,29 +1,51 @@
-"""Batched path streams: exact agreement with per-item SeedSequence streams."""
+"""Batched path draws: exact agreement with per-item SeedSequence streams."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from walkbound import ConfigError
-from walkbound._rng import MAX_INDEX, derived_rng, path_generators, philox_keys
+import walkbound
+from walkbound import ConfigError, _rng
+from walkbound._rng import (
+    BLOCK,
+    HEAD,
+    MAX_INDEX,
+    derived_rng,
+    draw_rows,
+    philox_keys,
+    streams_past_head,
+    uniform_blocks,
+)
 from walkbound.cli import main
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 1)
+# a categorical law with unequal cells, as a step measure's cumulative weights
+CUMULATIVE = np.array([0.1, 0.15, 0.5, 0.7, 0.71, 1.0])
 
 
-def assert_matches_derived(seed, stream, first, count):
-    # draw before the next generator is yielded: one Philox is re-keyed per item
-    draws = [rng.random(9) for rng in path_generators(seed, stream, first, count)]
-    assert len(draws) == count
-    for i, drawn in enumerate(draws, start=first):
-        np.testing.assert_array_equal(drawn, derived_rng(seed, stream, i).random(9))
+def assert_matches_derived(seed, stream, first, count, n):
+    rows = [row for block in uniform_blocks(seed, stream, first, count, n) for row in block]
+    drawn = list(draw_rows(CUMULATIVE, seed, stream, first, count, n))
+    assert len(rows) == len(drawn) == count
+    for i, (row, indices) in enumerate(zip(rows, drawn), start=first):
+        expected = derived_rng(seed, stream, i).random(n)
+        np.testing.assert_array_equal(row, expected)
+        assert indices == np.searchsorted(CUMULATIVE, expected, side="right").tolist()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("stream", range(4))
 @pytest.mark.parametrize("first", (0, 4095))
 def test_generators_draw_what_derived_rng_draws(seed, stream, first):
-    assert_matches_derived(seed, stream, first, 6)
+    # a row of the vectorized pass, and one of the re-keyed C generator
+    assert_matches_derived(seed, stream, first, 6, 9)
+    assert_matches_derived(seed, stream, first, 6, HEAD + 9)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -34,31 +56,74 @@ def test_keys_equal_seed_sequence_state(seed):
         np.testing.assert_array_equal(key, ss.generate_state(2, np.uint64))
 
 
+def each_seed_example(test):
+    """One explicit example per ``SEEDS`` value, each past ``HEAD`` and across blocks."""
+    for stream, seed in enumerate(SEEDS):
+        test = example(
+            seed=seed, stream=stream % 4, first=MAX_INDEX - 4, count=5, n=HEAD + 1, block=HEAD
+        )(test)
+    return test
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    seed=st.integers(0, 2**64 - 1),
+    seed=st.one_of(st.sampled_from(SEEDS), st.integers(0, 2**128 + 1)),
     stream=st.integers(0, 3),
-    first=st.integers(0, MAX_INDEX - 7),
-    count=st.integers(0, 8),
+    first=st.integers(0, MAX_INDEX),
+    count=st.integers(0, 40),
+    # below, at and past HEAD, and lengths that are not whole Philox blocks
+    n=st.integers(1, 40),
+    # small blocks split a few rows into several blocks
+    block=st.sampled_from((BLOCK, HEAD, HEAD + 3, 64)),
 )
-def test_generators_match_derived_rng_property(seed, stream, first, count):
-    assert_matches_derived(seed, stream, first, count)
+@each_seed_example
+@example(seed=2**64 - 1, stream=0, first=0, count=40, n=HEAD, block=HEAD + 3)
+def test_generators_match_derived_rng_property(seed, stream, first, count, n, block):
+    count = min(count, MAX_INDEX - first + 1)
+    with mock.patch.object(_rng, "BLOCK", block):
+        assert_matches_derived(seed, stream, first, count, n)
+
+
+@pytest.mark.parametrize("n", (1, HEAD, 40))
+def test_rows_match_across_the_real_block_boundaries(n):
+    # one more row than a block holds
+    assert_matches_derived(3, 0, 11, BLOCK // n + 1, n)
+
+
+@pytest.mark.parametrize("seed", (0, 2**128 + 1))
+def test_streams_past_head_continue_each_stream(seed):
+    past_head = streams_past_head(seed, 3, 70, 10)
+    # one generator serves every item, re-keyed at each call
+    for index in (77, 70, 79, 77):
+        continued = past_head(index)
+        np.testing.assert_array_equal(
+            np.concatenate([continued.random(5), continued.random(300)]),
+            derived_rng(seed, 3, index).random(HEAD + 305)[HEAD:],
+        )
+    assert past_head(71) is continued
 
 
 def test_last_representable_index_is_exact():
-    assert_matches_derived(7, 0, MAX_INDEX, 1)
+    assert_matches_derived(7, 0, MAX_INDEX, 1, HEAD + 4)
 
 
 def test_index_past_32_bits_is_refused():
     with pytest.raises(ConfigError, match=str(MAX_INDEX)):
-        path_generators(7, 0, MAX_INDEX - 1, 3)
+        draw_rows(CUMULATIVE, 7, 0, MAX_INDEX - 1, 3, 4)
+    with pytest.raises(ConfigError, match=str(MAX_INDEX)):
+        uniform_blocks(7, 0, MAX_INDEX - 1, 3, 4)
+
+
+def test_rows_need_a_draw():
+    with pytest.raises(ConfigError, match="at least one draw"):
+        draw_rows(CUMULATIVE, 7, 0, 0, 3, 0)
 
 
 def test_negative_seed_is_refused_like_seed_sequence():
     with pytest.raises(ValueError, match="expected non-negative integer"):
         derived_rng(-1, 0, 0)
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        path_generators(-1, 0, 0, 1)
+        draw_rows(CUMULATIVE, -1, 0, 0, 1, 2)
 
 
 def test_cli_negative_seed_exits_two(capsys):
@@ -68,3 +133,22 @@ def test_cli_negative_seed_exits_two(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: expected non-negative integer" in captured.err
+
+
+def test_short_walk_never_imports_numpy_random():
+    script = (
+        "import sys, numpy\n"
+        "eager = 'numpy.random' in sys.modules\n"
+        "from walkbound.cli import main\n"
+        "main(['walk', '--config', 'fixture:direct-product', '--n-paths', '50',"
+        " '--n-steps', '2', '--format', 'csv', '--seed', '1'])\n"
+        "print('eager' if eager else 'numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(walkbound.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env
+    ).stdout.splitlines()[-1]
+    if out == "eager":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert out == "False"
