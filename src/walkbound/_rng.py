@@ -11,7 +11,8 @@ that SeedSequence for a single item. ``philox_keys`` computes the keys of a
 whole index range in one batched numpy pass of the same hash, bit-identical to
 the SeedSequence keys.
 
-``draw_rows`` turns a range of items into rows of categorical draws. Rows of
+``index_blocks`` turns a range of items into (rows, n) blocks of categorical
+draws, and ``draw_rows`` into rows of them, a list of ints each. Rows of
 at most ``HEAD`` uniforms come from a numpy transcription of Philox4x64-10
 and ``Generator.random``, vectorized over all rows of a block, so a run of
 short rows never imports ``numpy.random``; a longer row comes from one C
@@ -60,11 +61,14 @@ _MULT_LO = PHILOX_MULT & MASK32
 _MULT_HI = PHILOX_MULT >> 32
 
 # The longest row drawn by the vectorized pass: four Philox blocks. The pass
-# costs about 90 ns per uniform and numpy's C generator about 8, plus a re-key
+# costs about 65 ns per uniform and numpy's C generator about 8, plus a re-key
 # of about 1.3 us per row, so a longer row is cheaper drawn whole in C.
 HEAD = 16
-# Uniforms per block of rows (one row when a row alone is longer).
-BLOCK = 4096
+# Uniforms per block of rows (one row when a row alone is longer). The pass
+# is mostly per-call overhead at 4096 (about 98 ns per uniform for 6000 rows
+# of 16) and levels off from 16384 (66 ns), while a short-paths round's peak
+# RSS grows by about 0.5 MiB per doubling past it.
+BLOCK = 16384
 
 
 def derived_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
@@ -152,19 +156,25 @@ def philox_keys(seed: int, stream: int, first: int, count: int) -> np.ndarray:
     return keys
 
 
+def index_blocks(
+    cumulative: np.ndarray, seed: int, stream: int, first: int, count: int, n: int
+) -> Iterator[np.ndarray]:
+    """Yield the categorical draws of items ``first .. first + count - 1`` as (rows, n) blocks.
+
+    Stacked, row ``j`` is ``searchsorted(cumulative, derived_rng(seed, stream,
+    first + j).random(n), side="right")``: one search per block of
+    ``uniform_blocks``.
+    """
+    blocks = uniform_blocks(seed, stream, first, count, n)
+    return (np.searchsorted(cumulative, block, side="right") for block in blocks)
+
+
 def draw_rows(
     cumulative: np.ndarray, seed: int, stream: int, first: int, count: int, n: int
 ) -> Iterator[list[int]]:
-    """Yield the categorical draws of items ``first .. first + count - 1`` in order.
-
-    Row ``j`` is ``searchsorted(cumulative, derived_rng(seed, stream, first +
-    j).random(n), side="right")`` as a list of ints: one search and one
-    ``tolist`` per block of ``uniform_blocks``.
-    """
-    blocks = uniform_blocks(seed, stream, first, count, n)
-    return (
-        row for block in blocks for row in np.searchsorted(cumulative, block, side="right").tolist()
-    )
+    """The rows of ``index_blocks`` in order, each a list of ints (one ``tolist`` per block)."""
+    blocks = index_blocks(cumulative, seed, stream, first, count, n)
+    return (row for block in blocks for row in block.tolist())
 
 
 def uniform_blocks(seed: int, stream: int, first: int, count: int, n: int) -> Iterator[np.ndarray]:
@@ -243,34 +253,54 @@ def _head_uniforms(keys: np.ndarray, h: int) -> np.ndarray:
     A transcription of numpy's Philox4x64-10 with ``Generator.random``: the
     stream's k-th block of four words is the Philox bijection of the counter
     (k + 1, 0, 0, 0) under the key, and a uniform is a word's top 53 bits
-    times 2**-53. The state is held as (4 lanes, rows, blocks), and the two
-    multiplier lanes of a round are one array product.
+    times 2**-53. Lanes (0, 2) and (1, 3) are each held as one (2, rows,
+    blocks) array, so the two multiplier lanes of a round are one product.
+    A round writes into buffers made once per call, as views that swap and
+    reverse the lane pairs, so a block of any size allocates nothing per round.
     """
     rows = len(keys)
     blocks = -(-h // 4)
-    key = keys.T.reshape(2, rows, 1)
-    state = np.zeros((4, rows, blocks), dtype=np.uint64)
-    state[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    key = keys.T.reshape(2, rows, 1).copy()
+    even = np.zeros((2, rows, blocks), dtype=np.uint64)
+    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    odd = np.zeros_like(even)
+    scratch = [np.empty_like(even) for _ in range(4)]
     for r in range(PHILOX_ROUNDS):
         if r:
-            key = key + PHILOX_BUMP
-        hi, lo = _mulhilo(state[0::2])
-        nxt = np.empty_like(state)
-        nxt[0::2] = hi[::-1] ^ state[1::2] ^ key
-        nxt[1::2] = lo[::-1]
-        state = nxt
-    words = state.transpose(1, 2, 0).reshape(rows, 4 * blocks)[:, :h]
-    return (words >> 11) * (1.0 / 9007199254740992.0)
+            key += PHILOX_BUMP
+        hi = _mulhilo(even, *scratch)
+        # (x0, x1, x2, x3) -> (hi2 ^ x1 ^ k0, lo2, hi0 ^ x3 ^ k1, lo0)
+        odd ^= hi[::-1]
+        odd ^= key
+        even, odd = odd, even[::-1]
+    words = np.empty((rows, blocks, 4), dtype=np.uint64)
+    words[..., 0::2] = even.transpose(1, 2, 0)
+    words[..., 1::2] = odd.transpose(1, 2, 0)
+    words >>= 11
+    return words.reshape(rows, 4 * blocks)[:, :h] * (1.0 / 9007199254740992.0)
 
 
-def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mulhilo(x: np.ndarray, hi: np.ndarray, t: np.ndarray, u: np.ndarray, v: np.ndarray):
     """High and low 64-bit words of the 128-bit products x * PHILOX_MULT.
 
-    The high word is built from 32-bit halves so that no partial sum
-    overflows 64 bits; the low word is uint64's wrapping product.
+    Returns ``hi`` holding the high words and leaves the low words, uint64's
+    wrapping product, in ``x``; ``t``, ``u`` and ``v`` are scratch of x's
+    shape. The high word is built from 32-bit halves so that no partial sum
+    overflows 64 bits.
     """
-    x_lo = x & MASK32
-    x_hi = x >> 32
-    t = x_hi * _MULT_LO + (x_lo * _MULT_LO >> 32)
-    u = (t & MASK32) + x_lo * _MULT_HI
-    return x_hi * _MULT_HI + (t >> 32) + (u >> 32), x * PHILOX_MULT
+    np.right_shift(x, 32, out=hi)
+    np.bitwise_and(x, MASK32, out=u)
+    np.multiply(u, _MULT_LO, out=t)
+    t >>= 32
+    np.multiply(hi, _MULT_LO, out=v)
+    t += v  # t = x_hi * lo + (x_lo * lo >> 32)
+    u *= _MULT_HI
+    np.bitwise_and(t, MASK32, out=v)
+    u += v  # u = (t & MASK32) + x_lo * hi
+    u >>= 32
+    t >>= 32
+    hi *= _MULT_HI
+    hi += t
+    hi += u
+    x *= PHILOX_MULT
+    return hi

@@ -154,12 +154,14 @@ class _RayImages:
     The rays are an estimator's probes or a harmonic evaluation's boundary
     samples. Theta(p) maps an eventually periodic ray to another one
     (``morphisms._ray_image``); an identity part keeps the ray itself.
-    ``at_least`` returns the cached letter tuple, holding at least the
-    requested number of letters; callers index into it rather than taking
-    copies. A miss builds the image and keeps a prefix of it twice the
-    requested length (16 letters at least), so a prefix grown step by step is
-    rebuilt a logarithmic number of times. Nothing is cut from the image
-    before cancellation, so every letter served is exact.
+    ``of(part)`` looks the part up once and returns its entry, (part, a list
+    of each ray's prefix or None), which a step's scans and translations
+    share. ``at_least`` returns an entry's cached letter tuple for one ray,
+    holding at least the requested number of letters; callers index into it
+    rather than taking copies. A miss builds the image and keeps a prefix of
+    it twice the requested length (16 letters at least), so a prefix grown
+    step by step is rebuilt a logarithmic number of times. Nothing is cut
+    from the image before cancellation, so every letter served is exact.
     """
 
     __slots__ = ("acting", "rays", "_cache")
@@ -167,62 +169,72 @@ class _RayImages:
     def __init__(self, acting: ActingGroup, rays: tuple[Ray, ...]):
         self.acting = acting
         self.rays = rays
-        self._cache: dict[tuple, tuple[int, ...]] = {}
+        self._cache: dict[tuple, tuple] = {}
 
-    def at_least(self, part, ray_idx: int, length: int) -> tuple[int, ...]:
-        key = (self.acting.part_key(part), ray_idx)
-        cached = self._cache.get(key)
+    def of(self, part) -> tuple:
+        key = self.acting.part_key(part)
+        entry = self._cache.get(key)
+        if entry is None:
+            entry = self._cache[key] = (part, [None] * len(self.rays))
+        return entry
+
+    def at_least(self, entry: tuple, ray_idx: int, length: int) -> tuple[int, ...]:
+        part, prefixes = entry
+        cached = prefixes[ray_idx]
         if cached is None or len(cached) < length:
             image = self.rays[ray_idx]
             if not self.acting.part_is_identity(part):
                 image = _ray_image(self.acting.automorphism_for(part), image)
-            cached = image.prefix(max(2 * length, 16)).letters
-            self._cache[key] = cached
+            cached = prefixes[ray_idx] = image.prefix(max(2 * length, 16)).letters
         return cached
 
 
-def _cancelled(w: list[int] | tuple[int, ...], images: _RayImages, part, ray_idx: int) -> int:
+def _cancelled(
+    w: list[int] | tuple[int, ...], images: _RayImages, entry: tuple, ray_idx: int
+) -> int:
     """How many leading letters of Theta(part)(ray) the tail of w cancels.
 
-    Reads the cached prefix, and one twice as long only when the scan
-    reaches its end. The count stays short however long w is:
-    w . Theta(p)(ray) equals Theta(p)(u . ray) with u = Theta(p)^-1(w), and
-    by bounded cancellation Theta(p) cancels at most a constant more than
-    the images of the few letters u and the ray cancel. Over the probe
-    translations of the benchmark's ``boundary`` workload (seed 1), |w| has
-    median 174 and maximum 832, the count median 0 and maximum 71.
+    ``entry`` is ``images.of(part)``. Reads the cached prefix, and one twice
+    as long only when the scan reaches its end. The count stays short however
+    long w is: w . Theta(p)(ray) equals Theta(p)(u . ray) with
+    u = Theta(p)^-1(w), and by bounded cancellation Theta(p) cancels at most
+    a constant more than the images of the few letters u and the ray cancel.
+    Over the probe translations of the benchmark's ``boundary`` workload
+    (seed 1), |w| has median 174 and maximum 832, the count median 0 and
+    maximum 71.
     """
     n = len(w)
-    img = images.at_least(part, ray_idx, 1)
+    img = images.at_least(entry, ray_idx, 1)
     c = 0
     while c < n and w[n - 1 - c] == -img[c]:
         c += 1
         if c == len(img):
-            img = images.at_least(part, ray_idx, 2 * c)
+            img = images.at_least(entry, ray_idx, 2 * c)
     return c
 
 
 def _translate_prefix(
     w: list[int] | tuple[int, ...],
     images: _RayImages,
-    part,
+    entry: tuple,
     ray_idx: int,
     depth: int,
 ) -> tuple[int, ...]:
     """First ``depth`` letters of w . Theta(part)(ray); every translation runs here.
 
-    The last c letters of w cancel the first c image letters (``_cancelled``);
-    the result is the surviving letters of w, then image letters from c on,
-    c + depth - (|w| - c) image letters in all when fewer than ``depth``
-    letters of w survive. The image is exact, so the result is the true
-    prefix of the translate for every part and ray.
+    ``entry`` is ``images.of(part)``. The last c letters of w cancel the
+    first c image letters (``_cancelled``); the result is the surviving
+    letters of w, then image letters from c on, c + depth - (|w| - c) image
+    letters in all when fewer than ``depth`` letters of w survive. The image
+    is exact, so the result is the true prefix of the translate for every
+    part and ray.
     """
-    c = _cancelled(w, images, part, ray_idx)
+    c = _cancelled(w, images, entry, ray_idx)
     surviving = len(w) - c
     if surviving >= depth:
         return tuple(w[:depth])
     need = c + depth - surviving
-    return tuple(w[:surviving]) + images.at_least(part, ray_idx, need)[c:need]
+    return tuple(w[:surviving]) + images.at_least(entry, ray_idx, need)[c:need]
 
 
 def act_on_ray(acting: ActingGroup, g: ExtElement, r: Ray, depth: int) -> Word:
@@ -232,27 +244,29 @@ def act_on_ray(acting: ActingGroup, g: ExtElement, r: Ray, depth: int) -> Word:
     if r.rank != acting.base_rank or g.w.rank != acting.base_rank:
         raise ConfigError("ray and element must live over the acting group's base rank")
     images = _RayImages(acting, (r,))
-    return Word(acting.base_rank, _translate_prefix(g.w.letters, images, g.p, 0, depth))
+    prefix = _translate_prefix(g.w.letters, images, images.of(g.p), 0, depth)
+    return Word(acting.base_rank, prefix)
 
 
-def _agreement(w: list[int], images: _RayImages, part, depth: int) -> int:
+def _agreement(w: list[int], images: _RayImages, entry: tuple, depth: int) -> int:
     """How many leading letters, at most ``depth``, all probe translates of (w, part) share.
 
-    When no probe cancels more than |w| - depth letters of w, every translate
-    starts with w's first ``depth`` letters, and no translate is built.
+    ``entry`` is ``images.of(part)``. When no probe cancels more than
+    |w| - depth letters of w, every translate starts with w's first
+    ``depth`` letters, and no translate is built.
     """
     probes = range(len(images.rays))
     keep = len(w) - depth
     # a loop, not all() over a generator: track calls this once per step
     for q in probes:
-        if _cancelled(w, images, part, q) > keep:
+        if _cancelled(w, images, entry, q) > keep:
             break
     else:
         return depth
-    first = _translate_prefix(w, images, part, 0, depth)
+    first = _translate_prefix(w, images, entry, 0, depth)
     agree = depth
     for q in probes[1:]:
-        t = _translate_prefix(w, images, part, q, depth)
+        t = _translate_prefix(w, images, entry, q, depth)
         d = 0
         while d < agree and t[d] == first[d]:
             d += 1
@@ -343,8 +357,9 @@ def _resolve_paths(
         key = None
         if run_to:
             stack, part = _endpoint(graph, idx[:run_to])
-            if _agreement(stack, images, part, depth) == depth:
-                key = _translate_prefix(stack, images, part, 0, depth)
+            entry = images.of(part)
+            if _agreement(stack, images, entry, depth) == depth:
+                key = _translate_prefix(stack, images, entry, 0, depth)
         misses += key is None
         out.append(key)
     if misses / n_paths > unresolved_ceiling:
@@ -455,8 +470,9 @@ def stationarity_residual(
     images = _RayImages(acting, rays)
     pushed = np.empty((len(measure.atoms), len(cyl_keys)), dtype=np.int64)
     for a, atom in enumerate(measure.atoms):
+        entry = images.of(atom.p)
         for c in range(len(rays)):
-            pushed[a, c] = cell_of(_translate_prefix(atom.w.letters, images, atom.p, c, depth))
+            pushed[a, c] = cell_of(_translate_prefix(atom.w.letters, images, entry, c, depth))
 
     rng = derived_rng(seed, STREAM_RESAMPLE)
     atom_draw = measure.draw_indices(rng, n_resample)
@@ -536,7 +552,7 @@ def track_convergence(
         node = graph.root
         for n, i in enumerate(idx):
             node = graph.advance(stack, node, (i,))
-            row[n] = _agreement(stack, images, graph.parts[node], depth)
+            row[n] = _agreement(stack, images, images.of(graph.parts[node]), depth)
     return ConvergenceTrace(probes, depth, lengths, seed)
 
 

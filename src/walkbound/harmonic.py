@@ -145,8 +145,9 @@ def _translated_values(
 ) -> np.ndarray:
     """Per-sample values F(g . xi); distinct rays are evaluated once."""
     w = g.w.letters
+    entry = images.of(g.p)
     distinct = [
-        fn.value(_translate_prefix(w, images, g.p, i, fn.depth)) for i in range(len(images.rays))
+        fn.value(_translate_prefix(w, images, entry, i, fn.depth)) for i in range(len(images.rays))
     ]
     return np.array(distinct, dtype=np.float64)[sample_index]
 

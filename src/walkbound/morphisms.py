@@ -43,6 +43,11 @@ __all__ = [
 # fits by about 0.10, so the threshold sits below that with room to spare.
 DEFAULT_FIT_GAP = 0.08
 
+# The most letters ``classify_growth`` may build for one iterate's table, 256
+# MiB of list slots: with the previous table, a run stays under about 0.8 GiB.
+# ``fibonacci`` reaches 35 iterations (about 400 MiB peak) and stops at 36.
+GROWTH_LETTERS = 1 << 25
+
 
 def _apply_table(table, letters) -> list[int]:
     """Reduced word of the images of ``letters`` under a letter table.
@@ -343,7 +348,9 @@ def classify_growth(
     estimates (rounded degree, rate in nats) come from the tail half of the
     range where the asymptotic behaviour dominates. If the two R² values are
     within ``fit_gap`` the classifier refuses to guess and raises
-    :class:`InconclusiveGrowthError`.
+    :class:`InconclusiveGrowthError`. An iterate that could hold more than
+    ``GROWTH_LETTERS`` new letters (the sum of its images' lengths before
+    cancellation) raises :class:`BudgetError` before it is built.
     """
     if max_iter < 8:
         raise ValueError("max_iter must be >= 8")
@@ -357,7 +364,14 @@ def classify_growth(
     images = {s: phi._table[s] for s in reach}
     table = {s: [s] for s in reach}
     lengths: list[list[int]] = [[1] for _ in range(rank)]
-    for _ in range(max_iter):
+    for m in range(1, max_iter + 1):
+        sizes = {s: len(letters) for s, letters in table.items()}
+        bound = sum(sizes[t] for image in images.values() if len(image) > 1 for t in image)
+        if bound > GROWTH_LETTERS:
+            raise BudgetError(
+                f"iterate {m} of the growth table could hold {bound} letters, past the "
+                f"budget of {GROWTH_LETTERS}; lower the iteration count"
+            )
         # φ^m(s) = φ^(m-1)(φ(s)); a one-letter image shares its entry
         table = {
             s: table[image[0]] if len(image) == 1 else _apply_table(table, image)

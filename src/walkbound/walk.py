@@ -9,26 +9,36 @@ Samplers take their atom indices from ``StepMeasure.draw_rows``, a block of
 paths at once: paths of at most ``_rng.HEAD`` steps in one vectorized Philox
 pass, longer paths each from one re-keyed C generator.
 
-Every sampler runs one step kernel, ``StepGraph.advance``. The free part is a
-mutable letter stack; the acting part is an integer node of a step graph that
-each estimator call builds lazily over the acting positions its paths visit.
-``edges[n][i]`` holds, once atom i is first taken from node n, the free part of
-atom i twisted by the node's accumulated automorphism
-(``ActingGroup.twist_letters``, computed once per edge) and the successor id.
+Every sampler runs one step kernel, ``StepGraph.advance``, apart from the
+one batched route below. The free part is a mutable letter stack; the acting
+part is an integer node of a step graph that each estimator call builds
+lazily over the acting positions its paths visit. ``edges[n][i]`` holds, once
+atom i is first taken from node n, the free part of atom i twisted by the
+node's accumulated automorphism (``ActingGroup.twist_letters``, computed once
+per edge) and the successor id.
 A step along a built edge is two list indexes and the junction cancellation:
 its cost is the twisted increment length, not the length of the whole word. A
 new acting position costs about the length of its twisted images.
+
+``entropy_depth_counts`` walks a nearest-neighbour walk on F_d (every atom
+one letter with the identity acting part) whose depths are at most ``HEAD``
+as arrays, a block of ``StepMeasure.index_blocks`` at a time: a step is a
+masked pop or push on every row at once. Per step that pass costs a few
+numpy calls per block, which rows of thousands of steps do not amortize, so
+longer rows, twisted measures and every other sampler stay on ``advance``.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._rng import STREAM_WALK, draw_rows
+from ._rng import HEAD, STREAM_WALK, draw_rows, index_blocks
 from .errors import BudgetError, ConfigError
 from .groups import (
     ActingGroup,
@@ -165,6 +175,12 @@ class StepMeasure:
         draws, a block of items at a time (see ``_rng.draw_rows``).
         """
         return draw_rows(self._cumulative, seed, stream, first, count, n)
+
+    def index_blocks(
+        self, seed: int, stream: int, first: int, count: int, n: int
+    ) -> Iterator[np.ndarray]:
+        """The rows of ``draw_rows`` as (rows, n) index arrays, a block of items each."""
+        return index_blocks(self._cumulative, seed, stream, first, count, n)
 
     def __repr__(self) -> str:
         return f"StepMeasure({len(self.atoms)} atoms on {self.acting!r})"
@@ -410,12 +426,88 @@ def entropy_depth_counts(
 ) -> dict[int, dict]:
     """Occupancy counts of the walk's position at each depth, streamed.
 
-    Only counts are kept, never the elements themselves. ``first_path``
-    offsets the per-path streams, so disjoint ranges drawn by different
-    workers tile into exactly the single-process tabulation.
+    Only counts are kept, never the elements themselves: a table per depth
+    maps (free letters, ``part_key`` of the acting part) to its count, in
+    order of first appearance. ``first_path`` offsets the per-path streams,
+    so disjoint ranges drawn by different workers tile into exactly the
+    single-process tabulation. A nearest-neighbour walk on F_d whose depths
+    are at most ``HEAD`` is walked a block of paths at a time
+    (``_batched_depth_counts``); every other walk steps ``StepGraph.advance``.
     """
     if n_paths < 1 or not depths or min(depths) < 1:
         raise ConfigError("need n_paths >= 1 and at least one depth, all >= 1")
+    letters = _single_letters(measure)
+    if letters is not None and max(depths) <= HEAD:
+        return _batched_depth_counts(measure, letters, seed, n_paths, depths, first_path)
+    return _stepped_depth_counts(measure, seed, n_paths, depths, first_path)
+
+
+def _single_letters(measure: StepMeasure) -> np.ndarray | None:
+    """Each atom's one letter, when every atom is one letter with the identity part."""
+    if any(increment is not None or len(w) != 1 for w, increment in measure._step_data):
+        return None
+    return np.array([w[0] for w, _ in measure._step_data], dtype=np.int8)
+
+
+# the letters of a cell of length n, as a tuple of signed ints
+_UNPACK = tuple(struct.Struct(f"{n}b").unpack for n in range(HEAD + 1))
+
+
+def _batched_depth_counts(
+    measure: StepMeasure,
+    letters: np.ndarray,
+    seed: int,
+    n_paths: int,
+    depths: tuple[int, ...],
+    first_path: int,
+) -> dict[int, dict]:
+    """``entropy_depth_counts`` of a nearest-neighbour walk, a block of paths at a time.
+
+    A block's words are a (rows, steps + 1) int8 array whose column 0 is 0,
+    below every word, and ``top`` holds the flat index of each row's last
+    letter. A step pops where the row's last letter is the inverse of the
+    step's, else pushes; a popped cell is zeroed, so a row is 0 past its
+    word. A depth's cells are then its first columns as bytes (trailing
+    zeros dropped), counted in path order by ``Counter``; each distinct cell
+    is decoded once, so the tables equal the stepped route's.
+    """
+    ascending = sorted(set(depths))
+    n_steps = ascending[-1]
+    width = n_steps + 1
+    cells: dict[int, Counter] = {d: Counter() for d in ascending}
+    for idx in measure.index_blocks(seed, STREAM_WALK, first_path, n_paths, n_steps):
+        steps = letters[idx.T]
+        inverses = -steps
+        words = np.zeros((len(idx), width), dtype=np.int8)
+        flat = words.reshape(-1)
+        top = np.arange(0, words.size, width)
+        done = 0
+        for d in ascending:
+            for t in range(done, d):
+                pop = flat[top] == inverses[t]
+                push = ~pop
+                pos = top + push
+                flat[pos] = steps[t] * push
+                top = pos - pop
+            done = d
+            prefixes = np.ascontiguousarray(words[:, 1 : d + 1])
+            cells[d].update(prefixes.view(f"S{d}").ravel().tolist())
+    identity = measure.acting.part_key(measure.acting.identity_part())
+    decoded = {}
+    for d in ascending:
+        table = cells.pop(d)
+        decoded[d] = {(_UNPACK[len(cell)](cell), identity): c for cell, c in table.items()}
+    return {d: decoded[d] for d in depths}
+
+
+def _stepped_depth_counts(
+    measure: StepMeasure,
+    seed: int,
+    n_paths: int,
+    depths: tuple[int, ...],
+    first_path: int,
+) -> dict[int, dict]:
+    """``entropy_depth_counts`` of any walk, path by path through ``StepGraph.advance``."""
     part_key = measure.acting.part_key
     graph = StepGraph(measure)
     n_steps = max(depths)

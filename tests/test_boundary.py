@@ -147,7 +147,8 @@ def test_translate_prefix_equals_eager_reference(name, data):
         ref = eager_image(acting, part, rays[ray_idx], depth + len(w))
         if ref is None:
             continue
-        got = _translate_prefix(w.letters, images, part, ray_idx, depth)
+        entry = images.of(part)
+        got = _translate_prefix(w.letters, images, entry, ray_idx, depth)
         assert got == (w * Word(rank, ref)).letters[:depth]
 
 
@@ -164,7 +165,8 @@ def test_translate_prefix_never_misreads_a_shrunken_image(part, text):
     for cancel in range(144):
         w = tuple(-s for s in reversed(image[:cancel]))
         for depth in (1, 3, 8):
-            got = _translate_prefix(w, _RayImages(acting, (ray,)), part, 0, depth)
+            images = _RayImages(acting, (ray,))
+            got = _translate_prefix(w, images, images.of(part), 0, depth)
             assert got == image[cancel : cancel + depth]
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in process through main()."""
 
+import concurrent.futures
 import gc
 import hashlib
 import json
@@ -431,6 +432,29 @@ def test_entropy_rate_workers_match(capsys):
     assert 0.2 < solo["value"] < 0.9
 
 
+# a nearest-neighbour walk on F_3 with unequal weights
+NEAREST_NEIGHBOUR_F3 = "group.rank = 3\ngroup.acting = none\n" + "".join(
+    f"measure.atom.{i}.word = {w}\nmeasure.atom.{i}.part = 0\nmeasure.atom.{i}.weight = {p}\n"
+    for i, (w, p) in enumerate(
+        (("a", 0.3), ("A", 0.1), ("b", 0.2), ("B", 0.15), ("c", 0.15), ("C", 0.1)), start=1
+    )
+)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_batched_entropy_rate_worker_count_does_not_change_output(tmp_path, fmt):
+    # depths within HEAD: every worker walks its chunk on the batched route
+    cfg = tmp_path / "nn.cfg"
+    cfg.write_text(NEAREST_NEIGHBOUR_F3, encoding="utf-8")
+    base = ["entropy-rate", "--config", str(cfg), "--seed", "2026", "--n-paths", "5001",
+            "--depths", "16,5,9", "--format", fmt]
+    solo = tmp_path / "e1"
+    pair = tmp_path / "e2"
+    assert main(base + ["--out", str(solo), "--workers", "1"]) == 0
+    assert main(base + ["--out", str(pair), "--workers", "2"]) == 0
+    assert solo.read_bytes() == pair.read_bytes()
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_entropy_rate_past_the_cell_budget_exits_four_before_walking(
     monkeypatch, capsys, workers
@@ -438,8 +462,10 @@ def test_entropy_rate_past_the_cell_budget_exits_four_before_walking(
     def refuse(*args, **kwargs):
         raise AssertionError("a path was walked or a pool started")
 
+    # the stepped and the batched route's draws, and the pool _fan_out imports
     monkeypatch.setattr(walk, "draw_rows", refuse)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(walk, "index_blocks", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     code = main(["entropy-rate", "--config", "fixture:srw-f2", "--seed", "1",
                  "--n-paths", "7000000", "--workers", workers])
     assert code == 4

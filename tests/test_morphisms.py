@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from walkbound import (
     Automorphism,
+    BudgetError,
     InconclusiveGrowthError,
     Ray,
     Word,
@@ -19,7 +20,9 @@ from walkbound import (
     inner_automorphism,
     load_fixture,
     named_automorphisms,
+    morphisms,
 )
+from walkbound.cli import main
 from oracles import fibonacci_rate
 
 
@@ -120,6 +123,17 @@ def test_growth_verdict_is_outer_invariant():
 def test_huge_fit_gap_refuses_to_classify():
     with pytest.raises(InconclusiveGrowthError):
         classify_growth(fibonacci(), 30, fit_gap=1.0)
+
+
+def test_growth_stops_at_its_letter_budget(monkeypatch, capsys):
+    # fibonacci's iterate m holds F(m+2) + F(m+1) letters: iterate 15 could
+    # hold 987 + 610, iterate 16 1597 + 987
+    monkeypatch.setattr(morphisms, "GROWTH_LETTERS", 987 + 610)
+    assert classify_growth(fibonacci(), 15).kind == "Exponential"
+    with pytest.raises(BudgetError, match="iterate 16 of the growth table could hold 2584"):
+        classify_growth(fibonacci(), 16)
+    assert main(["growth", "--config", "fixture:fibonacci", "--iterations", "27"]) == 4
+    assert "past the budget of 1597" in capsys.readouterr().err
 
 
 def test_classification_speed_budget():

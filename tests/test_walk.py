@@ -1,9 +1,12 @@
 """Path sampling, moments, drift, and the entropy pipeline."""
 
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from walkbound import (
     ActingGroup,
@@ -12,17 +15,23 @@ from walkbound import (
     ExtElement,
     StepMeasure,
     Word,
+    _rng,
     asymptotic_entropy_estimate,
+    build_measure,
     drift_estimate,
     element_key,
     entropy_depth_counts,
     entropy_from_counts,
     ext_inverse,
     ext_multiply,
+    fixture_names,
+    load_fixture,
     merge_batches,
     merge_depth_counts,
     sample_paths,
+    walk,
 )
+from walkbound._rng import HEAD, MAX_INDEX
 from oracles import radial_drift_exact
 
 
@@ -196,3 +205,103 @@ def test_entropy_extrapolation_from_counts(srw_measure):
     est = entropy_from_counts(counts, 3000)
     assert set(est.per_depth) == {4, 6, 8}
     assert 0.3 < est.value < 0.9
+
+
+# -- the batched route of entropy_depth_counts -------------------------------------
+
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def fixture_acting(name):
+    return build_measure(load_fixture(name)).acting
+
+
+def nearest_neighbour(acting, weights: dict) -> StepMeasure:
+    """One-letter atoms with the identity part on ``acting``, letter -> weight."""
+    rank = acting.base_rank
+    total = math.fsum(weights.values())
+    atoms = [ExtElement(Word(rank, (s,)), acting.identity_part()) for s in weights]
+    return StepMeasure(
+        acting, atoms, [w / total for w in weights.values()], check_generation=False
+    )
+
+
+@st.composite
+def nearest_neighbour_measures(draw):
+    rank = draw(st.integers(1, 4), label="rank")
+    # the bare free group, or a fixture's acting group of that base rank
+    groups = [ActingGroup.trivial(rank)] + [
+        fixture_acting(name)
+        for name in fixture_names()
+        if fixture_acting(name).base_rank == rank
+    ]
+    acting = draw(st.sampled_from(groups), label="acting")
+    alphabet = [s for r in range(1, rank + 1) for s in (r, -r)]
+    letters = draw(st.lists(st.sampled_from(alphabet), min_size=1, unique=True), label="letters")
+    weights = draw(
+        st.lists(st.floats(0.05, 1.0), min_size=len(letters), max_size=len(letters)),
+        label="weights",
+    )
+    return nearest_neighbour(acting, dict(zip(letters, weights)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    measure=nearest_neighbour_measures(),
+    seed=st.one_of(st.sampled_from(SEEDS), st.integers(0, 2**64)),
+    n_paths=st.integers(1, 400),
+    depths=st.lists(st.integers(1, HEAD), min_size=1, max_size=5),
+    first_path=st.one_of(st.integers(0, 5000), st.just(MAX_INDEX + 1 - 400)),
+    block=st.sampled_from((1, 7, 64, 4096)),
+)
+@example(
+    measure=nearest_neighbour(ActingGroup.trivial(2), {1: 1.0, -1: 1.0, 2: 1.0, -2: 1.0}),
+    seed=2**64 - 1,
+    n_paths=300,
+    depths=[16, 3, 16, 8],
+    first_path=MAX_INDEX + 1 - 400,
+    block=64,
+)
+def test_batched_depth_counts_equal_stepped(measure, seed, n_paths, depths, first_path, block):
+    # the same tables, keys and first-appearance order as StepGraph.advance,
+    # for every split of the paths into blocks
+    depths = tuple(depths)
+    with mock.patch.object(_rng, "BLOCK", block), mock.patch.object(
+        walk, "_batched_depth_counts", wraps=walk._batched_depth_counts
+    ) as batched_route:
+        batched = entropy_depth_counts(measure, seed, n_paths, depths, first_path)
+        stepped = walk._stepped_depth_counts(measure, seed, n_paths, depths, first_path)
+    batched_route.assert_called_once()
+    assert list(batched) == list(stepped)
+    for d in batched:
+        assert list(batched[d].items()) == list(stepped[d].items())
+
+
+def test_only_nearest_neighbour_walks_within_head_are_batched(srw_measure, semidirect_measure):
+    acting = ActingGroup.trivial(2)
+    idp = acting.identity_part()
+    lazy = StepMeasure(
+        acting,
+        [ExtElement(Word(2, letters), idp) for letters in ((), (1,), (-1,), (2,))],
+        [0.25] * 4,
+        check_generation=False,
+    )
+    two_letter = StepMeasure(
+        acting,
+        [ExtElement(Word(2, (1, 2)), idp), ExtElement(Word(2, (-2, -1)), idp)],
+        [0.5, 0.5],
+        check_generation=False,
+    )
+    unbatched = [
+        (semidirect_measure, (4, 8)),  # twisted: atoms carry acting increments
+        (lazy, (4, 8)),  # an atom with no letter
+        (two_letter, (4, 8)),  # atoms of two letters
+        (srw_measure, (4, HEAD + 1)),  # a row longer than HEAD
+    ]
+    with mock.patch.object(walk, "_batched_depth_counts", side_effect=AssertionError) as route:
+        for measure, depths in unbatched:
+            entropy_depth_counts(measure, 3, 20, depths)
+        assert route.call_count == 0
+        with pytest.raises(AssertionError):
+            entropy_depth_counts(srw_measure, 3, 20, (4, HEAD))
