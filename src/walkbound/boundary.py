@@ -33,6 +33,7 @@ from .groups import (
     ActingGroup,
     ExtElement,
     SublatticeSpec,
+    _map_distinct,
     gauge_length,
     part_in_sublattice,
 )
@@ -558,7 +559,10 @@ def track_convergence(
 
 @dataclass(frozen=True)
 class FirstReturnSample:
-    """Positions of a walk at its first visit back to F x L, with wait times."""
+    """Positions of a walk at its first visit back to F x L, with wait times.
+
+    Samples that return to the same position share one element object.
+    """
 
     samples: tuple[ExtElement, ...]
     return_times: tuple[int, ...]
@@ -573,13 +577,15 @@ class FirstReturnSample:
     def failure_fraction(self) -> float:
         return self.failures / self.n_requested if self.n_requested else 0.0
 
-    def mean_return_time(self) -> float:
-        return float(np.mean(self.return_times)) if self.return_times else math.nan
+    def mean_return_time(self) -> float | None:
+        """The mean return time, None when no sample returned."""
+        return float(np.mean(self.return_times)) if self.return_times else None
 
-    def mean_gauge(self) -> float:
+    def mean_gauge(self) -> float | None:
+        """The mean gauge of the returned positions, None when no sample returned."""
         if not self.samples:
-            return math.nan
-        return float(np.mean([gauge_length(g) for g in self.samples]))
+            return None
+        return float(np.mean(_map_distinct(gauge_length, self.samples)))
 
 
 def _indices_past_head(measure: StepMeasure, past_head, index: int, step_budget: int):
@@ -619,6 +625,8 @@ def first_return_sampler(
     graph = StepGraph(measure)
     inside = _Inside(graph, sublattice)
     rank = measure.acting.base_rank
+    # one element per distinct returned position (node, letters)
+    returned: dict[tuple, ExtElement] = {}
     samples: list[ExtElement] = []
     times: list[int] = []
     failures = 0
@@ -631,7 +639,11 @@ def first_return_sampler(
         for n, i in enumerate(steps, start=1):
             node = graph.advance(stack, node, (i,))
             if inside[node]:
-                samples.append(ExtElement(_reduced_word(rank, tuple(stack)), graph.parts[node]))
+                key = (node, tuple(stack))
+                g = returned.get(key)
+                if g is None:
+                    g = returned[key] = ExtElement(_reduced_word(rank, key[1]), graph.parts[node])
+                samples.append(g)
                 times.append(n)
                 break
         else:

@@ -54,7 +54,7 @@ from .errors import (
     WalkboundError,
 )
 from .fixtures import fixture_text
-from .groups import ball, ext_identity, gauge_length
+from .groups import _map_distinct, ball, ext_identity, gauge_length
 from .harmonic import CylinderFunction, harmonicity_residual, poisson_eval
 from .morphisms import classify_growth
 from .tree import (
@@ -276,10 +276,14 @@ def _cmd_walk(args, config: RunConfig, seed: int) -> _Output:
         "drift": drift.value,
         "drift_stderr": drift.stderr,
     }
+
+    def cells(g):
+        return str(g.w), acting.format_part(g.p), gauge_length(g)
+
     rows = (
-        [batch.first_path + i, step, str(g.w), acting.format_part(g.p), gauge_length(g)]
+        [batch.first_path + i, step, *row]
         for step in sorted(batch.positions)
-        for i, g in enumerate(batch.positions[step])
+        for i, row in enumerate(_map_distinct(cells, batch.positions[step]))
     )
     return payload, ["path_id", "step", "w", "p", "gauge_length"], rows
 
@@ -448,11 +452,13 @@ def _cmd_first_return(args, config: RunConfig, seed: int) -> _Output:
         "mean_gauge": sample.mean_gauge(),
         "p_tau_1": sum(1 for t in times if t == 1) / len(times) if times else 0.0,
     }
-    rows = (
-        [i, t, str(g.w), acting.format_part(g.p)]
-        for i, (g, t) in enumerate(zip(sample.samples, times))
-    )
-    return payload, ["sample_id", "return_time", "w", "p"], rows
+
+    def rows():
+        parts = _map_distinct(lambda g: (str(g.w), acting.format_part(g.p)), sample.samples)
+        for i, ((w, p), t) in enumerate(zip(parts, times)):
+            yield [i, t, w, p]
+
+    return payload, ["sample_id", "return_time", "w", "p"], rows()
 
 
 def _cmd_tree_liminf(args, config: RunConfig, seed: int) -> _Output:

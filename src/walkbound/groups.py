@@ -22,6 +22,8 @@ the moment computations need.
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass
 from typing import Union
 
@@ -61,7 +63,10 @@ class ActingGroup:
     results never depend on cache state.
     """
 
-    __slots__ = ("kind", "k", "base_rank", "theta", "_signed_theta", "_cache", "_twist_cache")
+    __slots__ = (
+        "kind", "k", "base_rank", "theta", "_signed_theta", "_cache", "_twist_cache",
+        "_serve_inverse", "__weakref__",
+    )
 
     def __init__(self, kind: str, theta: tuple[Automorphism, ...], base_rank: int):
         if kind not in ("lattice", "free"):
@@ -94,6 +99,8 @@ class ActingGroup:
             self._signed_theta[j] = phi
             self._signed_theta[-j] = phi.inverse()
         self._cache: dict[tuple[int, ...], Automorphism] = {}
+        # shared by every cached Θ(p): one closure per group, none per entry
+        self._serve_inverse = functools.partial(_served_inverse, weakref.ref(self))
         # always empty, kept because bench/tracing.py reads its size
         self._twist_cache: dict = {}
 
@@ -174,10 +181,19 @@ class ActingGroup:
         or one unit off the first nonzero coordinate of a lattice part (the
         θ_j commute). Composing the long Θ(q) after the short θ substitutes
         whole images, and every Θ(q) on the way is cached, so long walks pay
-        per new acting position only.
+        per new acting position only. Θ is a homomorphism, so a cached Θ(p)
+        whose inverse is read before its prefix's is served Θ(p⁻¹), composed
+        the same fast way (see ``Automorphism._inverse_table``).
+        """
+        return self._automorphism_at(self.part_key(p), store=True)
+
+    def _automorphism_at(self, key: tuple[int, ...], store: bool) -> Automorphism:
+        """Θ of the part whose ``part_key`` is ``key``, cached when ``store``.
+
+        Served inverses are not stored: reading one never grows the cache,
+        so inverses can be read while iterating over it.
         """
         cache = self._cache
-        key = self.part_key(p)
         cached = cache.get(key)
         if cached is not None:
             return cached
@@ -194,10 +210,22 @@ class ActingGroup:
                 key = key[:-1]
         result = cache.get(key)
         if result is None:
-            result = cache[key] = identity_automorphism(self.base_rank)
+            result = identity_automorphism(self.base_rank)
+            if store:
+                cache[key] = result
         for key, letter in reversed(chain):
-            result = cache[key] = result.compose(self._signed_theta[letter])
+            result = result.compose(self._signed_theta[letter])
+            if store:
+                cache[key] = result
+                result._inverse_source = self._serve_inverse
+                result._source_key = key
         return result
+
+    def _inverse_key(self, key: tuple[int, ...]) -> tuple[int, ...]:
+        """The ``part_key`` of p⁻¹, given p's."""
+        if self.kind == "lattice":
+            return tuple(-a for a in key)
+        return tuple(-s for s in reversed(key))
 
     def twist_letters(self, p: ActingPart, letters: tuple[int, ...]) -> tuple[int, ...]:
         """Reduced letters of Θ(p) applied to ``letters``.
@@ -234,6 +262,19 @@ class ActingGroup:
     def __repr__(self) -> str:
         name = "Z^%d" % self.k if self.kind == "lattice" else "Free(%d)" % self.k
         return f"ActingGroup({name} acting on F_{self.base_rank})"
+
+
+def _served_inverse(group: weakref.ref, key: tuple[int, ...]) -> Automorphism | None:
+    """Θ(p⁻¹) from the referenced acting group, for p keyed ``key``; None once it is gone.
+
+    Each acting group binds this once to a weak reference to itself, and
+    its cached Θ(p) hold that as their inverse source, so the group's cache
+    is no reference cycle.
+    """
+    acting = group()
+    if acting is None:
+        return None
+    return acting._automorphism_at(acting._inverse_key(key), store=False)
 
 
 @dataclass(frozen=True)
@@ -278,6 +319,19 @@ def gauge_length(g: ExtElement) -> int:
     if isinstance(p, Word):
         return len(g.w) + len(p)
     return len(g.w) + sum(abs(a) for a in p)
+
+
+def _map_distinct(fn, elements) -> list:
+    """``[fn(g) for g in elements]``, calling ``fn`` once per distinct object.
+
+    Samplers hand one element to every path that reaches it along an equal
+    row, so gauging or rendering a batch costs its distinct elements only.
+    Keyed by identity: hashing an element would hash its whole word.
+    """
+    values = {id(g): g for g in elements}
+    for key, g in values.items():
+        values[key] = fn(g)
+    return [values[id(g)] for g in elements]
 
 
 def element_key(acting: ActingGroup, g: ExtElement) -> tuple:

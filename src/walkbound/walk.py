@@ -20,6 +20,12 @@ A step along a built edge is two list indexes and the junction cancellation:
 its cost is the twisted increment length, not the length of the whole word. A
 new acting position costs about the length of its twisted images.
 
+Short paths repeat: with k atoms there are only k ** n rows of n steps.
+When a ``sample_paths`` call has at least as many paths as rows, each
+distinct row is walked once and every path that draws it shares its
+snapshot elements, which ``PathBatch.gauges_at`` and the CLI's rows then
+measure and render once per distinct element (``groups._map_distinct``).
+
 ``entropy_depth_counts`` walks a nearest-neighbour walk on F_d (every atom
 one letter with the identity acting part) whose depths are at most ``HEAD``
 as arrays, a block of ``StepMeasure.index_blocks`` at a time: a step is a
@@ -43,6 +49,7 @@ from .errors import BudgetError, ConfigError
 from .groups import (
     ActingGroup,
     ExtElement,
+    _map_distinct,
     ball,
     element_key,
     ext_multiply,
@@ -266,7 +273,8 @@ class PathBatch:
     """Snapshots of a batch of walk paths at the recorded steps.
 
     ``positions[n]`` holds one element per path: the position after n steps.
-    The final step is always recorded.
+    The final step is always recorded. Paths with equal atom rows may share
+    one element object.
     """
 
     acting: ActingGroup
@@ -282,7 +290,7 @@ class PathBatch:
         return self.positions[self.n_steps]
 
     def gauges_at(self, step: int) -> np.ndarray:
-        return np.array([gauge_length(g) for g in self.positions[step]], dtype=np.float64)
+        return np.array(_map_distinct(gauge_length, self.positions[step]), dtype=np.float64)
 
 
 def _run_one_path(
@@ -319,7 +327,9 @@ def sample_paths(
 
     ``record_steps`` selects which step counts to snapshot (the final step is
     always included). ``first_path`` offsets the per-path RNG streams so that
-    disjoint ranges simulated separately merge into the same batch.
+    disjoint ranges simulated separately merge into the same batch. When
+    there are no more distinct rows (|support| ** n_steps) than paths, each
+    distinct row is walked once and its paths share the same snapshots.
     """
     if n_paths < 1 or n_steps < 1:
         raise ConfigError("need n_paths >= 1 and n_steps >= 1")
@@ -333,8 +343,18 @@ def sample_paths(
     steps = sorted(record)
     graph = StepGraph(measure)
     per_step: dict[int, list[ExtElement]] = {s: [] for s in steps}
+    # With two or more atoms, k ** n_steps <= n_paths needs n_steps below
+    # n_paths' bit length; testing that first keeps the power a small int.
+    repeats = n_steps < n_paths.bit_length() and len(measure) ** n_steps <= n_paths
+    walked: dict[tuple[int, ...], dict[int, ExtElement]] = {}
     for idx in measure.draw_rows(seed, STREAM_WALK, first_path, n_paths, n_steps):
-        snaps = _run_one_path(graph, idx, n_steps, steps)
+        if repeats:
+            row = tuple(idx)
+            snaps = walked.get(row)
+            if snaps is None:
+                snaps = walked[row] = _run_one_path(graph, idx, n_steps, steps)
+        else:
+            snaps = _run_one_path(graph, idx, n_steps, steps)
         for s, g in snaps.items():
             per_step[s].append(g)
     return PathBatch(

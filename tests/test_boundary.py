@@ -25,6 +25,7 @@ from walkbound import (
     extend_to_ray,
     first_return_sampler,
     fixture_names,
+    gauge_length,
     in_sublattice,
     load_fixture,
     sample_boundary_rays,
@@ -412,6 +413,18 @@ def test_returns_satisfy_parity_exactly(mixed_measure):
     acting = mixed_measure.acting
     assert all(in_sublattice(acting, g, even) for g in sample.samples)
     assert all(t >= 1 for t in sample.return_times)
+    gauges = [gauge_length(g) for g in sample.samples]
+    assert sample.mean_gauge() == sum(gauges) / len(gauges)
+    assert sample.mean_return_time() == sum(sample.return_times) / 300
+
+
+def test_no_returns_have_no_means(mixed_measure):
+    sample = first_return_sampler(
+        mixed_measure, ModuliSpec((2,)), 16, 1, step_budget=1, failure_ceiling=1.0
+    )
+    assert sample.samples == () and sample.failures == 1
+    assert sample.mean_gauge() is None
+    assert sample.mean_return_time() is None
 
 
 def test_pure_word_walk_returns_immediately(srw_measure):

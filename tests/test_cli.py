@@ -69,6 +69,18 @@ def test_walk_worker_count_does_not_change_output(tmp_path, capsys):
     assert solo.read_bytes() == pair.read_bytes()
 
 
+def test_two_step_walk_worker_count_does_not_change_output(tmp_path):
+    # more paths than rows: each worker walks its chunk's distinct rows once
+    base = ["walk", "--config", "fixture:lattice-rank2", "--seed", "15",
+            "--n-paths", "1501", "--n-steps", "2", "--record", "1", "--format", "csv"]
+    solo = tmp_path / "w1.csv"
+    pair = tmp_path / "w2.csv"
+    assert main(base + ["--out", str(solo), "--workers", "1"]) == 0
+    assert main(base + ["--out", str(pair), "--workers", "2"]) == 0
+    assert solo.read_bytes() == pair.read_bytes()
+    assert len(solo.read_bytes().decode().splitlines()) == 1 + 2 * 1501
+
+
 EVERY_COMMAND = [
     ["walk", "--n-paths", "3", "--n-steps", "5"],
     ["hitting", "--n-paths", "3", "--n-steps", "5"],
@@ -487,6 +499,19 @@ def test_first_return_reports_parity_time(capsys):
     assert payload["mean_return_time"] >= 1.0
 
 
+def test_first_return_without_returns_prints_valid_json(capsys):
+    def refuse(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    argv = ["first-return", "--config", "fixture:direct-product", "--step-budget", "1",
+            "--ceiling", "1.0", "--n-samples", "1", "--seed", "16"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert payload["returned"] == 0
+    assert payload["mean_gauge"] is None
+    assert payload["mean_return_time"] is None
+
+
 def test_tree_liminf_constant_sequence(capsys):
     payload = run_json(
         capsys,
@@ -754,6 +779,52 @@ GOLDEN_DIGESTS = (
         "--k-max 6 --format csv",
         "e3d348d93f5f7b62b5ee9bd48b287ff4817a5e68402a16c25849ddbefaabe1d0",
         id="tree-strips-csv",
+    ),
+    # recorded before paths with equal atom rows shared their snapshots and
+    # each distinct element was rendered once: two-step walks with more paths
+    # than rows, a recorded JSON walk, and first returns past HEAD
+    *(
+        pytest.param(
+            f"walk --config fixture:{name} --seed {seed} --n-paths 500 --n-steps 2 "
+            "--format csv",
+            digest,
+            id=f"walk-two-step-{name}",
+        )
+        for name, seed, digest in (
+            ("direct-product", 40,
+             "f826d1734533883e2162c62e1b1dbb758a463df2425d8acfb0870996e7a3f3b0"),
+            ("fibonacci", 41,
+             "ccb1522d9fef55cb400a52a0a26a5de0ca495948b9fa736f865a53865cb3cfcf"),
+            ("free-acting", 42,
+             "43a3ccfac628980eab158b374773aaa1f35c98450919ddb8c24e4425db84e189"),
+            ("lattice-rank2", 43,
+             "4e01c51d558db6578c5b88b3bef30fc57b07178509ed223b1b0951dbc73bfdb8"),
+            ("semidirect-linear", 44,
+             "51a9b3c611c122dcb2c4b76e2f6b0dcad129eb913212db4d9b449655a0d3abba"),
+            ("semidirect-mixed", 45,
+             "f5d76d3734e6dee919f138753bd70698ad562f11bb38a685a4f6e2105749c9d8"),
+            ("srw-f2", 46,
+             "bc773148799d64b6d003e153d61348861960e83defbd45aa9ed6d3fcf2d45b32"),
+        )
+    ),
+    pytest.param(
+        "walk --config fixture:lattice-rank2 --seed 47 --n-paths 400 --n-steps 2 "
+        "--record 1,2",
+        "24ed53b54f4fa1d2f44c31375460f56d34aa2ab17cf242ce793f942c4824d10d",
+        id="walk-json-two-step-record",
+    ),
+    pytest.param(
+        "first-return --config fixture:semidirect-mixed --seed 48 --n-samples 1500 "
+        "--format csv",
+        "403af8c1967ce74b02139845b6e20424b72bbc0a2bb5417ca0612e26f38430fb",
+        id="first-return-csv-semidirect-mixed",
+    ),
+    pytest.param(
+        # 18 of these samples return after more than HEAD steps
+        "first-return --config fixture:lattice-rank2 --seed 49 --n-samples 1500 "
+        "--format csv",
+        "df9850ffc88772988c1a33614bb2451ec98794a25fe3d990628777b1ec4a3280",
+        id="first-return-csv-lattice-rank2",
     ),
 )
 

@@ -1,5 +1,7 @@
 """Extension-group arithmetic across all three acting kinds."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -240,6 +242,68 @@ def test_composed_automorphisms_equal_checked_ones(name, texts):
         assert checked == phi
         assert checked.inverse_images == phi.inverse_images
         assert list(phi.images) == folded_twist(acting, part)
+
+
+def served_inverse_parts(name):
+    """Every lattice part of ℓ¹ norm at most 12, or some free words up to length 12."""
+    acting = acting_for(name)
+    if acting.kind == "free":
+        texts = ["a", "B", "abAB", "BBa", "aab", "abABaabbABBA"]
+        return [acting.parse_part(text) for text in texts]
+    return [p for p in itertools.product(range(-12, 13), repeat=acting.k) if sum(map(abs, p)) <= 12]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["fibonacci", "semidirect-linear", "semidirect-mixed", "direct-product",
+     "lattice-rank2", "free-acting"],
+)
+def test_served_inverse_is_the_twist_of_the_inverse_part(name):
+    for part in served_inverse_parts(name):
+        acting = acting_for(name)
+        phi = acting.automorphism_for(part)
+        expected = acting_for(name).automorphism_for(acting.part_inverse(part)).images
+        prefix = phi._operands[0] if phi._operands else None
+        deferred = prefix is not None and prefix._inv_table is None
+        cached = len(acting._cache)
+        assert phi.inverse_images == expected
+        # served forward: the prefix's inverse was not built, nothing was cached
+        assert deferred == (prefix is not None and prefix._inv_table is None)
+        assert len(acting._cache) == cached
+
+
+@pytest.mark.parametrize("name, text", [("fibonacci", "12"), ("free-acting", "abABaabbABBA")])
+def test_cached_inverses_read_in_order_take_one_step_each(monkeypatch, name, text):
+    # serving every prefix's inverse forward would compose |p|² times on a
+    # free acting group; each entry is one substitution from the one before
+    acting = acting_for(name)
+    acting.automorphism_for(acting.parse_part(text))
+    composed = []
+    compose = Automorphism.compose
+
+    def spy_compose(phi, other):
+        composed.append(phi)
+        return compose(phi, other)
+
+    monkeypatch.setattr(Automorphism, "compose", spy_compose)
+    inverses = {key: phi.inverse_images for key, phi in acting._cache.items()}
+    assert composed == []
+    monkeypatch.undo()
+    for key, images in inverses.items():
+        inverse_key = acting._inverse_key(key)
+        assert acting_for(name)._automorphism_at(inverse_key, store=True).images == images
+
+
+@pytest.mark.parametrize("name, text", [("fibonacci", "9"), ("free-acting", "abABaabbABBA")])
+def test_inverse_without_its_acting_group_comes_from_the_operands(name, text):
+    acting = acting_for(name)
+    part = acting.parse_part(text)
+    expected = acting_for(name).automorphism_for(acting.part_inverse(part)).images
+    phi = acting.automorphism_for(part)
+    prefix = phi._operands[0]
+    del acting
+    assert phi.inverse_images == expected
+    assert prefix._inv_table is not None
 
 
 TWIST_PARTS = {

@@ -101,6 +101,43 @@ def test_sample_paths_equal_fold(name, atoms, seed, path, data):
 
 @pytest.mark.parametrize("name, atoms", KERNEL_CASES)
 @settings(max_examples=15, deadline=None)
+# room for up to 12 ** 3 + 40 paths below the stream index limit
+@given(seed=seeds, path=st.integers(0, 2**32 - 1 - 12**3 - 40), data=st.data())
+def test_sample_paths_with_repeating_rows_equal_fold(name, atoms, seed, path, data):
+    # more paths than the k ** n distinct rows: sample_paths walks each row once
+    measure = case_measure(name, atoms)
+    n_steps = data.draw(st.integers(1, 3), label="n_steps")
+    n_paths = len(measure) ** n_steps + data.draw(st.integers(1, 40), label="extra")
+    record = data.draw(st.sets(st.integers(0, n_steps), max_size=3), label="record")
+    batch = sample_paths(measure, seed, n_paths, n_steps, record_steps=sorted(record), first_path=path)
+    acting = measure.acting
+    folds = {}
+    rows = measure.draw_rows(seed, STREAM_WALK, path, n_paths, n_steps)
+    for j, idx in enumerate(rows):
+        row = tuple(idx)
+        if row not in folds:
+            folds[row] = fold(measure, idx)
+        for step in batch.record_steps:
+            assert keys(acting, [batch.positions[step][j]]) == keys(acting, [folds[row][step]])
+
+
+def test_paths_with_equal_rows_share_one_element():
+    measure = fixture_measure("semidirect-mixed")
+    n_paths, n_steps = 300, 2
+    batch = sample_paths(measure, 5, n_paths, n_steps, record_steps=(1,))
+    rows = [tuple(idx) for idx in measure.draw_rows(5, STREAM_WALK, 0, n_paths, n_steps)]
+    for step in (1, 2):
+        first = {}
+        for row, g in zip(rows, batch.positions[step]):
+            assert first.setdefault(row, g) is g
+        assert len({id(g) for g in batch.positions[step]}) == len(first) <= 6**2
+    # past k ** n_steps paths every path walks its own row
+    alone = sample_paths(measure, 5, 35, n_steps)
+    assert len({id(g) for g in alone.final_positions}) == 35
+
+
+@pytest.mark.parametrize("name, atoms", KERNEL_CASES)
+@settings(max_examples=15, deadline=None)
 @given(seed=seeds, path=path_indices, data=st.data())
 def test_endpoint_equals_fold(name, atoms, seed, path, data):
     measure = case_measure(name, atoms)
@@ -149,6 +186,10 @@ def assert_first_returns(measure, spec, seed, n_samples, budget):
     assert sample.return_times == tuple(expected_times)
     assert keys(acting, sample.samples) == keys(acting, expected_samples)
     assert sample.failures == n_samples - len(expected_times)
+    # samples that return to the same position share one element
+    shared = {}
+    for key, g in zip(keys(acting, sample.samples), sample.samples):
+        assert shared.setdefault(key, g) is g
     return sample
 
 
