@@ -309,11 +309,11 @@ def _last_lattice_step(graph: StepGraph, indices: list[int], inside: _Inside) ->
     return last
 
 
-def _endpoint(graph: StepGraph, indices: list[int]):
-    """Run the walk over pre-drawn atom indices; returns (letters, part)."""
+def _endpoint(graph: StepGraph, indices: list[int]) -> tuple[list[int], int]:
+    """Run the walk over pre-drawn atom indices; returns the end's (stack, node)."""
     stack: list[int] = []
     node = graph.advance(stack, graph.root, indices)
-    return stack, graph.parts[node]
+    return stack, node
 
 
 @dataclass(frozen=True)
@@ -357,8 +357,8 @@ def _resolve_paths(
             run_to = _last_lattice_step(graph, idx, inside)
         key = None
         if run_to:
-            stack, part = _endpoint(graph, idx[:run_to])
-            entry = images.of(part)
+            stack, node = _endpoint(graph, idx[:run_to])
+            entry = images.of(graph.probe_part(node))
             if _agreement(stack, images, entry, depth) == depth:
                 key = _translate_prefix(stack, images, entry, 0, depth)
         misses += key is None
@@ -546,6 +546,8 @@ def track_convergence(
     probes = _checked_probes(measure.acting.base_rank, probes)
     images = _RayImages(measure.acting, probes)
     graph = StepGraph(measure)
+    # images.of(graph.probe_part(node)) of each node id
+    entries: list[tuple] = []
     lengths = np.zeros((n_paths, n_steps), dtype=np.int32)
     rows = measure.draw_rows(seed, STREAM_WALK, 0, n_paths, n_steps)
     for row, idx in zip(lengths, rows):
@@ -553,7 +555,14 @@ def track_convergence(
         node = graph.root
         for n, i in enumerate(idx):
             node = graph.advance(stack, node, (i,))
-            row[n] = _agreement(stack, images, images.of(graph.parts[node]), depth)
+            try:
+                entry = entries[node]
+            except IndexError:
+                entries.extend(
+                    images.of(graph.probe_part(m)) for m in range(len(entries), len(graph.parts))
+                )
+                entry = entries[node]
+            row[n] = _agreement(stack, images, entry, depth)
     return ConvergenceTrace(probes, depth, lengths, seed)
 
 
@@ -625,7 +634,7 @@ def first_return_sampler(
     graph = StepGraph(measure)
     inside = _Inside(graph, sublattice)
     rank = measure.acting.base_rank
-    # one element per distinct returned position (node, letters)
+    # one element per distinct returned position (node, stack)
     returned: dict[tuple, ExtElement] = {}
     samples: list[ExtElement] = []
     times: list[int] = []
@@ -642,7 +651,8 @@ def first_return_sampler(
                 key = (node, tuple(stack))
                 g = returned.get(key)
                 if g is None:
-                    g = returned[key] = ExtElement(_reduced_word(rank, key[1]), graph.parts[node])
+                    w = _reduced_word(rank, graph.free_letters(stack, node))
+                    g = returned[key] = ExtElement(w, graph.parts[node])
                 samples.append(g)
                 times.append(n)
                 break

@@ -25,11 +25,12 @@ from __future__ import annotations
 import functools
 import weakref
 from dataclasses import dataclass
+from itertools import chain
 from typing import Union
 
 from .errors import ConfigError
-from .morphisms import Automorphism, identity_automorphism
-from .words import Word
+from .morphisms import Automorphism, _conjugator, identity_automorphism
+from .words import Word, free_reduce
 
 __all__ = [
     "ActingGroup",
@@ -226,6 +227,33 @@ class ActingGroup:
         if self.kind == "lattice":
             return tuple(-a for a in key)
         return tuple(-s for s in reversed(key))
+
+    def conjugators(self) -> dict[int, tuple[int, ...]] | None:
+        """g_s for each signed acting letter s when every θ_j is inner, else None.
+
+        θ_j is conjugation by g_j, read from its images
+        (``morphisms._conjugator``), and -j maps to g_j⁻¹. The product of the
+        g_s along p (``conjugator_of``) is then a homomorphism c from P into
+        F_d with Θ(p) conjugation by c(p): for a free P by freeness, for a
+        lattice because commuting θ_j have commuting conjugators, F_d being
+        centerless at rank 2 and up (at rank 1 every g_j is 1).
+        """
+        out = {}
+        for j, phi in enumerate(self.theta, start=1):
+            g = _conjugator(phi)
+            if g is None:
+                return None
+            out[j] = g
+            out[-j] = tuple(-s for s in reversed(g))
+        return out
+
+    def conjugator_of(self, conjugators: dict, p: ActingPart) -> tuple[int, ...]:
+        """c(p), the reduced product of ``conjugators`` (see ``conjugators``) along p."""
+        if self.kind == "lattice":
+            signed = [j if a > 0 else -j for j, a in enumerate(p, start=1) for _ in range(abs(a))]
+        else:
+            signed = p.letters
+        return tuple(free_reduce(chain.from_iterable(conjugators[s] for s in signed)))
 
     def twist_letters(self, p: ActingPart, letters: tuple[int, ...]) -> tuple[int, ...]:
         """Reduced letters of Θ(p) applied to ``letters``.

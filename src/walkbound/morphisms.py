@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetError, InconclusiveGrowthError
-from .words import MAX_RANK, Ray, Word, _conjugator_length, _reduced_word
+from .words import MAX_RANK, Ray, Word, _conjugator_length, _reduced_word, free_reduce
 
 __all__ = [
     "Automorphism",
@@ -310,6 +310,34 @@ def inner_automorphism(rank: int, g: Word) -> Automorphism:
     g_inv = g.inverse()
     inverse_images = tuple(Word(rank, (i,)).conjugate(g_inv) for i in range(1, rank + 1))
     return Automorphism(rank, images, inverse_images, _verified=True)
+
+
+def _conjugator(phi: Automorphism) -> tuple[int, ...] | None:
+    """The reduced letters of g with φ(x) = g·x·g⁻¹ for every x, else None.
+
+    Read from φ's images alone. φ(a) = c·a·c⁻¹ with c its conjugator, and
+    the centralizer of a is ⟨a⟩, so g = c·a^k; at rank 2 and up k is the
+    one with a^k·b·a⁻ᵏ = c⁻¹·φ(b)·c (F_d is centerless, so g is unique).
+    Every generator's image is then checked against g. At rank 1 the only
+    inner automorphism is the identity, with g = 1.
+    """
+    table = phi._table
+    image = table[1]
+    lo = _conjugator_length(image)
+    if image[lo : len(image) - lo] != (1,):
+        return None
+    g = list(image[:lo])
+    if phi.rank > 1:
+        c_inv = [-s for s in reversed(g)]
+        y = free_reduce(c_inv + list(table[2]) + g)
+        k = _conjugator_length(y)
+        if k:
+            g += [y[0]] * k
+    g_inv = [-s for s in reversed(g)]
+    for i in range(1, phi.rank + 1):
+        if tuple(free_reduce(g + [i] + g_inv)) != table[i]:
+            return None
+    return tuple(g)
 
 
 # -- growth classification ----------------------------------------------------

@@ -20,6 +20,14 @@ A step along a built edge is two list indexes and the junction cancellation:
 its cost is the twisted increment length, not the length of the whole word. A
 new acting position costs about the length of its twisted images.
 
+When every θ_j is inner (read from its images, ``ActingGroup.conjugators``),
+Θ(p) is conjugation by c(p) for a homomorphism c from the acting group into
+F_d, and the graph keeps that conjugator frame instead: the stack holds
+v = w·c(p), atom (u, m) pushes the same u·c(m) from every node, and
+translates are x·ξ = v·ξ. On ``direct-product`` a step then pushes one
+letter where Θ(p)(u) has 2|p| + 1. Positions are read back as
+w = v·c(p)⁻¹ (``StepGraph.free_letters``) only where a sampler records one.
+
 Short paths repeat: with k atoms there are only k ** n rows of n steps.
 When a ``sample_paths`` call has at least as many paths as rows, each
 distinct row is walked once and every path that draws it shares its
@@ -55,7 +63,7 @@ from .groups import (
     ext_multiply,
     gauge_length,
 )
-from .words import _reduced_word
+from .words import _reduced_word, free_reduce
 
 __all__ = [
     "StepMeasure",
@@ -205,21 +213,41 @@ class StepGraph:
 
     Node n is an int, the ``root`` 0 is the identity: ``parts[n]`` is its
     acting part, and ``edges[n][i]`` is None until atom i is first taken from
-    n, then (atom i's free part twisted by Θ(parts[n]), successor id). Ids hold
-    no references, so no graph is a reference cycle. Built lazily per call,
-    nothing stored on the measure or acting group; each edge is built once,
-    and for a one-letter atom holds Θ(p)'s own table entry.
+    n, then (the letters atom i pushes from n, successor id). Ids hold no
+    references, so no graph is a reference cycle. Built lazily per call,
+    nothing stored on the measure or acting group; each edge is built once.
+
+    Without a frame the stack holds the free part w of the position (w, p),
+    and atom (u, m) pushes Θ(p)(u), for a one-letter atom Θ(p)'s own table
+    entry. When the group twists and every θ_j is inner, the graph has a
+    conjugator frame c (``ActingGroup.conjugators``) with Θ(p) conjugation by
+    c(p). The stack then holds v = w·c(p), and atom (u, m) pushes u·c(m) from
+    every node, since w·Θ(p)(u)·c(p·m) = v·u·c(m). ``free_letters`` reads w
+    back; probes translate as x·ξ = v·ξ, since Θ(p)(ξ) = c(p)·ξ on rays, so
+    ``probe_part`` is the identity and no Θ(p) is built.
     """
 
-    __slots__ = ("measure", "acting", "root", "parts", "edges", "_ids")
+    __slots__ = (
+        "measure", "acting", "root", "parts", "edges", "_ids", "_conjugators", "_framed",
+        "_unframe",
+    )
 
     def __init__(self, measure: StepMeasure):
         self.measure = measure
-        self.acting = measure.acting
+        acting = self.acting = measure.acting
         self.parts: list = []
         self.edges: list[list] = []
         self._ids: dict = {}
-        self.root = self._node(self.acting.identity_part())
+        # with a frame: each atom's letters u·c(m), and c(p)⁻¹ of each node
+        self._conjugators = acting.conjugators() if acting.k else None
+        self._framed = self._unframe = None
+        if self._conjugators is not None:
+            self._framed = tuple(
+                tuple(free_reduce(g.w.letters + acting.conjugator_of(self._conjugators, g.p)))
+                for g in measure.atoms
+            )
+            self._unframe = []
+        self.root = self._node(acting.identity_part())
 
     def _node(self, part) -> int:
         key = self.acting.part_key(part)
@@ -228,19 +256,42 @@ class StepGraph:
             node = self._ids[key] = len(self.parts)
             self.parts.append(part)
             self.edges.append([None] * len(self.measure.atoms))
+            if self._unframe is not None:
+                # c is a homomorphism: c(p)⁻¹ = c(p⁻¹)
+                inverse = self.acting.part_inverse(part)
+                self._unframe.append(self.acting.conjugator_of(self._conjugators, inverse))
         return node
 
     def link(self, node: int, i: int) -> tuple:
-        """Build and return edge i of ``node``: (twisted letters, successor id)."""
+        """Build and return edge i of ``node``: (pushed letters, successor id)."""
         letters, increment = self.measure._step_data[i]
         part = self.parts[node]
-        if letters:
+        if self._framed is not None:
+            letters = self._framed[i]
+        elif letters:
             letters = self.acting.twist_letters(part, letters)
         succ = node
         if increment is not None:
             succ = self._node(self.acting.part_multiply(part, increment))
         edge = self.edges[node][i] = (letters, succ)
         return edge
+
+    def free_letters(self, stack: list[int], node: int) -> tuple[int, ...]:
+        """The reduced free part w of the position (stack, node): w = v·c(p)⁻¹ in a frame."""
+        if self._unframe is None:
+            return tuple(stack)
+        tail = self._unframe[node]
+        n = len(stack)
+        k = 0
+        while k < len(tail) and k < n and stack[n - 1 - k] == -tail[k]:
+            k += 1
+        return tuple(stack[: n - k]) + tail[k:]
+
+    def probe_part(self, node: int):
+        """The part p' with x·ξ = stack·Θ(p')(ξ) for the position x at (stack, node)."""
+        if self._unframe is None:
+            return self.parts[node]
+        return self.parts[self.root]
 
     def advance(self, stack: list[int], node: int, indices: Sequence[int]) -> int:
         """Right-multiply the position (stack, node) by the atoms at ``indices``.
@@ -311,7 +362,9 @@ def _run_one_path(
     for step in record:
         node = graph.advance(stack, node, idx[done:step])
         done = step
-        snaps[step] = ExtElement(_reduced_word(rank, tuple(stack)), graph.parts[node])
+        snaps[step] = ExtElement(
+            _reduced_word(rank, graph.free_letters(stack, node)), graph.parts[node]
+        )
     return snaps
 
 
@@ -540,7 +593,7 @@ def _stepped_depth_counts(
         for d in ascending:
             node = graph.advance(stack, node, idx[done:d])
             done = d
-            key = (tuple(stack), part_key(graph.parts[node]))
+            key = (graph.free_letters(stack, node), part_key(graph.parts[node]))
             table = counts[d]
             table[key] = table.get(key, 0) + 1
     return counts

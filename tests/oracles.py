@@ -172,3 +172,76 @@ def eager_image(acting, part, ray, length: int) -> tuple[int, ...] | None:
         last = got
         margin *= 2
     return None
+
+
+# -- nearest-neighbour walks on F_d: Dynkin–Malyutov ------------------------------
+#
+# ``weights`` maps each signed letter x to μ′(x), with no mass on the identity.
+# ``direct-product`` is such a walk in disguise: its twist is conjugation by a,
+# so π(w, n) = w·aⁿ maps F_2 ⋊ Z onto F_2, and (w, n)·ξ = π(w, n)·ξ on ∂F_2.
+# Its hitting law is therefore ν of μ′ = π_*μ: the atoms (a, 0) and (1, 1)
+# both project to a, so a and A get 0.225 + 0.05 each, b and B 0.225 each.
+DIRECT_PRODUCT_PROJECTION = {1: 0.275, -1: 0.275, 2: 0.225, -2: 0.225}
+
+
+def dynkin_malyutov(weights: dict[int, float], max_iter: int = 100_000) -> dict[int, float]:
+    """q_x, the probability that the walk ever visits the letter x.
+
+    The minimal solution of q_x = μ′(x) + q_x · Σ_{y≠x} μ′(y)·q_{y⁻¹} (reach x
+    in one step, or step to y ≠ x, come back and then reach x), found by
+    iterating from q = 0 until no value moves.
+    """
+    q = {x: 0.0 for x in weights}
+    for _ in range(max_iter):
+        nxt = {
+            x: weights[x] + q[x] * sum(weights[y] * q[-y] for y in weights if y != x)
+            for x in weights
+        }
+        if all(abs(nxt[x] - q[x]) <= 1e-16 for x in q):
+            return nxt
+        q = nxt
+    raise RuntimeError("Dynkin–Malyutov iteration did not settle")
+
+
+def nn_cylinder_mass(q: dict[int, float], letters: tuple[int, ...]) -> float:
+    """ν(C(x₁…x_k)), the hitting mass of a cylinder.
+
+    ν(C(x₁…x_k)) = q_{x₁}⋯q_{x_{k−1}} · q_{x_k}(1 − q_{x_k⁻¹}) / (1 − q_{x_k}q_{x_k⁻¹}).
+    From x₁…x_{k−1}, reached with probability q_{x₁}⋯q_{x_{k−1}}, the limit
+    lies in C(x₁…x_k) with the probability ν(C(x_k)) that it starts with x_k
+    from the identity; that one solves α = q_x·((1 − q_{x⁻¹}) + q_{x⁻¹}·α).
+    """
+    if not letters:
+        return 1.0
+    last = letters[-1]
+    mass = q[last] * (1 - q[-last]) / (1 - q[last] * q[-last])
+    for x in letters[:-1]:
+        mass *= q[x]
+    return mass
+
+
+def nn_cylinder_table(q: dict[int, float], rank: int, depth: int) -> dict[tuple[int, ...], float]:
+    return {w: nn_cylinder_mass(q, w) for w in reduced_words(rank, depth)}
+
+
+def nn_drift(weights: dict[int, float], q: dict[int, float]) -> float:
+    """ℓ = Σ_x μ′(x)·(1 − 2ν(C(x⁻¹))), for a symmetric μ′.
+
+    A step x shortens the word exactly when its last letter is x⁻¹; for a
+    symmetric μ′ the last letter's limit law is ν's first-letter law.
+    """
+    return math.fsum(w * (1 - 2 * nn_cylinder_mass(q, (-x,))) for x, w in weights.items())
+
+
+def nn_entropy_rate(weights: dict[int, float], q: dict[int, float]) -> float:
+    """h = Σ_x μ′(x)·[ν(C(x⁻¹))·log q_{x⁻¹} − (1 − ν(C(x⁻¹)))·log q_x].
+
+    The Furstenberg entropy Σ_x μ′(x) ∫ log (d xν/dν) d(xν): the Martin
+    kernel dxν/dν is 1/q_x on C(x) and q_{x⁻¹} elsewhere, and xν gives C(x)
+    the mass 1 − ν(C(x⁻¹)).
+    """
+    total = []
+    for x, w in weights.items():
+        back = nn_cylinder_mass(q, (-x,))
+        total.append(w * (back * math.log(q[-x]) - (1 - back) * math.log(q[x])))
+    return math.fsum(total)

@@ -826,6 +826,36 @@ GOLDEN_DIGESTS = (
         "df9850ffc88772988c1a33614bb2451ec98794a25fe3d990628777b1ec4a3280",
         id="first-return-csv-lattice-rank2",
     ),
+    # recorded before walks on inner twists stepped in a conjugator frame:
+    # the direct-product routes no digest above covered
+    pytest.param(
+        "entropy-rate --config fixture:direct-product --seed 50 --n-paths 3000 --depths 4,8",
+        "d199a7caa85f6229f767415d1999d0dcc272ec8ab635e9bc0228508e2dd79917",
+        id="entropy-rate-direct-product",
+    ),
+    pytest.param(
+        "first-return --config fixture:direct-product --seed 51 --n-samples 1500 "
+        "--format csv",
+        "021588d627770ea6a6086e481640a0bb794214bb8dbbfc89c8e2846796f5ede7",
+        id="first-return-csv-direct-product",
+    ),
+    pytest.param(
+        "walk --config fixture:direct-product --seed 52 --n-paths 40 --n-steps 300 "
+        "--record 0,150 --format csv",
+        "5ac66c088ea30379f38d4c2cfefda90f10d55a1445b4a839bfccd4a280a70549",
+        id="walk-csv-record-direct-product",
+    ),
+    pytest.param(
+        "stationarity --config fixture:direct-product --seed 53 --n-paths 300 "
+        "--n-steps 200 --n-resample 1000",
+        "96028c060012c2c4d1f38495ece47c146a046eedc5990744bb1d5d12a2ff58d9",
+        id="stationarity-direct-product",
+    ),
+    pytest.param(
+        "poisson --config fixture:direct-product --seed 54 --n-samples 150 --n-steps 200",
+        "3d5ddcf57586168c0c27eb723884b44b5795c79082ed445c6aeef958a7f04c55",
+        id="poisson-direct-product",
+    ),
 )
 
 

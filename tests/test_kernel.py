@@ -2,13 +2,17 @@
 
 import functools
 import gc
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from walkbound import (
     ActingGroup,
     ExtElement,
+    ModuliSpec,
     PermKernelSpec,
     StepMeasure,
     Word,
@@ -22,14 +26,17 @@ from walkbound import (
     fixture_names,
     identity_automorphism,
     in_sublattice,
+    inner_automorphism,
     load_fixture,
+    parse_config,
     sample_paths,
     sublattice_spec,
     track_convergence,
 )
 from walkbound._rng import STREAM_RETURN, STREAM_WALK, derived_rng
-from walkbound.boundary import _endpoint, _Inside, _last_lattice_step
-from walkbound.walk import StepGraph
+from walkbound.boundary import _endpoint, _Inside, _last_lattice_step, _resolve_paths
+from walkbound.morphisms import _conjugator
+from walkbound.walk import StepGraph, _stepped_depth_counts
 
 # exponential twists make fold words grow like phi^steps
 MAX_STEPS = {"fibonacci": 18}
@@ -68,17 +75,49 @@ TWO_LETTER_ATOMS = {
     "free-acting": (("ab", "1"), ("cA", "1"), ("Ba", "a"), ("ab", "B"), ("cA", "b"), ("1", "A")),
     "fibonacci": (("ab", "0"), ("Ba", "0"), ("ab", "1"), ("Ba", "-1"), ("1", "1"), ("1", "-1")),
 }
-KERNEL_CASES = [pytest.param(name, None, id=name) for name in fixture_names()] + [
-    pytest.param(name, atoms, id=f"{name}-two-letter") for name, atoms in TWO_LETTER_ATOMS.items()
-]
+# Groups whose every twist is inner, so that their walks step in a conjugator
+# frame: F_2 ⋊ Z twisted by conjugation with ab (a config no fixture ships),
+# Z^2 acting by conjugation with a and with aa, and F_2 by a and by b. The
+# atoms move both coordinates at once, so pushed letters u·c(m) and read-out
+# positions v·c(p)⁻¹ both cancel.
+INNER_AB = parse_config((Path(__file__).parent / "inner-ab.cfg").read_text())
+INNER_GROUPS = {
+    "inner-lattice": (
+        ActingGroup("lattice", (inner_automorphism(2, Word.parse(2, "a")),
+                                inner_automorphism(2, Word.parse(2, "aa"))), 2),
+        (("a", "0,0"), ("B", "0,0"), ("b", "1,0"), ("ab", "-1,1"), ("1", "0,-1"), ("Ba", "1,1")),
+    ),
+    "inner-free": (
+        ActingGroup("free", (inner_automorphism(2, Word.parse(2, "a")),
+                             inner_automorphism(2, Word.parse(2, "b"))), 2),
+        (("a", "1"), ("B", "1"), ("b", "a"), ("ab", "B"), ("1", "A"), ("Ba", "ab")),
+    ),
+}
+INNER_CASES = ("inner-ab", *INNER_GROUPS)
+KERNEL_CASES = (
+    [pytest.param(name, None, id=name) for name in fixture_names()]
+    + [
+        pytest.param(name, atoms, id=f"{name}-two-letter")
+        for name, atoms in TWO_LETTER_ATOMS.items()
+    ]
+    + [pytest.param(name, None, id=name) for name in INNER_CASES]
+)
 
 
 @functools.lru_cache(maxsize=None)
 def case_measure(name, atoms):
-    """The fixture's measure, or its acting group under ``atoms`` (word, part)."""
-    if atoms is None:
+    """The fixture's or inner case's measure, or a fixture's acting group under ``atoms``.
+
+    ``atoms`` holds (word, part) pairs.
+    """
+    if name == "inner-ab":
+        return build_measure(INNER_AB)
+    if name in INNER_GROUPS:
+        acting, atoms = INNER_GROUPS[name]
+    elif atoms is None:
         return fixture_measure(name)
-    acting = fixture_measure(name).acting
+    else:
+        acting = fixture_measure(name).acting
     elements = [ExtElement(Word.parse(acting.base_rank, w), acting.parse_part(p)) for w, p in atoms]
     return StepMeasure(acting, elements, [1 / len(atoms)] * len(atoms), check_generation=False)
 
@@ -147,9 +186,29 @@ def test_endpoint_equals_fold(name, atoms, seed, path, data):
     graph = StepGraph(measure)
     # a second run reuses the edges the first one built
     for _ in range(2):
-        stack, part = _endpoint(graph, indices)
-        got = ExtElement(Word(measure.acting.base_rank, tuple(stack)), part)
+        stack, node = _endpoint(graph, indices)
+        letters = graph.free_letters(stack, node)
+        got = ExtElement(Word(measure.acting.base_rank, letters), graph.parts[node])
         assert keys(measure.acting, [got]) == expected
+
+
+@pytest.mark.parametrize("name, atoms", KERNEL_CASES)
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds, path=st.integers(0, 2**32 - 9))
+def test_stepped_depth_counts_equal_fold(name, atoms, seed, path):
+    # the tables' keys, counts and order of first appearance
+    measure = case_measure(name, atoms)
+    depths = (3, 8)
+    counts = _stepped_depth_counts(measure, seed, 8, depths, path)
+    expected = {d: {} for d in depths}
+    for idx in measure.draw_rows(seed, STREAM_WALK, path, 8, max(depths)):
+        positions = fold(measure, idx)
+        for d in depths:
+            key = element_key(measure.acting, positions[d])
+            expected[d][key] = expected[d].get(key, 0) + 1
+    assert {d: list(t.items()) for d, t in counts.items()} == {
+        d: list(t.items()) for d, t in expected.items()
+    }
 
 
 @pytest.mark.parametrize("name", sorted(TWO_LETTER_ATOMS))
@@ -299,3 +358,71 @@ def test_finished_estimators_leave_no_reference_cycles():
             assert gc.collect() == 0, label
     finally:
         gc.enable()
+
+
+# -- the conjugator frame of inner twists ---------------------------------------
+
+
+@st.composite
+def reduced_words(draw, rank):
+    letters = [s for i in range(1, rank + 1) for s in (i, -i)]
+    word = []
+    for s in draw(st.lists(st.sampled_from(letters), max_size=10)):
+        if word and word[-1] == -s:
+            word.pop()
+        else:
+            word.append(s)
+    return Word(rank, tuple(word))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_conjugator_of_an_inner_automorphism_is_its_conjugator(data):
+    rank = data.draw(st.integers(2, 3), label="rank")
+    g = data.draw(reduced_words(rank), label="g")
+    assert _conjugator(inner_automorphism(rank, g)) == g.letters
+
+
+def test_only_groups_that_twist_by_inner_automorphisms_get_a_frame():
+    assert _conjugator(identity_automorphism(2)) == ()
+    assert _conjugator(identity_automorphism(1)) == ()
+    # srw-f2 has no twist at all: its graph is untouched
+    assert StepGraph(fixture_measure("srw-f2"))._unframe is None
+    twisted = ("semidirect-linear", "semidirect-mixed", "lattice-rank2", "free-acting", "fibonacci")
+    for name in twisted:
+        measure = fixture_measure(name)
+        assert measure.acting.conjugators() is None, name
+        assert StepGraph(measure)._unframe is None, name
+    assert fixture_measure("direct-product").acting.conjugators() == {1: (1,), -1: (-1,)}
+    assert case_measure("inner-ab", None).acting.conjugators() == {1: (1, 2), -1: (-2, -1)}
+    for name in ("direct-product", *INNER_CASES):
+        assert StepGraph(case_measure(name, None))._unframe is not None, name
+
+
+FRAMED_SPECS = {
+    "direct-product": ModuliSpec((2,)),
+    "inner-ab": ModuliSpec((2,)),
+    "inner-lattice": ModuliSpec((2, 2)),
+    "inner-free": PermKernelSpec(2, ((1, 0), (1, 0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAMED_SPECS))
+@settings(max_examples=8, deadline=None)
+@given(seed=seeds)
+def test_frame_keeps_track_lengths_and_return_keys(name, seed):
+    # the twisted route, by Θ(p), is the reference: hide the frame from it
+    measure = case_measure(name, None)
+    spec = FRAMED_SPECS[name]
+
+    def run():
+        trace = track_convergence(measure, seed, 6, 80, 12)
+        keys = _resolve_paths(measure, seed, STREAM_WALK, 20, 80, 3, None, spec, 1.0)
+        return trace.lengths, keys
+
+    framed_lengths, framed_keys = run()
+    with mock.patch.object(ActingGroup, "conjugators", return_value=None):
+        assert StepGraph(measure)._unframe is None
+        lengths, keys = run()
+    assert np.array_equal(framed_lengths, lengths)
+    assert framed_keys == keys

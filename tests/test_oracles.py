@@ -11,11 +11,17 @@ import pytest
 
 from walkbound import element_key, ext_identity, fixture_names, load_fixture, build_measure
 from oracles import (
+    DIRECT_PRODUCT_PROJECTION,
     _reduce,
     convolution_law,
+    dynkin_malyutov,
     fibonacci_rate,
     markov_cylinder_mass,
     markov_cylinder_table,
+    nn_cylinder_mass,
+    nn_cylinder_table,
+    nn_drift,
+    nn_entropy_rate,
     radial_drift_exact,
     reduced_words,
     srw_entropy_rate,
@@ -95,3 +101,36 @@ def test_tv_distance_basics():
     assert tv_distance({"x": 1.0}, {"x": 1.0}) == 0.0
     assert tv_distance({"x": 1.0}, {"y": 1.0}) == 1.0
     assert tv_distance({"x": 0.5, "y": 0.5}, {"x": 1.0}) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_dynkin_malyutov_reduces_to_the_simple_random_walk(rank):
+    uniform = {s: 1 / (2 * rank) for i in range(1, rank + 1) for s in (i, -i)}
+    q = dynkin_malyutov(uniform)
+    assert all(v == pytest.approx(1 / (2 * rank - 1), abs=1e-12) for v in q.values())
+    for depth in (1, 2, 3):
+        markov = markov_cylinder_table(rank, depth)
+        table = nn_cylinder_table(q, rank, depth)
+        assert table.keys() == markov.keys()
+        assert all(table[w] == pytest.approx(float(markov[w]), abs=1e-12) for w in table)
+    assert nn_drift(uniform, q) == pytest.approx((rank - 1) / rank, abs=1e-12)
+    assert nn_entropy_rate(uniform, q) == pytest.approx(srw_entropy_rate(rank), abs=1e-12)
+
+
+def test_dynkin_malyutov_direct_product_values():
+    # the projection of direct-product onto F_2 (see oracles.py)
+    weights = DIRECT_PRODUCT_PROJECTION
+    q = dynkin_malyutov(weights)
+    assert q[1] == q[-1] == pytest.approx(0.3606, abs=5e-5)
+    assert q[2] == q[-2] == pytest.approx(0.3071, abs=5e-5)
+    # q is a fixed point of its own equation
+    for x, w in weights.items():
+        rest = sum(weights[y] * q[-y] for y in weights if y != x)
+        assert q[x] == pytest.approx(w + q[x] * rest, abs=1e-14)
+    assert nn_cylinder_mass(q, (1,)) == pytest.approx(0.2650, abs=5e-5)
+    assert nn_cylinder_mass(q, (2,)) == pytest.approx(0.2350, abs=5e-5)
+    assert nn_cylinder_mass(q, (1, 2)) == pytest.approx(q[1] * nn_cylinder_mass(q, (2,)))
+    for depth in (1, 2, 3):
+        assert sum(nn_cylinder_table(q, 2, depth).values()) == pytest.approx(1.0, abs=1e-12)
+    assert nn_drift(weights, q) == pytest.approx(0.4970, abs=5e-5)
+    assert nn_entropy_rate(weights, q) == pytest.approx(0.5452, abs=5e-5)
