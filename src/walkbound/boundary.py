@@ -326,6 +326,12 @@ class HittingEstimate:
     n_paths: int
 
 
+def _check_ceiling(name: str, ceiling: float) -> None:
+    """Reject a ceiling that is not a fraction in [0, 1]; NaN is none."""
+    if not 0 <= ceiling <= 1:
+        raise ConfigError(f"{name} must lie in [0, 1], got {ceiling}")
+
+
 def _resolve_paths(
     measure: StepMeasure,
     seed: int,
@@ -345,6 +351,7 @@ def _resolve_paths(
     """
     if depth < 1 or n_paths < 1 or n_steps < 1:
         raise ConfigError("need depth, n_paths, n_steps all >= 1")
+    _check_ceiling("unresolved ceiling", unresolved_ceiling)
     probes = _checked_probes(measure.acting.base_rank, probes)
     images = _RayImages(measure.acting, probes)
     graph = StepGraph(measure)
@@ -631,6 +638,7 @@ def first_return_sampler(
     """
     if n_samples < 1 or step_budget < 1:
         raise ConfigError("need n_samples >= 1 and step_budget >= 1")
+    _check_ceiling("failure ceiling", failure_ceiling)
     graph = StepGraph(measure)
     inside = _Inside(graph, sublattice)
     rank = measure.acting.base_rank

@@ -153,15 +153,23 @@ def _load_config(spec: str) -> RunConfig:
 
 
 def _resolve_seed(args: argparse.Namespace, config: RunConfig) -> int:
-    if args.seed is not None:
-        return args.seed
+    """The first seed set of ``--seed``, ``WALKBOUND_SEED`` and ``run.seed``, else 0.
+
+    A negative seed is rejected with its source named.
+    """
     env = os.environ.get("WALKBOUND_SEED")
-    if env is not None:
+    if args.seed is not None:
+        seed, source = args.seed, "--seed"
+    elif env is not None:
         try:
-            return int(env)
+            seed, source = int(env), "WALKBOUND_SEED"
         except ValueError as exc:
             raise ConfigError(f"WALKBOUND_SEED must be an integer, got {env!r}") from exc
-    return _run_value(config, "seed", 0)
+    else:
+        seed, source = _run_value(config, "seed", 0), "run.seed"
+    if seed < 0:
+        raise ConfigError(f"expected non-negative integer seed from {source}, got {seed}")
+    return seed
 
 
 def _run_value(config: RunConfig, key: str, default: int | float) -> int | float:

@@ -22,8 +22,6 @@ the moment computations need.
 
 from __future__ import annotations
 
-import functools
-import weakref
 from dataclasses import dataclass
 from itertools import chain
 from typing import Union
@@ -64,10 +62,7 @@ class ActingGroup:
     results never depend on cache state.
     """
 
-    __slots__ = (
-        "kind", "k", "base_rank", "theta", "_signed_theta", "_cache", "_twist_cache",
-        "_serve_inverse", "__weakref__",
-    )
+    __slots__ = ("kind", "k", "base_rank", "theta", "_signed_theta", "_cache", "_twist_cache")
 
     def __init__(self, kind: str, theta: tuple[Automorphism, ...], base_rank: int):
         if kind not in ("lattice", "free"):
@@ -100,8 +95,6 @@ class ActingGroup:
             self._signed_theta[j] = phi
             self._signed_theta[-j] = phi.inverse()
         self._cache: dict[tuple[int, ...], Automorphism] = {}
-        # shared by every cached Θ(p): one closure per group, none per entry
-        self._serve_inverse = functools.partial(_served_inverse, weakref.ref(self))
         # always empty, kept because bench/tracing.py reads its size
         self._twist_cache: dict = {}
 
@@ -182,18 +175,11 @@ class ActingGroup:
         or one unit off the first nonzero coordinate of a lattice part (the
         θ_j commute). Composing the long Θ(q) after the short θ substitutes
         whole images, and every Θ(q) on the way is cached, so long walks pay
-        per new acting position only. Θ is a homomorphism, so a cached Θ(p)
-        whose inverse is read before its prefix's is served Θ(p⁻¹), composed
-        the same fast way (see ``Automorphism._inverse_table``).
+        per new acting position only. Θ(p)'s inverse is built from its
+        operands when first read (``Automorphism._inverse_table``), so
+        reading it never grows the cache.
         """
-        return self._automorphism_at(self.part_key(p), store=True)
-
-    def _automorphism_at(self, key: tuple[int, ...], store: bool) -> Automorphism:
-        """Θ of the part whose ``part_key`` is ``key``, cached when ``store``.
-
-        Served inverses are not stored: reading one never grows the cache,
-        so inverses can be read while iterating over it.
-        """
+        key = self.part_key(p)
         cache = self._cache
         cached = cache.get(key)
         if cached is not None:
@@ -211,22 +197,10 @@ class ActingGroup:
                 key = key[:-1]
         result = cache.get(key)
         if result is None:
-            result = identity_automorphism(self.base_rank)
-            if store:
-                cache[key] = result
+            result = cache[key] = identity_automorphism(self.base_rank)
         for key, letter in reversed(chain):
-            result = result.compose(self._signed_theta[letter])
-            if store:
-                cache[key] = result
-                result._inverse_source = self._serve_inverse
-                result._source_key = key
+            result = cache[key] = result.compose(self._signed_theta[letter])
         return result
-
-    def _inverse_key(self, key: tuple[int, ...]) -> tuple[int, ...]:
-        """The ``part_key`` of p⁻¹, given p's."""
-        if self.kind == "lattice":
-            return tuple(-a for a in key)
-        return tuple(-s for s in reversed(key))
 
     def conjugators(self) -> dict[int, tuple[int, ...]] | None:
         """g_s for each signed acting letter s when every θ_j is inner, else None.
@@ -290,19 +264,6 @@ class ActingGroup:
     def __repr__(self) -> str:
         name = "Z^%d" % self.k if self.kind == "lattice" else "Free(%d)" % self.k
         return f"ActingGroup({name} acting on F_{self.base_rank})"
-
-
-def _served_inverse(group: weakref.ref, key: tuple[int, ...]) -> Automorphism | None:
-    """Θ(p⁻¹) from the referenced acting group, for p keyed ``key``; None once it is gone.
-
-    Each acting group binds this once to a weak reference to itself, and
-    its cached Θ(p) hold that as their inverse source, so the group's cache
-    is no reference cycle.
-    """
-    acting = group()
-    if acting is None:
-        return None
-    return acting._automorphism_at(acting._inverse_key(key), store=False)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,8 @@ letter s to f's table applied to g's image of s, which cancels only at the
 junctions between f's images and extends the rest. Where g's image of s is
 one letter, the new entry is f's own tuple, shared rather than copied. The
 inverse of a composition is built only when it is first read
-(``inverse_images``, ``apply_inverse``, ``inverse``): from its inverse source
-where it has one (an acting group serves Θ(p)⁻¹ as Θ(p⁻¹), composed forward),
-else from the inverses of its two operands. The generator images become
+(``inverse_images``, ``apply_inverse``, ``inverse``), by one rule: from the
+inverses of its two operands, (f∘g)⁻¹ = g⁻¹∘f⁻¹. The generator images become
 ``Word``s only when ``images`` is read, since the walk and the boundary
 action read neither.
 """
@@ -89,14 +88,11 @@ class Automorphism:
     every signed letter to its image. ``_images`` holds ``images``, or None
     until it is first read. ``_inv_table`` is the inverse's table, or None
     while it is deferred; then ``_operands`` is the pair (f, g) with
-    self = f∘g, and the table is built on first use (``_inverse_table``),
-    from the operands' tables or from the automorphism that
-    ``_inverse_source(_source_key)`` returns, when that is set.
+    self = f∘g, and the table is built from theirs on first use
+    (``_inverse_table``).
     """
 
-    __slots__ = (
-        "rank", "_images", "_table", "_inv_table", "_operands", "_inverse_source", "_source_key"
-    )
+    __slots__ = ("rank", "_images", "_table", "_inv_table", "_operands")
 
     def __init__(
         self,
@@ -118,7 +114,6 @@ class Automorphism:
         self._table = _letter_table(images)
         self._inv_table = _letter_table(inverse_images)
         self._operands = None
-        self._inverse_source = self._source_key = None
         if not _verified:
             self._verify_inverse()
 
@@ -136,7 +131,6 @@ class Automorphism:
         phi._table = table
         phi._inv_table = inv_table
         phi._operands = operands
-        phi._inverse_source = phi._source_key = None
         return phi
 
     def _verify_inverse(self) -> None:
@@ -154,12 +148,12 @@ class Automorphism:
                 )
 
     def _inverse_table(self) -> dict:
-        """The inverse's letter table, built on first use.
+        """The inverse's letter table, built on first use as g⁻¹∘f⁻¹ for self = f∘g.
 
-        One substitution from the operands' inverse tables when both are
-        built (reading a cache's entries in order of insertion meets each
-        chain Θ(q)∘θ so); otherwise served by the inverse source, which
-        composes Θ(p⁻¹) forward, or built from the operands' down the chain.
+        One substitution when both operands' inverse tables are built
+        (reading a cache's entries in order of insertion meets each chain
+        Θ(q)∘θ so); otherwise the operands' tables are built first, down the
+        chain.
         """
         if self._inv_table is None:
             # an explicit stack, since a chain Θ(p) = Θ(prefix)∘θ is as deep
@@ -172,18 +166,12 @@ class Automorphism:
                     continue
                 f, g = phi._operands
                 waiting = [x for x in (f, g) if x._inv_table is None]
-                if waiting and phi._inverse_source is not None:
-                    inverse = phi._inverse_source(phi._source_key)
-                    if inverse is not None:
-                        phi._inv_table = inverse._table
-                        phi._operands = phi._inverse_source = None
-                        continue
                 if waiting:
                     todo.extend(waiting)
                     continue
                 # (f∘g)^-1 = g^-1 ∘ f^-1
                 phi._inv_table = _substitute(g._inv_table, f._inv_table)
-                phi._operands = phi._inverse_source = None
+                phi._operands = None
                 todo.pop()
         return self._inv_table
 

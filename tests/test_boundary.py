@@ -479,13 +479,29 @@ def test_mismatched_sublattice_spec_raises_before_any_path(monkeypatch, name, sp
         first_return_sampler(build_measure(load_fixture("semidirect-mixed")), own, 1, 10)
 
 
-def test_direct_product_hitting_matches_the_dynkin_malyutov_law(product_measure):
-    # direct-product's walk projects onto a nearest-neighbour walk on F_2 with
-    # the same hitting law (see oracles.py). 20,000 paths put the exact law
-    # within 3 standard errors in every depth-2 cell, and the simple random
-    # walk's law, at TV 0.030 from it, past 3 in some cell. Seed fixed before
-    # the first run.
-    estimate = empirical_hitting_measure(product_measure, 1616, 20000, 400, 2)
+CEILINGED = {
+    "hitting": lambda m, c: empirical_hitting_measure(m, 1, 10, 10, 1, unresolved_ceiling=c),
+    "rays": lambda m, c: sample_boundary_rays(m, 1, 10, 1, 10, unresolved_ceiling=c),
+    "first-return": lambda m, c: first_return_sampler(m, ModuliSpec((2,)), 1, 10, failure_ceiling=c),
+}
+
+
+@pytest.mark.parametrize("ceiling", [-1.0, -0.01, 1.5, math.inf, math.nan])
+@pytest.mark.parametrize("estimator", sorted(CEILINGED))
+def test_ceilings_outside_the_unit_interval_raise_before_any_path(
+    monkeypatch, mixed_measure, estimator, ceiling
+):
+    monkeypatch.setattr(walk, "draw_rows", no_paths)
+    with pytest.raises(ConfigError, match=r"ceiling must lie in \[0, 1\]"):
+        CEILINGED[estimator](mixed_measure, ceiling)
+    # both ends are ceilings, and the patched routine is the one they walk from
+    for edge in (0.0, 1.0):
+        with pytest.raises(AssertionError, match="a path was walked"):
+            CEILINGED[estimator](mixed_measure, edge)
+
+
+def dynkin_malyutov_z_scores(estimate) -> tuple[dict, dict]:
+    """Each depth-2 cell's z against direct-product's exact law ν and against srw-f2's."""
     n = estimate.resolved_count
     table = estimate.distribution.table
 
@@ -496,7 +512,30 @@ def test_direct_product_hitting_matches_the_dynkin_malyutov_law(product_measure)
 
     exact = z_scores(nn_cylinder_table(dynkin_malyutov(DIRECT_PRODUCT_PROJECTION), 2, 2))
     srw = z_scores({w: float(p) for w, p in markov_cylinder_table(2, 2).items()})
-    assert n >= 19900
     assert set(table) <= set(exact)
+    return exact, srw
+
+
+def test_direct_product_hitting_matches_the_dynkin_malyutov_law(product_measure):
+    # direct-product's walk projects onto a nearest-neighbour walk on F_2 with
+    # the same hitting law (see oracles.py). 20,000 paths put the exact law
+    # within 3 standard errors in every depth-2 cell, and the simple random
+    # walk's law, at TV 0.030 from it, past 3 in some cell. Seed fixed before
+    # the first run.
+    estimate = empirical_hitting_measure(product_measure, 1616, 20000, 400, 2)
+    exact, srw = dynkin_malyutov_z_scores(estimate)
+    assert estimate.resolved_count >= 19900
+    assert max(abs(z) for z in exact.values()) <= 3.0, exact
+    assert max(abs(z) for z in srw.values()) > 3.0, srw
+
+
+def test_direct_product_hitting_at_returns_matches_the_dynkin_malyutov_law(product_measure):
+    # read at its last return to the even acting parts, each path still
+    # heads for the point its projection converges to, so the law is ν
+    # again; the size is the terminal test's. Seed fixed before the first run.
+    estimate = empirical_hitting_measure(
+        product_measure, 1717, 20000, 400, 2, return_lattice=ModuliSpec((2,))
+    )
+    exact, srw = dynkin_malyutov_z_scores(estimate)
     assert max(abs(z) for z in exact.values()) <= 3.0, exact
     assert max(abs(z) for z in srw.values()) > 3.0, srw

@@ -322,6 +322,43 @@ def test_exhausted_return_budget_exits_four(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["hitting", "--config", "fixture:srw-f2", "--ceiling", "-1"],
+        ["hitting", "--config", "fixture:srw-f2", "--ceiling", "nan"],
+        ["first-return", "--config", "fixture:semidirect-mixed", "--ceiling", "nan"],
+        ["first-return", "--config", "fixture:semidirect-mixed", "--ceiling", "1.5"],
+    ],
+    ids=["hitting-negative", "hitting-nan", "first-return-nan", "first-return-above-one"],
+)
+def test_ceiling_outside_the_unit_interval_exits_two(monkeypatch, capsys, argv):
+    def no_paths(*args):
+        raise AssertionError("a path was walked")
+
+    monkeypatch.setattr(walk, "draw_rows", no_paths)
+    assert main([*argv, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ceiling must lie in [0, 1]" in captured.err
+
+
+@pytest.mark.parametrize("source", ["--seed", "WALKBOUND_SEED", "run.seed"])
+@pytest.mark.parametrize("command", ["walk", "moments"])
+def test_negative_seed_exits_two_naming_its_source(tmp_path, monkeypatch, capsys, command, source):
+    cfg = tmp_path / "shift.cfg"
+    cfg.write_text(SHIFT_ONLY + ("run.seed = -2\n" if source == "run.seed" else ""), encoding="utf-8")
+    argv = [command, "--config", str(cfg)]
+    if source == "--seed":
+        argv += ["--seed", "-2"]
+    elif source == "WALKBOUND_SEED":
+        monkeypatch.setenv("WALKBOUND_SEED", "-2")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: expected non-negative integer seed from {source}, got -2" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["entropy-rate", "--n-paths", "0"],
         ["entropy-rate", "--n-paths", "-5"],
         ["poisson", "--n-samples", "0"],

@@ -1,7 +1,5 @@
 """Extension-group arithmetic across all three acting kinds."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -244,13 +242,23 @@ def test_composed_automorphisms_equal_checked_ones(name, texts):
         assert list(phi.images) == folded_twist(acting, part)
 
 
-def served_inverse_parts(name):
-    """Every lattice part of ℓ¹ norm at most 12, or some free words up to length 12."""
-    acting = acting_for(name)
+def random_parts(acting, draw) -> list:
+    """A few acting parts of length at most 12, drawn for ``acting``'s kind."""
     if acting.kind == "free":
-        texts = ["a", "B", "abAB", "BBa", "aab", "abABaabbABBA"]
-        return [acting.parse_part(text) for text in texts]
-    return [p for p in itertools.product(range(-12, 13), repeat=acting.k) if sum(map(abs, p)) <= 12]
+        letters = st.sampled_from([s for j in range(1, acting.k + 1) for s in (j, -j)])
+        words = st.lists(letters, max_size=12).map(lambda w: Word(acting.k, tuple(free_reduce(w))))
+        return draw(st.lists(words, min_size=1, max_size=6))
+    # a signed unit per step keeps the ℓ¹ norm at most 12
+    unit = st.tuples(st.integers(0, acting.k - 1), st.sampled_from([1, -1]))
+
+    def vector(steps):
+        v = [0] * acting.k
+        for j, sign in steps:
+            v[j] += sign
+        return tuple(v)
+
+    parts = st.lists(unit, max_size=12).map(vector)
+    return draw(st.lists(parts, min_size=1, max_size=6))
 
 
 @pytest.mark.parametrize(
@@ -258,24 +266,27 @@ def served_inverse_parts(name):
     ["fibonacci", "semidirect-linear", "semidirect-mixed", "direct-product",
      "lattice-rank2", "free-acting"],
 )
-def test_served_inverse_is_the_twist_of_the_inverse_part(name):
-    for part in served_inverse_parts(name):
-        acting = acting_for(name)
-        phi = acting.automorphism_for(part)
-        expected = acting_for(name).automorphism_for(acting.part_inverse(part)).images
-        prefix = phi._operands[0] if phi._operands else None
-        deferred = prefix is not None and prefix._inv_table is None
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_served_inverse_is_the_twist_of_the_inverse_part(name, data):
+    # Θ(p)⁻¹ = Θ(p⁻¹) whatever order the cached Θ(p) are built and their
+    # inverses read in, and reading an inverse never grows the cache
+    acting = acting_for(name)
+    parts = random_parts(acting, data.draw)
+    twists = [acting.automorphism_for(part) for part in parts]
+    order = data.draw(st.permutations(range(len(parts))))
+    reference = acting_for(name)
+    for i in order:
         cached = len(acting._cache)
-        assert phi.inverse_images == expected
-        # served forward: the prefix's inverse was not built, nothing was cached
-        assert deferred == (prefix is not None and prefix._inv_table is None)
+        expected = reference.automorphism_for(acting.part_inverse(parts[i])).images
+        assert twists[i].inverse_images == expected
         assert len(acting._cache) == cached
 
 
 @pytest.mark.parametrize("name, text", [("fibonacci", "12"), ("free-acting", "abABaabbABBA")])
 def test_cached_inverses_read_in_order_take_one_step_each(monkeypatch, name, text):
-    # serving every prefix's inverse forward would compose |p|² times on a
-    # free acting group; each entry is one substitution from the one before
+    # each entry's inverse is one substitution from its prefix's, read just
+    # before it, so reading the cache in order composes nothing
     acting = acting_for(name)
     acting.automorphism_for(acting.parse_part(text))
     composed = []
@@ -289,9 +300,10 @@ def test_cached_inverses_read_in_order_take_one_step_each(monkeypatch, name, tex
     inverses = {key: phi.inverse_images for key, phi in acting._cache.items()}
     assert composed == []
     monkeypatch.undo()
+    reference = acting_for(name)
     for key, images in inverses.items():
-        inverse_key = acting._inverse_key(key)
-        assert acting_for(name)._automorphism_at(inverse_key, store=True).images == images
+        part = key if acting.kind == "lattice" else Word(acting.k, key)
+        assert reference.automorphism_for(acting.part_inverse(part)).images == images
 
 
 @pytest.mark.parametrize("name, text", [("fibonacci", "9"), ("free-acting", "abABaabbABBA")])

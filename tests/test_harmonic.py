@@ -17,7 +17,12 @@ from walkbound import (
     poisson_eval,
     sample_boundary_rays,
 )
-from oracles import translated_indicator_value
+from oracles import (
+    DIRECT_PRODUCT_PROJECTION,
+    dynkin_malyutov,
+    nn_cylinder_mass,
+    translated_indicator_value,
+)
 
 
 def indicator_a() -> CylinderFunction:
@@ -152,3 +157,17 @@ def test_evaluations_reject_function_of_another_rank(srw_measure, srw_rays, eval
     fn = CylinderFunction.indicator(Word.parse(3, "c"))
     with pytest.raises(ConfigError, match="function rank does not match"):
         EVALUATIONS[evaluate](srw_measure, fn, srw_rays)
+
+
+def test_direct_product_poisson_value_is_the_dynkin_malyutov_mass(product_measure):
+    # poisson's value at the identity for its default function, the indicator
+    # of C(a), estimates ν(C(a)) = 0.2650 of direct-product's exact law
+    # (oracles.py). At poisson's default 20,000 rays and depth 5, srw-f2's 1/4
+    # lies past 3 standard errors; 400 steps instead of 2000 keep it quick.
+    # Seed fixed before the first run.
+    rays = sample_boundary_rays(product_measure, 1718, 20000, 5, 400)
+    acting = product_measure.acting
+    got = poisson_eval(acting, indicator_a(), ext_identity(acting), rays)
+    exact = nn_cylinder_mass(dynkin_malyutov(DIRECT_PRODUCT_PROJECTION), (1,))
+    assert abs(got.value - exact) <= 3.0 * got.stderr, (got, exact)
+    assert abs(got.value - 0.25) > 3.0 * got.stderr, got
