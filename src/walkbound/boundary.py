@@ -38,7 +38,17 @@ from .groups import (
     part_in_sublattice,
 )
 from .morphisms import _ray_image
-from .walk import StepGraph, StepMeasure
+from .walk import (
+    BLOCK_CELLS,
+    StepGraph,
+    StepMeasure,
+    _empty_words,
+    _fixed_ends,
+    _fixed_pushes,
+    _letter_rows,
+    _masked_steps,
+    _row_blocks,
+)
 from .words import Ray, Word, _reduced_word
 
 __all__ = [
@@ -316,6 +326,37 @@ def _endpoint(graph: StepGraph, indices: list[int]) -> tuple[list[int], int]:
     return stack, node
 
 
+def _walk_ends(
+    graph: StepGraph,
+    seed: int,
+    stream: int,
+    n_paths: int,
+    n_steps: int,
+    return_lattice: SublatticeSpec | None,
+):
+    """(run_to, stack, node) of each path of ``stream``, in path order.
+
+    ``run_to`` is ``n_steps``, or with ``return_lattice`` the last step whose
+    acting part lies in the sublattice (0 for none, and then no stack). A
+    walk whose atoms push fixed words runs as arrays (``walk._fixed_ends``),
+    every other walk steps ``advance``, with a node pass first for
+    ``run_to``.
+    """
+    table = _fixed_pushes(graph)
+    if table is not None:
+        ends = _fixed_ends(graph, table, seed, stream, n_paths, n_steps, return_lattice)
+        for run_to, stack in ends:
+            yield run_to, stack, graph.root
+        return
+    inside = None if return_lattice is None else _Inside(graph, return_lattice)
+    for idx in graph.measure.draw_rows(seed, stream, 0, n_paths, n_steps):
+        run_to = n_steps if inside is None else _last_lattice_step(graph, idx, inside)
+        if run_to:
+            yield (run_to, *_endpoint(graph, idx[:run_to]))
+        else:
+            yield 0, None, graph.root
+
+
 @dataclass(frozen=True)
 class HittingEstimate:
     """Empirical distribution of walk directions over depth-k cylinders."""
@@ -355,16 +396,11 @@ def _resolve_paths(
     probes = _checked_probes(measure.acting.base_rank, probes)
     images = _RayImages(measure.acting, probes)
     graph = StepGraph(measure)
-    inside = None if return_lattice is None else _Inside(graph, return_lattice)
     out: list[tuple[int, ...] | None] = []
     misses = 0
-    for idx in measure.draw_rows(seed, stream, 0, n_paths, n_steps):
-        run_to = n_steps
-        if inside is not None:
-            run_to = _last_lattice_step(graph, idx, inside)
+    for run_to, stack, node in _walk_ends(graph, seed, stream, n_paths, n_steps, return_lattice):
         key = None
         if run_to:
-            stack, node = _endpoint(graph, idx[:run_to])
             entry = images.of(graph.probe_part(node))
             if _agreement(stack, images, entry, depth) == depth:
                 key = _translate_prefix(stack, images, entry, 0, depth)
@@ -544,15 +580,24 @@ def track_convergence(
 ) -> ConvergenceTrace:
     """Record how far the translated probes agree after every step.
 
-    Each step's length comes from ``_agreement``, the rule by which hitting
+    Each step's length is ``_agreement``'s, the rule by which hitting
     resolves a path, so a path of the same seed whose final length reaches
-    ``depth`` is one that hitting resolves.
+    ``depth`` is one that hitting resolves. A walk whose atoms push fixed
+    words of at most one letter computes it for a block of paths at once
+    (``_array_lengths``); every other walk calls ``_agreement`` after each
+    ``advance``. Longer pushes stay there: each letter of width costs every
+    array step one more masked step and cell update, and at a few dozen
+    paths that loses to ``advance``.
     """
     if depth < 1 or n_paths < 1 or n_steps < 1:
         raise ConfigError("need depth, n_paths, n_steps all >= 1")
     probes = _checked_probes(measure.acting.base_rank, probes)
-    images = _RayImages(measure.acting, probes)
     graph = StepGraph(measure)
+    table = _fixed_pushes(graph)
+    if table is not None and table.shape[1] == 1:
+        lengths = _array_lengths(graph, table, seed, n_paths, n_steps, depth, probes)
+        return ConvergenceTrace(probes, depth, lengths, seed)
+    images = _RayImages(measure.acting, probes)
     # images.of(graph.probe_part(node)) of each node id
     entries: list[tuple] = []
     lengths = np.zeros((n_paths, n_steps), dtype=np.int32)
@@ -571,6 +616,121 @@ def track_convergence(
                 entry = entries[node]
             row[n] = _agreement(stack, images, entry, depth)
     return ConvergenceTrace(probes, depth, lengths, seed)
+
+
+class _ProbeSuffixes:
+    """Every suffix of the probes, numbered probe by probe, for ``_array_lengths``.
+
+    State ``first[q] + j`` is the suffix ξ_q[j:] of probe q, for j below
+    |head| + |cycle|; one letter on from the last state is the state at
+    |head|. ``inverse[s]`` is the inverse of state s's first letter, and
+    ``successor[s]`` the state one letter on (None when every state is its
+    own successor, as for constant rays). ``lcp[q - 1][a, b]`` is the common
+    prefix length, capped at ``depth``, of state a of probe 0 and state b of
+    probe q, relative to each probe's first state.
+    """
+
+    def __init__(self, probes: tuple[Ray, ...], depth: int):
+        inverse: list[int] = []
+        successor: list[int] = []
+        self.first: list[int] = []
+        self.heads = [len(ray.head.letters) for ray in probes]
+        self.periods = [len(ray.cycle.letters) for ray in probes]
+        for ray, head, period in zip(probes, self.heads, self.periods):
+            start = len(inverse)
+            self.first.append(start)
+            for j in range(head + period):
+                inverse.append(-ray.letter(j))
+                successor.append(start + (j + 1 if j + 1 < head + period else head))
+        self.inverse = np.array(inverse, dtype=np.int8)
+        self.successor = None if successor == list(range(len(successor))) else np.array(successor)
+
+        def lcp(b: Ray, i: int, j: int) -> int:
+            d = 0
+            while d < depth and probes[0].letter(i + d) == b.letter(j + d):
+                d += 1
+            return d
+
+        states = [head + period for head, period in zip(self.heads, self.periods)]
+        self.lcp = [
+            np.array([[lcp(ray, i, j) for j in range(n)] for i in range(states[0])])
+            for ray, n in zip(probes[1:], states[1:])
+        ]
+
+    def after(self, q: int, cancelled: np.ndarray):
+        """The state of probe q (relative to its first) ``cancelled`` letters in."""
+        head, period = self.heads[q], self.periods[q]
+        if period == 1 and not head:
+            return 0
+        cycled = head + (cancelled - head) % period
+        return np.where(cancelled < head, cancelled, cycled) if head else cycled
+
+
+def _array_lengths(
+    graph: StepGraph,
+    table: np.ndarray,
+    seed: int,
+    n_paths: int,
+    n_steps: int,
+    depth: int,
+    probes: tuple[Ray, ...],
+) -> np.ndarray:
+    """``track_convergence``'s lengths of a walk that pushes one fixed letter or none per atom.
+
+    A block of paths steps ``walk._masked_steps``. A probe translates by the
+    stack v itself (``StepGraph.probe_part`` is the identity), so
+    v·ξ_q = v[:s_q]·ξ_q[c_q:] with c_q = LCP(v⁻¹, ξ_q) and s_q = |v| − c_q.
+    Each stack cell i keeps, for every probe suffix state j,
+    L_j = LCP(v[:i]⁻¹, ξ[j:]); a push of x sets L_j ← [−x = ξ[j]]·(1 + L_{j+1})
+    in the new top cell. The top cell is recomputed after every step, which
+    leaves it as it was when the step popped or did nothing. Translates 0
+    and q then agree on min(s_0, s_q) letters when s_0 ≠ s_q (the next
+    letters are one of v's and the first uncancelled ray letter, which differ
+    since the ray is reduced), else on s_0 plus the common prefix of
+    ξ_0[c_0:] and ξ_q[c_q:]; the agreement is the least of these over q ≥ 1,
+    capped at ``depth``, as ``_agreement`` computes it.
+    """
+    suffixes = _ProbeSuffixes(probes, depth)
+    inverse, successor, first = suffixes.inverse, suffixes.successor, suffixes.first
+    cells = n_steps + 2
+    states = len(inverse)
+    # about 4 · BLOCK_CELLS bytes of int8 words and int32 suffix LCPs a block
+    rows = max(1, 4 * BLOCK_CELLS // (cells * (1 + 4 * states)))
+    lengths = np.empty((n_paths, n_steps), dtype=np.int32)
+    done = 0
+    for block in _row_blocks(graph.measure, seed, STREAM_WALK, 0, n_paths, n_steps, rows):
+        words, top = _empty_words(len(block), cells)
+        base = top.copy()
+        flat = words.reshape(-1)
+        # a floor cell's values are recomputed as 0: FLOOR matches no state
+        suffix_lcp = np.zeros((flat.size, states), dtype=np.int32)
+        trace = np.empty((n_steps, len(block)), dtype=np.int32)
+        for t, _ in enumerate(_masked_steps(flat, top, _letter_rows(table, block), 1)):
+            cancelled = suffix_lcp[top - 1]
+            if successor is not None:
+                cancelled = cancelled[:, successor]
+            cancelled += 1
+            cancelled *= flat[top][:, None] == inverse
+            suffix_lcp[top] = cancelled
+            if states != len(first):
+                cancelled = cancelled[:, first]
+            size = top - base
+            if (size - cancelled.max(axis=1)).min() >= depth:
+                trace[t] = depth
+                continue
+            c0 = cancelled[:, 0]
+            s0 = size - c0
+            state0 = suffixes.after(0, c0)
+            agree = np.full(len(block), depth)
+            for q in range(1, len(first)):
+                cq = cancelled[:, q]
+                sq = size - cq
+                tail = s0 + suffixes.lcp[q - 1][state0, suffixes.after(q, cq)]
+                np.minimum(agree, np.where(s0 != sq, np.minimum(s0, sq), tail), out=agree)
+            trace[t] = agree
+        lengths[done : done + len(block)] = trace.T
+        done += len(block)
+    return lengths
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,13 @@ finitely supported step measure on the right: x_n = h_1 h_2 ... h_n. Paths are
 reproducible bit for bit from (seed, path index) regardless of batching or
 worker scheduling, because every path owns a counter-derived RNG stream,
 keyed bit-identically to ``SeedSequence(seed, spawn_key=(stream, index))``.
-Samplers take their atom indices from ``StepMeasure.draw_rows``, a block of
-paths at once: paths of at most ``_rng.HEAD`` steps in one vectorized Philox
-pass, longer paths each from one re-keyed C generator.
+Samplers take their atom indices from ``StepMeasure.draw_rows`` (the array
+route below from ``index_blocks``), a block of paths at once: paths of at
+most ``_rng.HEAD`` steps in one vectorized Philox pass, longer paths each
+from one re-keyed C generator.
 
 Every sampler runs one step kernel, ``StepGraph.advance``, apart from the
-one batched route below. The free part is a mutable letter stack; the acting
+one array route below. The free part is a mutable letter stack; the acting
 part is an integer node of a step graph that each estimator call builds
 lazily over the acting positions its paths visit. ``edges[n][i]`` holds, once
 atom i is first taken from node n, the free part of atom i twisted by the
@@ -34,12 +35,21 @@ distinct row is walked once and every path that draws it shares its
 snapshot elements, which ``PathBatch.gauges_at`` and the CLI's rows then
 measure and render once per distinct element (``groups._map_distinct``).
 
-``entropy_depth_counts`` walks a nearest-neighbour walk on F_d (every atom
-one letter with the identity acting part) whose depths are at most ``HEAD``
-as arrays, a block of ``StepMeasure.index_blocks`` at a time: a step is a
-masked pop or push on every row at once. Per step that pass costs a few
-numpy calls per block, which rows of thousands of steps do not amortize, so
-longer rows, twisted measures and every other sampler stay on ``advance``.
+The array route serves walks whose atoms push a fixed word from every node
+(``_fixed_pushes``, read from the step data): atoms that all have the
+identity part, and a conjugator frame over a lattice, where the acting part
+is the sum of the increments. Rows are int8 words, a row block at a time,
+and one pass of ``_masked_steps`` pops or pushes one letter on every row per
+numpy step. Few long rows are cut into time chunks, walked from the empty
+word in one pass of about ``CHUNK_ROWS`` chunk rows, and merged per row
+with junction cancellation (``_chunked_words``). ``sample_paths`` reads its
+snapshots there, w = v·c(p)⁻¹ only at the recorded steps; ``boundary``'s
+resolve routine (``_fixed_ends``, last returns from the cumulative sum of
+the increments, so each path is walked once) and ``track_convergence``
+(one-letter pushes, step by step) run on it too, and so does
+``entropy_depth_counts`` for a nearest-neighbour walk on F_d whose depths
+are at most ``HEAD``. Twisted non-inner measures, free acting groups,
+first returns and short rows that repeat stay on ``advance``.
 """
 
 from __future__ import annotations
@@ -62,6 +72,7 @@ from .groups import (
     element_key,
     ext_multiply,
     gauge_length,
+    part_in_sublattice,
 )
 from .words import _reduced_word, free_reduce
 
@@ -368,6 +379,271 @@ def _run_one_path(
     return snaps
 
 
+# -- the array route: walks whose every atom pushes a fixed word -----------------
+
+# Chunk rows one masked pass aims to cover: below it each numpy call steps
+# too few rows to pay for itself, above it merging chunk words costs more.
+CHUNK_ROWS = 2048
+# Atom indices per row block, held as uint8 (the pass holds a few int8
+# arrays of about the same size).
+BLOCK_CELLS = 1 << 20
+# Cells per slice of rows whose acting parts are summed at once.
+RETURN_CELLS = 8192
+# Column 0 of every row of words: below every word, and neither a letter
+# nor the inverse of one (no base rank reaches 127), so nothing pops it.
+FLOOR = 127
+
+
+def _fixed_pushes(graph: StepGraph) -> np.ndarray | None:
+    """The word each atom pushes from every node, as an (atoms + 1, width) int8 table.
+
+    Words are padded with 0, a no-op, and the last row, all 0, is the no-op
+    atom. A push is the same from every node when every atom has the
+    identity part (the walk never leaves the root), or in a conjugator frame
+    over a lattice, where atom (u, m) pushes u·c(m) and the acting part is
+    the sum of the increments. Else, or when letters or atom indices would
+    not fit the int8 and uint8 arrays, None: such walks step ``advance``.
+    """
+    measure = graph.measure
+    if all(increment is None for _, increment in measure._step_data):
+        words = [letters for letters, _ in measure._step_data]
+    elif graph._framed is not None and graph.acting.kind == "lattice":
+        words = graph._framed
+    else:
+        return None
+    if len(words) > 255 or graph.acting.base_rank >= FLOOR:
+        return None
+    table = np.zeros((len(words) + 1, max(1, *map(len, words))), dtype=np.int8)
+    for i, letters in enumerate(words):
+        table[i, : len(letters)] = letters
+    return table
+
+
+def _row_blocks(
+    measure: StepMeasure, seed: int, stream: int, first: int, count: int, n: int, rows: int
+) -> Iterator[np.ndarray]:
+    """The rows of ``index_blocks`` as uint8 arrays of about ``rows`` rows each.
+
+    The pieces of a block are let go before it is yielded, so a consumer
+    holds it once.
+    """
+    held: list[np.ndarray] = []
+    done = 0
+    for block in measure.index_blocks(seed, stream, first, count, n):
+        held.append(block.astype(np.uint8))
+        done += len(block)
+        if sum(map(len, held)) >= rows or done == count:
+            block = np.concatenate(held)
+            held.clear()
+            yield block
+
+
+def _letter_rows(table: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The letters of a (rows, steps) index grid as a (steps · width, rows) int8 array."""
+    rows, steps = grid.shape
+    return table[grid.T].transpose(0, 2, 1).reshape(steps * table.shape[1], rows)
+
+
+def _empty_words(rows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, width) int8 empty words, column 0 ``FLOOR``, and the flat index of each row's top."""
+    words = np.zeros((rows, width), dtype=np.int8)
+    words[:, 0] = FLOOR
+    return words, np.arange(0, rows * width, width)
+
+
+def _masked_steps(flat: np.ndarray, top: np.ndarray, letters: np.ndarray, width: int):
+    """Right-multiply every row's word by its letters; a generator.
+
+    ``flat`` holds the rows' words, each starting with a ``FLOOR`` cell and
+    0 past its last letter, and ``top`` (updated in place) the flat index of
+    each row's last letter. ``letters`` is (sub-steps, rows) int8. Each
+    sub-step pops the rows whose last letter is the inverse of theirs,
+    zeroing the popped cell, and pushes on the others, except where the
+    letter is 0, a no-op that writes 0 above the top. So a row stays 0 past
+    its word. Letter by letter equals ``advance``'s junction cancellation,
+    since each pushed word is reduced. Yields after every ``width``
+    sub-steps (one atom). Inverses and no-op masks are made a sub-step at a
+    time, so a pass holds no array the size of ``letters`` beside it.
+    """
+    padded = not letters.all()
+    done = 0
+    for x in letters:
+        pop = flat[top] == -x
+        push = ~pop
+        cell = top + push
+        flat[cell] = x * push
+        if padded:
+            pop |= x == 0
+        np.subtract(cell, pop, out=top)
+        done += 1
+        if done == width:
+            done = 0
+            yield
+
+
+def _chunked_words(
+    table: np.ndarray, block: np.ndarray, stops: Sequence[int]
+) -> Iterator[list[tuple[int, ...]]]:
+    """Each row's reduced words at the ascending ``stops``, the last n; a generator.
+
+    ``block`` is (rows, n) atom indices. A row is cut into time chunks so
+    that one pass of ``_masked_steps`` covers about ``CHUNK_ROWS`` chunk rows;
+    chunk boundaries fall on the stops, and chunks shorter than the longest
+    are padded with the no-op atom. Each chunk is walked from the empty word,
+    then a row's chunk words are merged in order, cancelling at each junction.
+    """
+    rows, n = block.shape
+    size = max(1, -(-n // -(-CHUNK_ROWS // rows)))
+    spans: list[tuple[int, int]] = []
+    ends: list[int] = []
+    for stop in stops:
+        done = spans[-1][1] if spans else 0
+        while done < stop:
+            spans.append((done, min(done + size, stop)))
+            done = spans[-1][1]
+        ends.append(len(spans))
+    width, chunks = table.shape[1], len(spans)
+    # chunk row r · chunks + j holds span j of row r, padded with no-ops
+    letters = np.zeros((size * width, rows * chunks), dtype=np.int8)
+    for j, (start, end) in enumerate(spans):
+        letters[: (end - start) * width, j::chunks] = _letter_rows(table, block[:, start:end])
+    words, top = _empty_words(rows * chunks, len(letters) + 2)
+    base = top.copy()
+    for _ in _masked_steps(words.reshape(-1), top, letters, len(letters)):
+        pass
+    del letters  # the merge below holds only the words
+    lengths = (top - base).tolist()
+    chunk = 0
+    for row in words[:, 1:].reshape(rows, -1):
+        # the row's chunk words in order: rows are 0 past their words
+        cells = row[row != 0].tolist()
+        stack: list[int] = []
+        snaps = []
+        done = pos = 0
+        for end in ends:
+            while done < end:
+                m = lengths[chunk]
+                chunk += 1
+                done += 1
+                j = 0
+                while j < m and stack and stack[-1] == -cells[pos + j]:
+                    stack.pop()
+                    j += 1
+                stack.extend(cells[pos + j : pos + m])
+                pos += m
+            snaps.append(tuple(stack))
+        yield snaps
+
+
+def _increments(graph: StepGraph) -> list[tuple[int, tuple[int, ...]]]:
+    """(atom index, lattice increment) of every atom whose acting part is not the identity."""
+    return [(i, p) for i, (_, p) in enumerate(graph.measure._step_data) if p is not None]
+
+
+def _nodes_at(graph: StepGraph, block: np.ndarray, stops: Sequence[int]) -> list[list[int]]:
+    """The step-graph node of each row at each of the ascending ``stops``.
+
+    The acting part is the sum of the row's lattice increments, counted per
+    atom between stops; without increments every row stays at the root.
+    """
+    moving = _increments(graph)
+    if not moving:
+        return [[graph.root] * len(block)] * len(stops)
+    totals = np.zeros((len(block), graph.acting.k), dtype=np.int64)
+    out = []
+    start = 0
+    for stop in stops:
+        segment = block[:, start:stop]
+        for i, increment in moving:
+            totals += np.count_nonzero(segment == i, axis=1)[:, None] * np.array(increment)
+        start = stop
+        out.append([graph._node(tuple(part)) for part in totals.tolist()])
+    return out
+
+
+def _last_returns(graph: StepGraph, block: np.ndarray, spec) -> np.ndarray:
+    """Per row, the last step n >= 1 whose acting part lies in the sublattice, else 0.
+
+    A lattice part is read from the cumulative sum of each coordinate's
+    increments; with none the part is the root's at every step, whose
+    membership ``part_in_sublattice`` decides.
+    """
+    rows, n = block.shape
+    member = part_in_sublattice(graph.acting, graph.parts[graph.root], spec)
+    moving = _increments(graph)
+    if not moving:
+        return np.full(rows, n if member else 0)
+    columns = np.zeros((len(spec.moduli), len(graph.measure) + 1), dtype=np.int64)
+    for i, increment in moving:
+        columns[:, i] = increment
+    out = np.empty(rows, dtype=np.int64)
+    # a slice of rows at a time keeps the int64 sums small beside the block
+    step = max(1, RETURN_CELLS // n)
+    for start in range(0, rows, step):
+        part = block[start : start + step]
+        inside = np.ones(part.shape, dtype=bool)
+        for column, modulus in zip(columns, spec.moduli):
+            inside &= np.cumsum(column[part], axis=1) % modulus == 0
+        last = n - np.argmax(inside[:, ::-1], axis=1)
+        out[start : start + step] = np.where(inside.any(axis=1), last, 0)
+    return out
+
+
+def _fixed_ends(
+    graph: StepGraph,
+    table: np.ndarray,
+    seed: int,
+    stream: int,
+    count: int,
+    n_steps: int,
+    spec,
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(run_to, the reduced stack after run_to steps) of each path, in path order.
+
+    ``run_to`` is ``n_steps``, or with a sublattice spec the last return
+    (``_last_returns``); steps past it are masked with the no-op atom, so
+    each path is walked once.
+    """
+    if spec is not None:
+        # a spec that does not match the acting group raises before any draw
+        part_in_sublattice(graph.acting, graph.parts[graph.root], spec)
+    no_op = np.uint8(len(table) - 1)
+    rows = max(1, BLOCK_CELLS // n_steps)
+    for block in _row_blocks(graph.measure, seed, stream, 0, count, n_steps, rows):
+        run_to = np.full(len(block), n_steps)
+        if spec is not None:
+            run_to = _last_returns(graph, block, spec)
+            block = np.where(np.arange(n_steps) < run_to[:, None], block, no_op)
+        words = _chunked_words(table, block, (n_steps,))
+        for stop, (stack,) in zip(run_to.tolist(), words):
+            yield stop, stack
+
+
+def _sample_fixed(
+    graph: StepGraph,
+    table: np.ndarray,
+    seed: int,
+    n_paths: int,
+    n_steps: int,
+    steps: list[int],
+    first_path: int,
+    per_step: dict[int, list[ExtElement]],
+) -> None:
+    """``sample_paths``' snapshots by the array route, appended to ``per_step``.
+
+    A snapshot's free part is read back from the stack at its node
+    (``StepGraph.free_letters``), w = v·c(p)⁻¹ in a frame.
+    """
+    rank = graph.acting.base_rank
+    rows = max(1, BLOCK_CELLS // n_steps)
+    for block in _row_blocks(graph.measure, seed, STREAM_WALK, first_path, n_paths, n_steps, rows):
+        nodes = _nodes_at(graph, block, steps)
+        for r, words in enumerate(_chunked_words(table, block, steps)):
+            for step, letters, at in zip(steps, words, nodes):
+                letters = graph.free_letters(letters, at[r])
+                per_step[step].append(ExtElement(_reduced_word(rank, letters), graph.parts[at[r]]))
+
+
 def sample_paths(
     measure: StepMeasure,
     seed: int,
@@ -383,6 +659,8 @@ def sample_paths(
     disjoint ranges simulated separately merge into the same batch. When
     there are no more distinct rows (|support| ** n_steps) than paths, each
     distinct row is walked once and its paths share the same snapshots.
+    Otherwise a walk whose atoms push fixed words (``_fixed_pushes``) takes
+    the array route.
     """
     if n_paths < 1 or n_steps < 1:
         raise ConfigError("need n_paths >= 1 and n_steps >= 1")
@@ -399,17 +677,21 @@ def sample_paths(
     # With two or more atoms, k ** n_steps <= n_paths needs n_steps below
     # n_paths' bit length; testing that first keeps the power a small int.
     repeats = n_steps < n_paths.bit_length() and len(measure) ** n_steps <= n_paths
-    walked: dict[tuple[int, ...], dict[int, ExtElement]] = {}
-    for idx in measure.draw_rows(seed, STREAM_WALK, first_path, n_paths, n_steps):
-        if repeats:
-            row = tuple(idx)
-            snaps = walked.get(row)
-            if snaps is None:
-                snaps = walked[row] = _run_one_path(graph, idx, n_steps, steps)
-        else:
-            snaps = _run_one_path(graph, idx, n_steps, steps)
-        for s, g in snaps.items():
-            per_step[s].append(g)
+    table = None if repeats else _fixed_pushes(graph)
+    if table is not None:
+        _sample_fixed(graph, table, seed, n_paths, n_steps, steps, first_path, per_step)
+    else:
+        walked: dict[tuple[int, ...], dict[int, ExtElement]] = {}
+        for idx in measure.draw_rows(seed, STREAM_WALK, first_path, n_paths, n_steps):
+            if repeats:
+                row = tuple(idx)
+                snaps = walked.get(row)
+                if snaps is None:
+                    snaps = walked[row] = _run_one_path(graph, idx, n_steps, steps)
+            else:
+                snaps = _run_one_path(graph, idx, n_steps, steps)
+            for s, g in snaps.items():
+                per_step[s].append(g)
     return PathBatch(
         acting=measure.acting,
         seed=seed,
@@ -536,32 +818,21 @@ def _batched_depth_counts(
 ) -> dict[int, dict]:
     """``entropy_depth_counts`` of a nearest-neighbour walk, a block of paths at a time.
 
-    A block's words are a (rows, steps + 1) int8 array whose column 0 is 0,
-    below every word, and ``top`` holds the flat index of each row's last
-    letter. A step pops where the row's last letter is the inverse of the
-    step's, else pushes; a popped cell is zeroed, so a row is 0 past its
-    word. A depth's cells are then its first columns as bytes (trailing
+    A block's words step ``_masked_steps``, which leaves every row 0 past
+    its word. A depth's cells are then its first columns as bytes (trailing
     zeros dropped), counted in path order by ``Counter``; each distinct cell
     is decoded once, so the tables equal the stepped route's.
     """
     ascending = sorted(set(depths))
     n_steps = ascending[-1]
-    width = n_steps + 1
     cells: dict[int, Counter] = {d: Counter() for d in ascending}
     for idx in measure.index_blocks(seed, STREAM_WALK, first_path, n_paths, n_steps):
-        steps = letters[idx.T]
-        inverses = -steps
-        words = np.zeros((len(idx), width), dtype=np.int8)
-        flat = words.reshape(-1)
-        top = np.arange(0, words.size, width)
+        words, top = _empty_words(len(idx), n_steps + 2)
+        steps = _masked_steps(words.reshape(-1), top, letters[idx.T], 1)
         done = 0
         for d in ascending:
-            for t in range(done, d):
-                pop = flat[top] == inverses[t]
-                push = ~pop
-                pos = top + push
-                flat[pos] = steps[t] * push
-                top = pos - pop
+            for _ in range(done, d):
+                next(steps)
             done = d
             prefixes = np.ascontiguousarray(words[:, 1 : d + 1])
             cells[d].update(prefixes.view(f"S{d}").ravel().tolist())

@@ -312,10 +312,12 @@ PROBED = {
 )
 @pytest.mark.parametrize("estimator", sorted(PROBED))
 def test_estimators_reject_bad_probes(monkeypatch, srw_measure, estimator, probes, message):
+    # the stepped route draws rows, the array route (srw-f2's) index blocks
     monkeypatch.setattr(walk, "draw_rows", no_paths)
+    monkeypatch.setattr(walk, "index_blocks", no_paths)
     with pytest.raises(ConfigError, match=message):
         PROBED[estimator](srw_measure, probes)
-    # the patched routine is the one a valid call draws its paths from
+    # the patched routines are the ones a valid call draws its paths from
     with pytest.raises(AssertionError, match="a path was walked"):
         PROBED[estimator](srw_measure, None)
 
@@ -466,12 +468,13 @@ def test_shift_dominated_walk_exhausts_budget(mixed_measure):
 def test_mismatched_sublattice_spec_raises_before_any_path(monkeypatch, name, spec, message):
     measure = build_measure(load_fixture(name))
     monkeypatch.setattr(walk, "draw_rows", no_paths)
+    monkeypatch.setattr(walk, "index_blocks", no_paths)
     match = f"{message} does not match the acting group"
     with pytest.raises(ConfigError, match=match):
         empirical_hitting_measure(measure, 1, 10, 10, 1, return_lattice=spec)
     with pytest.raises(ConfigError, match=match):
         first_return_sampler(measure, spec, 1, 10)
-    # the patched routine is the one valid calls draw their paths from
+    # the patched routines are the ones valid calls draw their paths from
     with pytest.raises(AssertionError, match="a path was walked"):
         empirical_hitting_measure(measure, 1, 10, 10, 1)
     own = sublattice_spec(load_fixture("semidirect-mixed"))

@@ -4,6 +4,7 @@ import concurrent.futures
 import gc
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -893,11 +894,107 @@ GOLDEN_DIGESTS = (
         "3d5ddcf57586168c0c27eb723884b44b5795c79082ed445c6aeef958a7f04c55",
         id="poisson-direct-product",
     ),
+    # recorded before walks whose atoms push fixed words ran as arrays:
+    # track at depth 56 over 1000 steps, and over 60 steps where the final
+    # lengths differ; hitting at last returns; long and recorded walks; on
+    # srw-f2, direct-product and tests/inner-ab.cfg (framed pushes of 2-4
+    # letters)
+    pytest.param(
+        "track --config fixture:srw-f2 --seed 60 --n-paths 32 --n-steps 1000 "
+        "--depth 56",
+        "9cca141738c18a61ca27d0c5b4baadda5a2c3d36256288319b864b060bd26491",
+        id="track-json-srw-f2",
+    ),
+    pytest.param(
+        "track --config fixture:srw-f2 --seed 60 --n-paths 32 --n-steps 1000 "
+        "--depth 56 --format csv",
+        "ea614811e665f243807dc6cbab8de22b0cf70693da05b6705a4398e48f3b6849",
+        id="track-csv-srw-f2",
+    ),
+    pytest.param(
+        "track --config fixture:direct-product --seed 61 --n-paths 32 --n-steps "
+        "1000 --depth 56",
+        "58e0ca990e82b809a509ef6f885f550a8e508ddf082d381a6cf3cca409478082",
+        id="track-json-direct-product",
+    ),
+    pytest.param(
+        "track --config fixture:direct-product --seed 61 --n-paths 32 --n-steps "
+        "1000 --depth 56 --format csv",
+        "ea614811e665f243807dc6cbab8de22b0cf70693da05b6705a4398e48f3b6849",
+        id="track-csv-direct-product",
+    ),
+    pytest.param(
+        "track --config tests/inner-ab.cfg --seed 62 --n-paths 32 --n-steps 1000 "
+        "--depth 56",
+        "5064c87290f53480c7ae78a664e30d1da05407469a8cddee74eb0cc863419395",
+        id="track-json-inner-ab",
+    ),
+    pytest.param(
+        "track --config tests/inner-ab.cfg --seed 62 --n-paths 32 --n-steps 1000 "
+        "--depth 56 --format csv",
+        "ea614811e665f243807dc6cbab8de22b0cf70693da05b6705a4398e48f3b6849",
+        id="track-csv-inner-ab",
+    ),
+    pytest.param(
+        "track --config fixture:direct-product --seed 61 --n-paths 32 --n-steps "
+        "60 --depth 56 --burn-in 10 --format csv",
+        "70339a159983ac966e3aa0d02ff075a2203aea939e4a14387fa9f29725c60f15",
+        id="track-csv-short-direct-product",
+    ),
+    pytest.param(
+        "track --config tests/inner-ab.cfg --seed 62 --n-paths 32 --n-steps 60 "
+        "--depth 56 --burn-in 1 --format csv",
+        "18383f6ec905cc2c703824bece49fb1399fcabe108e816cdfe4cb49f3644ece1",
+        id="track-csv-short-inner-ab",
+    ),
+    pytest.param(
+        "hitting --config fixture:direct-product --at-returns --seed 63 --n-paths "
+        "300 --n-steps 200 --depth 2",
+        "1ce434800e1ba7ff76d1b885073278a7c676e16d2f05ef9a36dd6de3922defb2",
+        id="hitting-at-returns-direct-product",
+    ),
+    pytest.param(
+        "hitting --config tests/inner-ab.cfg --at-returns --seed 64 --n-paths 300 "
+        "--n-steps 300 --depth 2",
+        "6798ff24ea2f3d5a442b9e55b733a4b9062657bfeef1205799384f70ac995df2",
+        id="hitting-at-returns-inner-ab",
+    ),
+    pytest.param(
+        "hitting --config fixture:srw-f2 --seed 67 --n-paths 300 --n-steps 300 "
+        "--depth 3 --format csv",
+        "9b3a17c520608179402c206d11233ee9ef97dd85452d481a8b15e0b861cc26f0",
+        id="hitting-csv-srw-f2",
+    ),
+    pytest.param(
+        "walk --config fixture:srw-f2 --seed 65 --n-paths 48 --n-steps 3000",
+        "67e019c066d9b0223d89652e3f2baf9bb9df5ecb1f2518801f30de6e27b457a0",
+        id="walk-json-long-srw-f2",
+    ),
+    pytest.param(
+        "walk --config fixture:direct-product --seed 66 --n-paths 40 --n-steps "
+        "300 --record 0,17,150,300 --format csv",
+        "b95a885af30243b57ef6aea56d3bf4affb9a4a1e414d7e70ed37ae41df6f6d27",
+        id="walk-csv-records-direct-product",
+    ),
+    pytest.param(
+        "walk --config tests/inner-ab.cfg --seed 68 --n-paths 30 --n-steps 300 "
+        "--record 0,1,150 --format csv",
+        "531fc63c74308e1184077a9b72c2daf84a24459263b33cd9e0de36e617fd27bb",
+        id="walk-csv-records-inner-ab",
+    ),
+    pytest.param(
+        "poisson --config tests/inner-ab.cfg --seed 69 --n-samples 150 --n-steps "
+        "200",
+        "a1446eb2810bca88cf363583e7cbd9065bfb5300a79313f3f9a2b0b5d015aae9",
+        id="poisson-inner-ab",
+    ),
 )
 
 
 @pytest.mark.parametrize("line, digest", GOLDEN_DIGESTS)
-def test_seeded_output_matches_golden_digest(capsys, line, digest):
+def test_seeded_output_matches_golden_digest(capsys, monkeypatch, line, digest):
+    # configs such as tests/inner-ab.cfg are named from the repository root
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
     assert main(line.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -14,8 +14,10 @@ from walkbound import (
     ExtElement,
     ModuliSpec,
     PermKernelSpec,
+    Ray,
     StepMeasure,
     Word,
+    boundary,
     build_measure,
     element_key,
     empirical_hitting_measure,
@@ -24,6 +26,7 @@ from walkbound import (
     ext_multiply,
     first_return_sampler,
     fixture_names,
+    fixture_text,
     identity_automorphism,
     in_sublattice,
     inner_automorphism,
@@ -32,6 +35,7 @@ from walkbound import (
     sample_paths,
     sublattice_spec,
     track_convergence,
+    walk,
 )
 from walkbound._rng import STREAM_RETURN, STREAM_WALK, derived_rng
 from walkbound.boundary import _endpoint, _Inside, _last_lattice_step, _resolve_paths
@@ -426,3 +430,219 @@ def test_frame_keeps_track_lengths_and_return_keys(name, seed):
         lengths, keys = run()
     assert np.array_equal(framed_lengths, lengths)
     assert framed_keys == keys
+
+
+# -- the array route: walks whose atoms push fixed words --------------------------
+
+
+@st.composite
+def untwisted_measures(draw, longest=4):
+    """Identity-part atoms of 0 to ``longest`` letters on the bare free group of rank 2 or 3."""
+    rank = draw(st.integers(2, 3), label="rank")
+    acting = ActingGroup.trivial(rank)
+    words = draw(st.lists(reduced_words(rank), min_size=1, max_size=6, unique=True), label="words")
+    words = [Word(rank, w.letters[:longest]) for w in words]
+    atoms = list({w.letters: ExtElement(w, ()) for w in words}.values())
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(atoms), max_size=len(atoms)))
+    total = sum(weights)
+    return StepMeasure(acting, atoms, [w / total for w in weights], check_generation=False)
+
+
+ARRAY_CASES = ("srw-f2", "direct-product", "inner-ab")
+ARRAY_SPECS = {"srw-f2": None, "direct-product": ModuliSpec((2,)), "inner-ab": ModuliSpec((2,))}
+measures_on_the_array_route = st.one_of(
+    st.sampled_from(ARRAY_CASES).map(lambda name: case_measure(name, None)),
+    untwisted_measures(),
+)
+
+
+def stepped_rows(measure, block, stops):
+    """Each row's (stack, acting part) at each stop, stepped by ``advance``."""
+    graph = StepGraph(measure)
+    out = []
+    for idx in block.tolist():
+        stack, node, done, snaps = [], graph.root, 0, []
+        for stop in stops:
+            node = graph.advance(stack, node, idx[done:stop])
+            done = stop
+            snaps.append((tuple(stack), graph.parts[node]))
+        out.append(snaps)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(measure=measures_on_the_array_route, data=st.data())
+@example(measure=case_measure("inner-ab", None), data=None)
+def test_array_route_words_and_nodes_equal_advance(measure, data):
+    # chunks of one step, of about a third of a row, and one chunk per row;
+    # stops at 0 and at n, rows from one to a few thousand
+    if data is None:
+        rows, n, stops, chunk_rows, seed = 3000, 9, [0, 1, 4, 9], 1, 7
+    else:
+        rows = data.draw(st.sampled_from((1, 2, 5, 33, 400, 3000)), label="rows")
+        n = data.draw(st.integers(1, 40 if rows < 1000 else 8), label="n")
+        stops = sorted(data.draw(st.sets(st.integers(0, n)), label="stops") | {n})
+        chunk_rows = data.draw(st.sampled_from((1, 3 * rows, rows * n + 1)), label="chunk_rows")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+    graph = StepGraph(measure)
+    table = walk._fixed_pushes(graph)
+    assert table is not None
+    block = np.random.default_rng(seed).integers(0, len(measure), (rows, n), dtype=np.uint8)
+    with mock.patch.object(walk, "CHUNK_ROWS", chunk_rows):
+        words = list(walk._chunked_words(table, block, stops))
+    nodes = walk._nodes_at(graph, block, stops)
+    expected = stepped_rows(measure, block, stops)
+    for r, snaps in enumerate(expected):
+        assert [(words[r][j], graph.parts[nodes[j][r]]) for j in range(len(stops))] == snaps
+
+
+@pytest.mark.parametrize("name", ARRAY_CASES)
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds, data=st.data())
+def test_array_route_last_returns_equal_lattice_steps(name, seed, data):
+    measure = case_measure(name, None)
+    spec = ARRAY_SPECS[name] or ModuliSpec(())
+    n = data.draw(st.integers(1, 60), label="n")
+    rows = data.draw(st.integers(1, 50), label="rows")
+    block = np.random.default_rng(seed % 2**32).integers(0, len(measure), (rows, n), dtype=np.uint8)
+    graph = StepGraph(measure)
+    run_to = walk._last_returns(graph, block, spec)
+    inside = _Inside(graph, spec)
+    assert run_to.tolist() == [_last_lattice_step(graph, idx, inside) for idx in block.tolist()]
+
+
+@settings(max_examples=25, deadline=None)
+@given(measure=measures_on_the_array_route, seed=seeds, data=st.data())
+def test_array_route_estimators_equal_advance(measure, seed, data):
+    # walk snapshots, resolved hitting keys (at last returns where the case
+    # has a sublattice) and track lengths, against the same calls with the
+    # array route switched off
+    n_paths = data.draw(st.integers(1, 60), label="n_paths")
+    n_steps = data.draw(st.integers(1, 80), label="n_steps")
+    record = sorted(data.draw(st.sets(st.integers(0, n_steps), max_size=4), label="record"))
+    spec = next((s for name, s in ARRAY_SPECS.items() if case_measure(name, None) is measure), None)
+
+    def run():
+        batch = sample_paths(measure, seed, n_paths, n_steps, record_steps=record)
+        positions = {s: keys(measure.acting, batch.positions[s]) for s in batch.record_steps}
+        resolved = _resolve_paths(measure, seed, STREAM_WALK, n_paths, n_steps, 2, None, spec, 1.0)
+        lengths = track_convergence(measure, seed, n_paths, n_steps, 9).lengths
+        return positions, resolved, lengths
+
+    with mock.patch.object(walk, "_chunked_words", wraps=walk._chunked_words) as arrays:
+        positions, resolved, lengths = run()
+    repeats = n_steps < n_paths.bit_length() and len(measure) ** n_steps <= n_paths
+    assert arrays.call_count >= 1 + (not repeats)
+    with mock.patch.object(walk, "_fixed_pushes", return_value=None), mock.patch(
+        "walkbound.boundary._fixed_pushes", return_value=None
+    ):
+        stepped = run()
+    assert positions == stepped[0]
+    assert resolved == stepped[1]
+    assert np.array_equal(lengths, stepped[2])
+
+
+def test_array_route_is_chosen_from_step_data(tmp_path):
+    # a renamed copy of direct-product takes the array route; walks on a
+    # twist that is not inner never do
+    renamed = tmp_path / "renamed.cfg"
+    renamed.write_text(fixture_text("direct-product").replace("conj", "twist"))
+    copy = build_measure(parse_config(renamed.read_text()))
+    routes = ("_sample_fixed", "_fixed_ends")
+    for name, measure, taken in (
+        ("renamed", copy, True),
+        ("srw-f2", fixture_measure("srw-f2"), True),
+        ("inner-ab", case_measure("inner-ab", None), True),
+        *(
+            (name, fixture_measure(name), False)
+            for name in ("semidirect-linear", "semidirect-mixed", "lattice-rank2", "free-acting",
+                         "fibonacci")
+        ),
+    ):
+        with mock.patch.multiple(walk, **{r: mock.DEFAULT for r in routes}) as spies, \
+                mock.patch("walkbound.boundary._fixed_ends", spies["_fixed_ends"]), \
+                mock.patch("walkbound.boundary._array_lengths") as lengths:
+            spies["_fixed_ends"].return_value = iter(())
+            lengths.return_value = np.zeros((4, 30), dtype=np.int32)
+            sample_paths(measure, 1, 4, 30)
+            _resolve_paths(measure, 1, STREAM_WALK, 4, 30, 1, None, None, 1.0)
+            track_convergence(measure, 1, 4, 30, 3)
+        called = [spies[r].called for r in routes]
+        assert called == [taken, taken], name
+        # track's route takes pushes of at most one letter
+        assert lengths.called == (taken and name != "inner-ab"), name
+
+
+@st.composite
+def probe_rays(draw, rank):
+    """head·cycle^∞ with a head of at most 3 letters and a cycle of 1 to 3."""
+    cycle = list(draw(reduced_words(rank), label="cycle").letters[:3])
+    if not cycle:
+        cycle = [draw(st.sampled_from([s for i in range(1, rank + 1) for s in (i, -i)]))]
+    if len(cycle) > 1 and cycle[-1] == -cycle[0]:
+        cycle.pop()
+    head = list(draw(reduced_words(rank), label="head").letters[:3])
+    while head and head[-1] == -cycle[0]:
+        head.pop()
+    return Ray(Word(rank, tuple(head)), Word(rank, tuple(cycle)))
+
+
+ONE_LETTER_CASES = {
+    "srw-f2": case_measure("srw-f2", None),
+    "direct-product": case_measure("direct-product", None),
+    # Z acting by conjugation with a: atom (A, 1) pushes A·a, the empty word
+    "empty-push": StepMeasure(
+        ActingGroup("lattice", (inner_automorphism(2, Word.parse(2, "a")),), 2),
+        [
+            ExtElement(Word.parse(2, w), (m,))
+            for w, m in (("A", 1), ("1", 1), ("1", -1), ("b", 0), ("B", 0))
+        ],
+        [0.2] * 5,
+        check_generation=False,
+    ),
+}
+
+
+def assert_track_equals_agreement(measure, seed, n_paths, n_steps, depth, probes):
+    with mock.patch("walkbound.boundary._array_lengths", wraps=boundary._array_lengths) as arrays:
+        lengths = track_convergence(measure, seed, n_paths, n_steps, depth, probes).lengths
+    arrays.assert_called_once()
+    with mock.patch("walkbound.boundary._fixed_pushes", return_value=None):
+        stepped = track_convergence(measure, seed, n_paths, n_steps, depth, probes).lengths
+    assert np.array_equal(lengths, stepped)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    measure=st.one_of(
+        st.sampled_from(sorted(ONE_LETTER_CASES)).map(ONE_LETTER_CASES.get),
+        untwisted_measures(longest=1),
+    ),
+    seed=seeds,
+    data=st.data(),
+)
+def test_array_route_track_lengths_equal_agreement(measure, seed, data):
+    # every step's vector agreement against _agreement after advance, for
+    # random probe sets and depths above and below the walk's length
+    probes = data.draw(
+        st.lists(probe_rays(measure.acting.base_rank), min_size=2, max_size=4, unique=True),
+        label="probes",
+    )
+    n_paths = data.draw(st.integers(1, 12), label="n_paths")
+    n_steps = data.draw(st.integers(1, 60), label="n_steps")
+    depth = data.draw(st.integers(1, 40), label="depth")
+    assert_track_equals_agreement(measure, seed, n_paths, n_steps, depth, tuple(probes))
+
+
+@pytest.mark.parametrize("name", sorted(ONE_LETTER_CASES))
+@pytest.mark.parametrize(
+    "probes",
+    # b·a^∞ and a^∞ share every suffix past b; the other pair shares "Ba",
+    # so equal survivors compare the suffixes past both heads
+    [("b|a", "1|a"), ("Ba|b", "B|a", "1|b")],
+    ids=["shared-suffix", "shared-head"],
+)
+def test_array_route_track_lengths_equal_agreement_on_rays_with_heads(name, probes):
+    probes = tuple(Ray.parse(2, text) for text in probes)
+    for seed in range(1, 4):
+        assert_track_equals_agreement(ONE_LETTER_CASES[name], seed, 20, 60, 12, probes)
