@@ -42,9 +42,10 @@ from .walk import (
     BLOCK_CELLS,
     StepGraph,
     StepMeasure,
+    _block_ends,
     _empty_words,
-    _fixed_ends,
     _fixed_pushes,
+    _in_blocks,
     _letter_rows,
     _masked_steps,
     _row_blocks,
@@ -338,15 +339,17 @@ def _walk_ends(
 
     ``run_to`` is ``n_steps``, or with ``return_lattice`` the last step whose
     acting part lies in the sublattice (0 for none, and then no stack). A
-    walk whose atoms push fixed words runs as arrays (``walk._fixed_ends``),
-    every other walk steps ``advance``, with a node pass first for
-    ``run_to``.
+    walk whose atoms push fixed words, or whose acting group is a lattice,
+    runs a row block at a time (``walk._block_ends``): ``run_to`` comes from
+    the cumulative sum of the increments, and each path is walked once, by
+    an array pass or by ``advance`` on the rows already drawn. Only a free
+    acting group's walk, whose part no cumulative sum tracks, draws row by
+    row here, with a node pass (``_last_lattice_step`` over ``_Inside``)
+    before the stack pass for ``run_to``.
     """
     table = _fixed_pushes(graph)
-    if table is not None:
-        ends = _fixed_ends(graph, table, seed, stream, n_paths, n_steps, return_lattice)
-        for run_to, stack in ends:
-            yield run_to, stack, graph.root
+    if _in_blocks(graph, table):
+        yield from _block_ends(graph, table, seed, stream, n_paths, n_steps, return_lattice)
         return
     inside = None if return_lattice is None else _Inside(graph, return_lattice)
     for idx in graph.measure.draw_rows(seed, stream, 0, n_paths, n_steps):

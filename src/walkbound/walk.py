@@ -11,7 +11,7 @@ most ``_rng.HEAD`` steps in one vectorized Philox pass, longer paths each
 from one re-keyed C generator.
 
 Every sampler runs one step kernel, ``StepGraph.advance``, apart from the
-one array route below. The free part is a mutable letter stack; the acting
+array passes below. The free part is a mutable letter stack; the acting
 part is an integer node of a step graph that each estimator call builds
 lazily over the acting positions its paths visit. ``edges[n][i]`` holds, once
 atom i is first taken from node n, the free part of atom i twisted by the
@@ -35,21 +35,38 @@ distinct row is walked once and every path that draws it shares its
 snapshot elements, which ``PathBatch.gauges_at`` and the CLI's rows then
 measure and render once per distinct element (``groups._map_distinct``).
 
-The array route serves walks whose atoms push a fixed word from every node
-(``_fixed_pushes``, read from the step data): atoms that all have the
-identity part, and a conjugator frame over a lattice, where the acting part
-is the sum of the increments. Rows are int8 words, a row block at a time,
-and one pass of ``_masked_steps`` pops or pushes one letter on every row per
-numpy step. Few long rows are cut into time chunks, walked from the empty
-word in one pass of about ``CHUNK_ROWS`` chunk rows, and merged per row
-with junction cancellation (``_chunked_words``). ``sample_paths`` reads its
-snapshots there, w = v·c(p)⁻¹ only at the recorded steps; ``boundary``'s
-resolve routine (``_fixed_ends``, last returns from the cumulative sum of
-the increments, so each path is walked once) and ``track_convergence``
-(one-letter pushes, step by step) run on it too, and so does
-``entropy_depth_counts`` for a nearest-neighbour walk on F_d whose depths
-are at most ``HEAD``. Twisted non-inner measures, free acting groups,
-first returns and short rows that repeat stay on ``advance``.
+Longer walks step a row block at a time when the acting part at every step
+can be read off the cumulative sum of the increments (``_in_blocks``): atoms
+that all have the identity part, or a lattice. Rows are drawn as one
+(rows, n) index block; few long rows are cut into time chunks of about
+``CHUNK_ROWS`` chunk rows in all, each walked from the empty word, and a
+row's chunk words are merged in order with junction cancellation. Two array
+passes serve these blocks, chosen from the step data:
+
+- the letter pass, ``_masked_steps`` over int8 letters, for atoms that push
+  a fixed word from every node (``_fixed_pushes``: identity-part atoms, or
+  a conjugator frame over a lattice, where atom (u, m) pushes u·c(m)). A
+  step pops or pushes one letter on every row per numpy step; for one-letter
+  pushes (``srw-f2``, ``direct-product``) that is one sub-step a step, which
+  a syllable pass would not beat;
+- the syllable pass, ``_syllable_steps`` over int8 generators and int16 or
+  int32 exponents, for a lattice whose twists are not inner: atom (u, m)
+  pushes Θ(p)(u), a table lookup on (node, atom) per row block
+  (``_syllable_edges``). Linear twists push long words of few runs
+  (Θ(p)(b) = a^p·b on ``semidirect-linear``), so each maximal run x^e is
+  pushed, merged or cancelled in one sub-step; words are expanded to
+  letters only at the stops.
+
+A block whose used edges push more than two syllables (an exponential twist)
+steps ``advance`` on the rows already drawn. ``sample_paths`` reads its
+snapshots there, w = v·c(p)⁻¹ in a frame only at the recorded steps;
+``boundary``'s resolve routine (``_block_ends``: last returns from the
+cumulative sum of the increments, so each path is walked once, on either
+pass or by ``advance``) runs on it too. ``track_convergence`` (one-letter
+fixed pushes, step by step) and ``entropy_depth_counts`` for a
+nearest-neighbour walk on F_d whose depths are at most ``HEAD`` use the
+letter pass. Free acting groups, first returns and short rows that repeat
+stay on ``advance``.
 """
 
 from __future__ import annotations
@@ -58,6 +75,7 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -387,6 +405,9 @@ CHUNK_ROWS = 2048
 # Atom indices per row block, held as uint8 (the pass holds a few int8
 # arrays of about the same size).
 BLOCK_CELLS = 1 << 20
+# Atom indices per row block of a walk on the syllable pass, which holds
+# about 30 bytes a cell beside the block at its peak.
+SYLLABLE_CELLS = 1 << 18
 # Cells per slice of rows whose acting parts are summed at once.
 RETURN_CELLS = 8192
 # Column 0 of every row of words: below every word, and neither a letter
@@ -402,7 +423,8 @@ def _fixed_pushes(graph: StepGraph) -> np.ndarray | None:
     identity part (the walk never leaves the root), or in a conjugator frame
     over a lattice, where atom (u, m) pushes u·c(m) and the acting part is
     the sum of the increments. Else, or when letters or atom indices would
-    not fit the int8 and uint8 arrays, None: such walks step ``advance``.
+    not fit the int8 and uint8 arrays, None: a lattice walk then takes the
+    syllable pass (``_block_words``), any other walk steps ``advance``.
     """
     measure = graph.measure
     if all(increment is None for _, increment in measure._step_data):
@@ -481,18 +503,12 @@ def _masked_steps(flat: np.ndarray, top: np.ndarray, letters: np.ndarray, width:
             yield
 
 
-def _chunked_words(
-    table: np.ndarray, block: np.ndarray, stops: Sequence[int]
-) -> Iterator[list[tuple[int, ...]]]:
-    """Each row's reduced words at the ascending ``stops``, the last n; a generator.
+def _spans(rows: int, n: int, stops: Sequence[int]) -> tuple[int, list[tuple[int, int]], list[int]]:
+    """Time chunks of ``rows`` rows of n steps: (longest, [(start, end)], chunks before each stop).
 
-    ``block`` is (rows, n) atom indices. A row is cut into time chunks so
-    that one pass of ``_masked_steps`` covers about ``CHUNK_ROWS`` chunk rows;
-    chunk boundaries fall on the stops, and chunks shorter than the longest
-    are padded with the no-op atom. Each chunk is walked from the empty word,
-    then a row's chunk words are merged in order, cancelling at each junction.
+    A row is cut so that one masked pass covers about ``CHUNK_ROWS`` chunk
+    rows; chunk boundaries fall on the ascending ``stops``, the last n.
     """
-    rows, n = block.shape
     size = max(1, -(-n // -(-CHUNK_ROWS // rows)))
     spans: list[tuple[int, int]] = []
     ends: list[int] = []
@@ -502,6 +518,21 @@ def _chunked_words(
             spans.append((done, min(done + size, stop)))
             done = spans[-1][1]
         ends.append(len(spans))
+    return size, spans, ends
+
+
+def _chunked_words(
+    table: np.ndarray, block: np.ndarray, stops: Sequence[int]
+) -> Iterator[list[tuple[int, ...]]]:
+    """Each row's reduced words at the ascending ``stops``, the last n; a generator.
+
+    ``block`` is (rows, n) atom indices. A row is cut into time chunks
+    (``_spans``); chunks shorter than the longest are padded with the no-op
+    atom. Each chunk is walked from the empty word by ``_masked_steps``, then
+    a row's chunk words are merged in order, cancelling at each junction.
+    """
+    rows, n = block.shape
+    size, spans, ends = _spans(rows, n, stops)
     width, chunks = table.shape[1], len(spans)
     # chunk row r · chunks + j holds span j of row r, padded with no-ops
     letters = np.zeros((size * width, rows * chunks), dtype=np.int8)
@@ -533,6 +564,324 @@ def _chunked_words(
                 pos += m
             snaps.append(tuple(stack))
         yield snaps
+
+
+# -- the syllable route: lattice walks whose pushes depend on the acting part ------
+#
+# A syllable is a maximal run x^e of one generator x >= 1, e a nonzero signed
+# exponent; a reduced word is a sequence of syllables of alternating
+# generators. Pushing x^e onto a word whose last syllable is x^f leaves
+# x^(e+f), which pops when e + f = 0 and flips its letter when the sign
+# changes; pushing onto any other generator appends. Pushing a reduced word
+# syllable by syllable so reduces it exactly as ``advance`` does letter by
+# letter.
+
+
+def _two_runs(letters: tuple[int, ...]) -> tuple[int, int, int, int] | None:
+    """(x, n, y, m) with a nonempty reduced word x^n·y^m (m = y = 0 for one run), or None."""
+    first = letters[0]
+    n = letters.count(first)
+    if n == len(letters):
+        return first, n, 0, 0
+    last = letters[-1]
+    m = letters.count(last)
+    # with only two letters present, the first `last` at n puts every `first` before it
+    if first != last and n + m == len(letters) and letters.index(last) == n:
+        return first, n, last, m
+    return None
+
+
+def _pushed_digits(column: np.ndarray, block: np.ndarray, pushing: np.ndarray) -> np.ndarray:
+    """Per step in ``pushing``, row-major, the sum of ``column`` over the row's steps before it.
+
+    A slice of rows at a time keeps the int32 sums small beside the block.
+    """
+    rows, n = block.shape
+    step = max(1, RETURN_CELLS // n)
+    out = []
+    for start in range(0, rows, step):
+        steps = column[block[start : start + step]]
+        before = np.cumsum(steps, axis=1, dtype=np.int32)
+        before -= steps
+        out.append(before.compress(pushing[start : start + step].reshape(-1)))
+    return np.concatenate(out)
+
+
+def _syllable_edges(
+    graph: StepGraph, block: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The steps of ``block`` that push letters, and the syllables of the edges they take.
+
+    ``block`` holds (rows, n) atom indices of a lattice walk, the no-op atom
+    ``len(measure)`` included. Step t of a row pushes Θ(p)(u) for its atom
+    (u, m), p the sum of the increments before t. Since the θ_j commute,
+    Θ(p)(u) does not depend on p_j when θ_j fixes u, so an edge is keyed
+    by the atom and the other coordinates only. Returns (pushing, found,
+    gens, exps): ``pushing`` is the (rows, n) mask of steps whose atom has
+    a nonempty word, ``found`` their edge ids in row-major order, counted
+    from 1 in key order, and ``gens`` and ``exps`` the int8 generators and
+    int32 signed exponents of each id's syllables, (ids + 1, 2) each and 0
+    past an edge's last syllable. None when a used edge pushes more than
+    two syllables (an exponential twist, say), checked edge by edge so that
+    no edge is built past the first such one.
+    """
+    measure = graph.measure
+    k = graph.acting.k
+    atoms = len(measure) + 1
+    words = [letters for letters, _ in measure._step_data]
+    pushing = np.array([bool(w) for w in words] + [False])[block]
+    atom = block.compress(pushing.reshape(-1))
+    # (coordinate, lowest value, span, atoms whose word θ_j moves) and each
+    # step's offset from the lowest value, 0 for the other atoms
+    corners = []
+    digits = []
+    scale = atoms
+    for j, theta in enumerate(graph.acting.theta):
+        column = np.zeros(atoms, dtype=np.int32)
+        for i, increment in _increments(graph):
+            column[i] = increment[j]
+        moves = np.array([bool(w) and tuple(theta.apply_letters(w)) != w for w in words] + [False])
+        if not (column.any() and moves.any()):
+            continue
+        digit = _pushed_digits(column, block, pushing)
+        low = int(digit.min(initial=0))
+        digit -= low
+        span = int(digit.max(initial=0)) + 1
+        digit *= moves[atom]
+        corners.append((j, low, span, moves))
+        digits.append(digit)
+        scale *= span
+    # key = atom + atoms · (the mixed-radix digits); dense ids when few keys
+    dtype = np.int32 if scale <= block.size else np.int64
+    keys = atom.astype(dtype)
+    weight = atoms
+    for (_, _, span, _), digit in zip(corners, digits):
+        keys += np.multiply(digit, weight, dtype=dtype)
+        weight *= span
+    del atom, digits
+    if scale <= block.size:
+        seen = np.zeros(scale, dtype=bool)
+        seen[keys] = True
+        used = np.flatnonzero(seen)
+        lookup = np.zeros(scale, dtype=np.int32)
+        lookup[used] = np.arange(1, len(used) + 1, dtype=np.int32)
+        found = lookup[keys]
+    else:
+        used, found = np.unique(keys, return_inverse=True)
+        found = found.astype(np.int32) + 1
+    del keys
+    # a coordinate an edge does not depend on reads 0
+    used_atoms = used % atoms
+    rest = used // atoms
+    coordinates = [[0] * len(used)] * k
+    for j, low, span, moves in corners:
+        coordinates[j] = np.where(moves[used_atoms], rest % span + low, 0).tolist()
+        rest //= span
+    edges = graph.edges
+    link = graph.link
+    node_of = graph._node
+    runs = [(0, 0, 0, 0)]
+    parts = zip(*coordinates) if k else [()] * len(used)
+    for i, part in zip(used_atoms.tolist(), parts):
+        node = node_of(part)
+        edge = _two_runs((edges[node][i] or link(node, i))[0])
+        if edge is None:
+            return None
+        runs.append(edge)
+    x, n, y, m = np.fromiter(chain.from_iterable(runs), np.int64, 4 * len(runs)).reshape(-1, 4).T
+    gens = np.stack((np.abs(x), np.abs(y)), axis=1).astype(np.int8)
+    exps = np.stack((np.copysign(n, x), np.copysign(m, y)), axis=1).astype(np.int32)
+    return pushing, found, gens, exps
+
+
+def _syllable_steps(
+    gens: np.ndarray, exps: np.ndarray, top: np.ndarray, pushed: np.ndarray, powers: np.ndarray
+) -> None:
+    """Right-multiply every row's syllable word by its syllables.
+
+    ``gens`` and ``exps`` hold the rows' words flat, each starting with a
+    ``FLOOR`` cell, and ``top`` (updated in place) the flat index of each
+    row's last syllable. A cell past the top has exponent 0; its generator
+    is stale. ``pushed`` and ``powers`` are (sub-steps, rows) generators and
+    exponents, 0 for a no-op. Each sub-step merges a syllable into the top
+    one of the same generator, popping it when the exponents cancel, and
+    pushes it on any other generator; a no-op writes exponent 0 above the
+    top.
+    """
+    for x, e in zip(pushed, powers):
+        cell = top + (gens[top] != x)
+        power = exps[cell] + e
+        gens[cell] = x
+        exps[cell] = power
+        np.subtract(cell, power == 0, out=top)
+
+
+def _syllable_stream(
+    graph: StepGraph, block: np.ndarray, spans: list[tuple[int, int]]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The syllables each time chunk of ``block`` pushes, as (depth, chunk rows) arrays.
+
+    Chunk row r · chunks + j holds span j of row r: the generators and
+    exponents of its steps' syllables (``_syllable_edges``) in step order
+    with no gaps, then zeros. Exponents are int16 when a chunk's syllables
+    cannot sum past it, else int32. None when a used edge pushes more than
+    two syllables.
+    """
+    edges = _syllable_edges(graph, block)
+    if edges is None:
+        return None
+    pushing, found, gens, exps = edges
+    del edges
+    rows = len(pushing)
+    columns = rows * len(spans)
+    # the pushing steps of chunk row c start at column_first[c], their
+    # syllables at taken[column_first[c]]
+    column_first = np.zeros(columns + 1, dtype=np.int64)
+    steps = np.add.reduceat(pushing, [start for start, _ in spans], axis=1, dtype=np.int64)
+    np.cumsum(steps.reshape(-1), out=column_first[1:])
+    del pushing, steps
+    second = (gens[:, 1] != 0)[found]
+    taken = np.arange(len(found) + 1, dtype=np.int32)
+    taken[1:] += np.cumsum(second, dtype=np.int32)
+    per_column = np.diff(taken[column_first])
+    depth = int(per_column.max())
+    # each syllable's cell in the flat (edges, 2) tables: every pushed word
+    # is nonempty, so a step's first syllable is its own
+    cells = np.empty(taken[-1], dtype=np.int32)
+    cells[taken[:-1]] = 2 * found
+    second = np.flatnonzero(second)
+    cells[taken[second] + 1] = 2 * found[second] + 1
+    del found, second, taken
+    exps_type = np.int16 if int(np.abs(exps).max()) * depth < 1 << 15 else np.int32
+    # the pass reads a sub-step's syllables of every chunk row contiguously
+    filled = np.arange(depth) < per_column[:, None]
+    pushed = np.zeros((depth, columns), dtype=np.int8)
+    pushed.T[filled] = gens.reshape(-1)[cells]
+    powers = np.zeros((depth, columns), dtype=exps_type)
+    powers.T[filled] = exps.reshape(-1)[cells]
+    return pushed, powers
+
+
+def _merged_chunks(
+    g: list[int], e: list[int], lengths: list[int], rows: int, ends: list[int]
+) -> tuple[list[int], list[int], list[tuple[int, int]], list[int], int]:
+    """Each row's chunk words merged in order, at every stop, as ranges of the flat words.
+
+    ``g`` and ``e`` hold every chunk word's syllables, chunk after chunk,
+    and ``lengths`` each chunk's syllable count; a row has ``ends[-1]``
+    chunks, ``ends[i]`` of them before stop i. Each stop's word is a list
+    of [start, end) ranges of the flat syllables, some exponents changed
+    where a junction merged two syllables. Returns (the ranges' starts,
+    their ends, (syllable index in the stops' words laid end to end, its
+    exponent) of every changed exponent, the number of ranges of each stop,
+    the number of syllables of all stops).
+    """
+    starts: list[int] = []
+    finals: list[int] = []
+    changed: list[tuple[int, int]] = []
+    sizes: list[int] = []
+    total = chunk = pos = 0
+    for _ in range(rows):
+        # the stack's ranges, and the exponents junctions changed by position
+        lo: list[int] = []
+        hi: list[int] = []
+        merged: dict[int, int] = {}
+        size = done = 0
+        for end in ends:
+            for m in lengths[chunk + done : chunk + end]:
+                j = 0
+                while j < m and size:
+                    last = hi[-1] - 1
+                    if g[last] != g[pos + j]:
+                        break
+                    power = merged.pop(size - 1, e[last]) + e[pos + j]
+                    j += 1
+                    if power:
+                        merged[size - 1] = power
+                        break
+                    size -= 1
+                    if lo[-1] == last:
+                        lo.pop()
+                        hi.pop()
+                    else:
+                        hi[-1] = last
+                if j < m:
+                    lo.append(pos + j)
+                    hi.append(pos + m)
+                    size += m - j
+                pos += m
+            done = end
+            starts += lo
+            finals += hi
+            changed.extend((total + at, power) for at, power in merged.items())
+            sizes.append(len(lo))
+            total += size
+        chunk += done
+    return starts, finals, changed, sizes, total
+
+
+def _chunked_syllables(
+    graph: StepGraph, block: np.ndarray, stops: Sequence[int]
+) -> Iterator[list[tuple[int, ...]]] | None:
+    """Each row's reduced words at the ascending ``stops``, the last n, or None.
+
+    ``block`` holds (rows, n) atom indices of a lattice walk; None when a
+    used edge pushes more than two syllables (``_syllable_edges``). Rows are
+    cut into time chunks (``_spans``), each chunk's syllables are walked
+    from the empty word by ``_syllable_steps``, a row's chunk words are
+    merged in order as syllables (``_merged_chunks``), and only the stops'
+    words are expanded to letters.
+    """
+    rows, n = block.shape
+    _, spans, ends = _spans(rows, n, stops)
+    stream = _syllable_stream(graph, block, spans)
+    if stream is None:
+        return None
+    pushed, powers = stream
+    del stream
+    depth, columns = pushed.shape
+    words, top = _empty_words(columns, depth + 2)
+    power = np.zeros(words.shape, dtype=powers.dtype)
+    base = top.copy()
+    _syllable_steps(words.reshape(-1), power.reshape(-1), top, pushed, powers)
+    del pushed, powers
+    body = power[:, 1:] != 0
+    flat_g = words[:, 1:][body]
+    flat_e = power[:, 1:][body]
+    del words, power, body
+    starts, finals, changed, sizes, total = _merged_chunks(
+        flat_g.tolist(), flat_e.tolist(), (top - base).tolist(), rows, ends
+    )
+    # gather the stops' syllables, then expand them to int8 letters
+    starts_a = np.array(starts, dtype=np.int32)
+    spans_a = np.array(finals, dtype=np.int32) - starts_a
+    first = np.cumsum(spans_a, dtype=np.int32) - spans_a
+    cells = np.repeat(starts_a - first, spans_a) + np.arange(total, dtype=np.int32)
+    syllables = flat_g[cells]
+    powers_a = flat_e[cells].astype(np.int32)
+    del flat_g, flat_e, cells
+    for at, p in changed:
+        powers_a[at] = p
+    runs = np.abs(powers_a)
+    letters = np.repeat(np.where(powers_a > 0, syllables, -syllables), runs)
+    del syllables, powers_a
+    # a stop's letters start at the cumulative runs of its first syllable
+    firsts = np.concatenate((first, [total]))[np.cumsum([0, *sizes])]
+    bounds = np.concatenate(([0], np.cumsum(runs)))[firsts].tolist()
+    return _unpacked_rows(letters, bounds, len(ends))
+
+
+def _unpacked_rows(letters: np.ndarray, bounds: list[int], stops: int) -> Iterator[list]:
+    """Each row's ``stops`` words, word i the int8 ``letters[bounds[i]:bounds[i + 1]]``.
+
+    Unpacked a row at a time, so a caller that drops each row's words never
+    holds a block's words as tuples.
+    """
+    for first in range(0, len(bounds) - 1, stops):
+        yield [
+            struct.unpack_from(f"{bounds[i + 1] - bounds[i]}b", letters, bounds[i])
+            for i in range(first, first + stops)
+        ]
 
 
 def _increments(graph: StepGraph) -> list[tuple[int, tuple[int, ...]]]:
@@ -589,39 +938,90 @@ def _last_returns(graph: StepGraph, block: np.ndarray, spec) -> np.ndarray:
     return out
 
 
-def _fixed_ends(
+def _in_blocks(graph: StepGraph, table: np.ndarray | None) -> bool:
+    """Whether the walk steps a row block at a time.
+
+    It does when its atoms push fixed words (``table``, from
+    ``_fixed_pushes``), or when its acting group is a lattice, whose part at
+    every step is the cumulative sum of the increments, and its atom indices
+    and letters fit the uint8 and int8 arrays.
+    """
+    if table is not None:
+        return True
+    acting = graph.acting
+    return acting.kind == "lattice" and len(graph.measure) <= 255 and acting.base_rank < FLOOR
+
+
+def _block_rows(table: np.ndarray | None, n_steps: int) -> int:
+    """Rows per block of n-step rows.
+
+    A block holds ``BLOCK_CELLS`` atom indices on the letter pass, else
+    ``SYLLABLE_CELLS``.
+    """
+    return max(1, (BLOCK_CELLS if table is not None else SYLLABLE_CELLS) // n_steps)
+
+
+def _block_words(
+    graph: StepGraph, table: np.ndarray | None, block: np.ndarray, stops: Sequence[int]
+) -> Iterator[list[tuple[int, ...]]] | None:
+    """Each row's reduced stacks at the ascending ``stops``, or None to step the block.
+
+    Fixed pushes take the letter pass (``_chunked_words``), one-letter
+    pushes at one sub-step a step. A lattice walk whose used edges push at
+    most two syllables each takes the syllable pass
+    (``_chunked_syllables``); any other block, an exponential twist's for
+    one, steps ``advance`` on the rows already drawn.
+    """
+    if table is not None:
+        return _chunked_words(table, block, stops)
+    return _chunked_syllables(graph, block, stops)
+
+
+def _block_ends(
     graph: StepGraph,
-    table: np.ndarray,
+    table: np.ndarray | None,
     seed: int,
     stream: int,
     count: int,
     n_steps: int,
     spec,
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(run_to, the reduced stack after run_to steps) of each path, in path order.
+) -> Iterator[tuple[int, list[int] | tuple[int, ...], int]]:
+    """(run_to, the reduced stack after run_to steps, node) of each path, in path order.
 
     ``run_to`` is ``n_steps``, or with a sublattice spec the last return
     (``_last_returns``); steps past it are masked with the no-op atom, so
-    each path is walked once.
+    each path is walked once, and a block that ``_block_words`` leaves to
+    ``advance`` steps each row up to ``run_to`` once. With fixed pushes the
+    node is the root, whose ``StepGraph.probe_part`` every node shares.
     """
     if spec is not None:
         # a spec that does not match the acting group raises before any draw
         part_in_sublattice(graph.acting, graph.parts[graph.root], spec)
-    no_op = np.uint8(len(table) - 1)
-    rows = max(1, BLOCK_CELLS // n_steps)
+    no_op = np.uint8(len(graph.measure))
+    rows = _block_rows(table, n_steps)
     for block in _row_blocks(graph.measure, seed, stream, 0, count, n_steps, rows):
         run_to = np.full(len(block), n_steps)
+        masked = block
         if spec is not None:
             run_to = _last_returns(graph, block, spec)
-            block = np.where(np.arange(n_steps) < run_to[:, None], block, no_op)
-        words = _chunked_words(table, block, (n_steps,))
-        for stop, (stack,) in zip(run_to.tolist(), words):
-            yield stop, stack
+            masked = np.where(np.arange(n_steps) < run_to[:, None], block, no_op)
+        words = _block_words(graph, table, masked, (n_steps,))
+        if words is None:
+            for idx, stop in zip(block.tolist(), run_to.tolist()):
+                stack: list[int] = []
+                yield stop, stack, graph.advance(stack, graph.root, idx[:stop])
+            continue
+        if table is None:
+            (nodes,) = _nodes_at(graph, masked, (n_steps,))
+        else:
+            nodes = [graph.root] * len(block)
+        for stop, (stack,), node in zip(run_to.tolist(), words, nodes):
+            yield stop, stack, node
 
 
-def _sample_fixed(
+def _sample_blocks(
     graph: StepGraph,
-    table: np.ndarray,
+    table: np.ndarray | None,
     seed: int,
     n_paths: int,
     n_steps: int,
@@ -629,17 +1029,24 @@ def _sample_fixed(
     first_path: int,
     per_step: dict[int, list[ExtElement]],
 ) -> None:
-    """``sample_paths``' snapshots by the array route, appended to ``per_step``.
+    """``sample_paths``' snapshots a row block at a time, appended to ``per_step``.
 
     A snapshot's free part is read back from the stack at its node
-    (``StepGraph.free_letters``), w = v·c(p)⁻¹ in a frame.
+    (``StepGraph.free_letters``), w = v·c(p)⁻¹ in a frame. A block that
+    ``_block_words`` leaves to ``advance`` runs ``_run_one_path`` per row.
     """
     rank = graph.acting.base_rank
-    rows = max(1, BLOCK_CELLS // n_steps)
+    rows = _block_rows(table, n_steps)
     for block in _row_blocks(graph.measure, seed, STREAM_WALK, first_path, n_paths, n_steps, rows):
+        words = _block_words(graph, table, block, steps)
+        if words is None:
+            for idx in block.tolist():
+                for step, g in _run_one_path(graph, idx, n_steps, steps).items():
+                    per_step[step].append(g)
+            continue
         nodes = _nodes_at(graph, block, steps)
-        for r, words in enumerate(_chunked_words(table, block, steps)):
-            for step, letters, at in zip(steps, words, nodes):
+        for r, snaps in enumerate(words):
+            for step, letters, at in zip(steps, snaps, nodes):
                 letters = graph.free_letters(letters, at[r])
                 per_step[step].append(ExtElement(_reduced_word(rank, letters), graph.parts[at[r]]))
 
@@ -659,8 +1066,8 @@ def sample_paths(
     disjoint ranges simulated separately merge into the same batch. When
     there are no more distinct rows (|support| ** n_steps) than paths, each
     distinct row is walked once and its paths share the same snapshots.
-    Otherwise a walk whose atoms push fixed words (``_fixed_pushes``) takes
-    the array route.
+    Otherwise a walk whose atoms push fixed words, or whose acting group is
+    a lattice, steps a row block at a time (``_in_blocks``).
     """
     if n_paths < 1 or n_steps < 1:
         raise ConfigError("need n_paths >= 1 and n_steps >= 1")
@@ -678,8 +1085,8 @@ def sample_paths(
     # n_paths' bit length; testing that first keeps the power a small int.
     repeats = n_steps < n_paths.bit_length() and len(measure) ** n_steps <= n_paths
     table = None if repeats else _fixed_pushes(graph)
-    if table is not None:
-        _sample_fixed(graph, table, seed, n_paths, n_steps, steps, first_path, per_step)
+    if not repeats and _in_blocks(graph, table):
+        _sample_blocks(graph, table, seed, n_paths, n_steps, steps, first_path, per_step)
     else:
         walked: dict[tuple[int, ...], dict[int, ExtElement]] = {}
         for idx in measure.draw_rows(seed, STREAM_WALK, first_path, n_paths, n_steps):

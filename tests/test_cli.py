@@ -988,6 +988,60 @@ GOLDEN_DIGESTS = (
         "a1446eb2810bca88cf363583e7cbd9065bfb5300a79313f3f9a2b0b5d015aae9",
         id="poisson-inner-ab",
     ),
+    # recorded before linearly twisted lattice walks were walked as syllable
+    # arrays: pushes that depend on the acting position, at the benchmark's
+    # long-walks and boundary sizes
+    pytest.param(
+        "walk --config fixture:semidirect-linear --seed 70 --n-paths 48 --n-steps 3000",
+        "b0d97fd8e09aee9d6ccb9aff507661fc6a7b6194eccd1f3a71f9d8fbcaa6f78e",
+        id="walk-json-long-semidirect-linear",
+    ),
+    pytest.param(
+        "walk --config fixture:semidirect-linear --seed 71 --n-paths 48 --n-steps 3000 "
+        "--record 0,1,999,2000 --format csv",
+        "8c9ec3d4163e3ef65da3faecf13c076615f71610cb01e7ebcbf2991db8f60535",
+        id="walk-csv-long-semidirect-linear",
+    ),
+    pytest.param(
+        "walk --config fixture:semidirect-linear --seed 71 --n-paths 48 --n-steps 3000 "
+        "--record 0,1,999,2000 --format csv --workers 2",
+        "8c9ec3d4163e3ef65da3faecf13c076615f71610cb01e7ebcbf2991db8f60535",
+        id="walk-csv-long-semidirect-linear-workers-2",
+    ),
+    pytest.param(
+        "walk --config fixture:lattice-rank2 --seed 72 --n-paths 48 --n-steps 3000",
+        "1a2aaa6783fe1c1fe61d699521d09f1d3008a516074136a31375e10981101656",
+        id="walk-json-long-lattice-rank2",
+    ),
+    pytest.param(
+        "walk --config fixture:lattice-rank2 --seed 73 --n-paths 48 --n-steps 3000 "
+        "--record 0,7,1500 --format csv",
+        "739496af2f9d05a59717e5c9bfea973e5b9243f65af36dcfabfa5bb3975d7674",
+        id="walk-csv-long-lattice-rank2",
+    ),
+    pytest.param(
+        "hitting --config fixture:semidirect-linear --seed 74 --depth 5 --n-paths 300 "
+        "--n-steps 300",
+        "b0720d14eedb8deac565d393863866c2040a101de6550668462ff58e7605efbf",
+        id="hitting-depth-5-semidirect-linear",
+    ),
+    pytest.param(
+        "hitting --config fixture:semidirect-mixed --at-returns --seed 75 --n-paths 300 "
+        "--n-steps 300",
+        "606b1953ab44625bf96fc4194daaf7026f9434579285b31162c36e082203f6d6",
+        id="hitting-at-returns-semidirect-mixed",
+    ),
+    pytest.param(
+        "stationarity --config fixture:semidirect-linear --seed 76 --n-paths 300 "
+        "--n-steps 300 --n-resample 10000",
+        "02944ee8a54fbe19b0facdd7b6bdeffd9da3c48fadfdcce59ee8e538eebae0d4",
+        id="stationarity-long-semidirect-linear",
+    ),
+    pytest.param(
+        "poisson --config fixture:semidirect-linear --seed 77 --n-samples 150 --n-steps 300",
+        "7c40f6cfb798591c9e92a0c2405aac717cae87594edfd17b406d223c928efee0",
+        id="poisson-long-semidirect-linear",
+    ),
 )
 
 

@@ -7,10 +7,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from walkbound import (
     ActingGroup,
+    Automorphism,
+    ConfigError,
     ExtElement,
     ModuliSpec,
     PermKernelSpec,
@@ -449,7 +451,16 @@ def untwisted_measures(draw, longest=4):
 
 
 ARRAY_CASES = ("srw-f2", "direct-product", "inner-ab")
-ARRAY_SPECS = {"srw-f2": None, "direct-product": ModuliSpec((2,)), "inner-ab": ModuliSpec((2,))}
+# twists that are not inner and push at most two syllables from every node
+SYLLABLE_CASES = ("semidirect-linear", "semidirect-mixed", "lattice-rank2")
+ARRAY_SPECS = {
+    "srw-f2": None,
+    "direct-product": ModuliSpec((2,)),
+    "inner-ab": ModuliSpec((2,)),
+    "semidirect-linear": ModuliSpec((2,)),
+    "semidirect-mixed": ModuliSpec((2,)),
+    "lattice-rank2": ModuliSpec((2, 2)),
+}
 measures_on_the_array_route = st.one_of(
     st.sampled_from(ARRAY_CASES).map(lambda name: case_measure(name, None)),
     untwisted_measures(),
@@ -457,13 +468,17 @@ measures_on_the_array_route = st.one_of(
 
 
 def stepped_rows(measure, block, stops):
-    """Each row's (stack, acting part) at each stop, stepped by ``advance``."""
+    """Each row's (stack, acting part) at each stop, stepped by ``advance``.
+
+    The no-op atom ``len(measure)``, which masks steps past a last return,
+    is skipped.
+    """
     graph = StepGraph(measure)
     out = []
     for idx in block.tolist():
         stack, node, done, snaps = [], graph.root, 0, []
         for stop in stops:
-            node = graph.advance(stack, node, idx[done:stop])
+            node = graph.advance(stack, node, [i for i in idx[done:stop] if i < len(measure)])
             done = stop
             snaps.append((tuple(stack), graph.parts[node]))
         out.append(snaps)
@@ -496,7 +511,7 @@ def test_array_route_words_and_nodes_equal_advance(measure, data):
         assert [(words[r][j], graph.parts[nodes[j][r]]) for j in range(len(stops))] == snaps
 
 
-@pytest.mark.parametrize("name", ARRAY_CASES)
+@pytest.mark.parametrize("name", (*ARRAY_CASES, *SYLLABLE_CASES))
 @settings(max_examples=10, deadline=None)
 @given(seed=seeds, data=st.data())
 def test_array_route_last_returns_equal_lattice_steps(name, seed, data):
@@ -533,9 +548,10 @@ def test_array_route_estimators_equal_advance(measure, seed, data):
         positions, resolved, lengths = run()
     repeats = n_steps < n_paths.bit_length() and len(measure) ** n_steps <= n_paths
     assert arrays.call_count >= 1 + (not repeats)
+    # no array pass at all: every block steps advance on the rows it drew
     with mock.patch.object(walk, "_fixed_pushes", return_value=None), mock.patch(
         "walkbound.boundary._fixed_pushes", return_value=None
-    ):
+    ), mock.patch.object(walk, "_chunked_syllables", return_value=None):
         stepped = run()
     assert positions == stepped[0]
     assert resolved == stepped[1]
@@ -543,34 +559,195 @@ def test_array_route_estimators_equal_advance(measure, seed, data):
 
 
 def test_array_route_is_chosen_from_step_data(tmp_path):
-    # a renamed copy of direct-product takes the array route; walks on a
-    # twist that is not inner never do
-    renamed = tmp_path / "renamed.cfg"
-    renamed.write_text(fixture_text("direct-product").replace("conj", "twist"))
-    copy = build_measure(parse_config(renamed.read_text()))
-    routes = ("_sample_fixed", "_fixed_ends")
-    for name, measure, taken in (
-        ("renamed", copy, True),
-        ("srw-f2", fixture_measure("srw-f2"), True),
-        ("inner-ab", case_measure("inner-ab", None), True),
-        *(
-            (name, fixture_measure(name), False)
-            for name in ("semidirect-linear", "semidirect-mixed", "lattice-rank2", "free-acting",
-                         "fibonacci")
-        ),
+    # renamed copies take their originals' routes, read from the step data
+    def renamed(name, old, new):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(fixture_text(name).replace(old, new))
+        return build_measure(parse_config(path.read_text())), sublattice_spec(load_fixture(name))
+
+    def fixture(name):
+        return fixture_measure(name), sublattice_spec(load_fixture(name))
+
+    letters, syllables, stepped = "letters", "syllables", "stepped"
+    for name, (measure, spec), route in (
+        ("srw-f2", fixture("srw-f2"), letters),
+        ("renamed direct-product", renamed("direct-product", "conj", "twist"), letters),
+        ("inner-ab", (case_measure("inner-ab", None), ModuliSpec((2,))), letters),
+        ("semidirect-linear", fixture("semidirect-linear"), syllables),
+        ("renamed semidirect-linear", renamed("semidirect-linear", "alpha", "twist"), syllables),
+        ("semidirect-mixed", fixture("semidirect-mixed"), syllables),
+        ("lattice-rank2", fixture("lattice-rank2"), syllables),
+        # an exponential twist: its blocks step advance on the rows they drew
+        ("fibonacci", fixture("fibonacci"), stepped),
+        # no cumulative sum tracks a free acting part: rows are drawn one by one
+        ("free-acting", fixture("free-acting"), None),
     ):
-        with mock.patch.multiple(walk, **{r: mock.DEFAULT for r in routes}) as spies, \
-                mock.patch("walkbound.boundary._fixed_ends", spies["_fixed_ends"]), \
-                mock.patch("walkbound.boundary._array_lengths") as lengths:
-            spies["_fixed_ends"].return_value = iter(())
-            lengths.return_value = np.zeros((4, 30), dtype=np.int32)
+        with mock.patch.object(walk, "_chunked_words", wraps=walk._chunked_words) as letter_pass, \
+                mock.patch.object(walk, "_syllable_steps", wraps=walk._syllable_steps) as pass_, \
+                mock.patch.object(walk, "index_blocks", wraps=walk.index_blocks) as blocks, \
+                mock.patch.object(walk, "draw_rows", wraps=walk.draw_rows) as rows, \
+                mock.patch.object(StepGraph, "advance", autospec=True,
+                                  side_effect=StepGraph.advance) as advance, \
+                mock.patch("walkbound.boundary._last_lattice_step",
+                           wraps=boundary._last_lattice_step) as node_pass:
             sample_paths(measure, 1, 4, 30)
-            _resolve_paths(measure, 1, STREAM_WALK, 4, 30, 1, None, None, 1.0)
+            _resolve_paths(measure, 1, STREAM_WALK, 4, 30, 1, None, spec, 1.0)
+        assert letter_pass.call_count == 2 * (route == letters), name
+        assert pass_.called == (route == syllables), name
+        # every lattice walk draws each row once, a block at a time; a block
+        # that steps advance walks each row once, up to its last return
+        assert (blocks.call_count, rows.call_count) == ((0, 2) if route is None else (2, 0)), name
+        assert advance.call_count == 8 * (route in (stepped, None)), name
+        assert node_pass.called == (route is None and spec is not None), name
+        with mock.patch("walkbound.boundary._array_lengths") as lengths:
+            lengths.return_value = np.zeros((4, 30), dtype=np.int32)
             track_convergence(measure, 1, 4, 30, 3)
-        called = [spies[r].called for r in routes]
-        assert called == [taken, taken], name
-        # track's route takes pushes of at most one letter
-        assert lengths.called == (taken and name != "inner-ab"), name
+        # track's array route takes pushes of at most one letter
+        assert lengths.called == (route == letters and name != "inner-ab"), name
+
+
+# -- the syllable route: lattice walks whose pushes depend on the acting part ----
+
+
+@st.composite
+def transvection_lattices(draw):
+    """A walk on F_r ⋊ Z^k twisted by commuting transvections x ↦ x·y or y·x.
+
+    Atoms: every letter, every unit shift, and a few short words with small
+    increments. Two transvections of one generator from both sides push
+    three syllables, which sends a block to ``advance``.
+    """
+    rank = draw(st.integers(2, 3), label="rank")
+    k = draw(st.integers(1, 2), label="k")
+    letters = [s for i in range(1, rank + 1) for s in (i, -i)]
+    theta = []
+    for _ in range(k):
+        target = draw(st.integers(1, rank), label="target")
+        by = draw(st.sampled_from([s for s in letters if abs(s) != target]), label="by")
+        left = draw(st.booleans(), label="left")
+        images = [Word(rank, (i,)) for i in range(1, rank + 1)]
+        inverses = list(images)
+        images[target - 1] = Word(rank, (by, target) if left else (target, by))
+        inverses[target - 1] = Word(rank, (-by, target) if left else (target, -by))
+        theta.append(Automorphism(rank, tuple(images), tuple(inverses)))
+    try:
+        acting = ActingGroup("lattice", tuple(theta), rank)
+    except ConfigError:
+        assume(False)
+    zero = (0,) * k
+    units = [tuple(s * (i == j) for i in range(k)) for j in range(k) for s in (1, -1)]
+    pairs = [((s,), zero) for s in letters] + [((), u) for u in units]
+    for w in draw(st.lists(reduced_words(rank), max_size=3), label="words"):
+        pairs.append((w.letters[:2], draw(st.sampled_from([zero, *units]), label="part")))
+    atoms = list({(w, p): ExtElement(Word(rank, w), p) for w, p in pairs}.values())
+    return StepMeasure(acting, atoms, [1 / len(atoms)] * len(atoms), check_generation=False)
+
+
+syllable_measures = st.one_of(
+    st.sampled_from(SYLLABLE_CASES).map(fixture_measure), transvection_lattices()
+)
+
+
+def syllables_of(letters):
+    return sum(1 for i, x in enumerate(letters) if not i or x != letters[i - 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(measure=syllable_measures, data=st.data())
+def test_array_route_syllable_words_and_nodes_equal_advance(measure, data):
+    # chunks of one step, of about a third of a row, and one chunk per row;
+    # stops at 0 and at n; rows hold the no-op atom that masks steps past a
+    # last return
+    rows = data.draw(st.sampled_from((1, 2, 5, 33, 400)), label="rows")
+    n = data.draw(st.integers(1, 40 if rows < 100 else 8), label="n")
+    stops = sorted(data.draw(st.sets(st.integers(0, n)), label="stops") | {n})
+    chunk_rows = data.draw(st.sampled_from((1, 3 * rows, rows * n + 1)), label="chunk_rows")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    block = np.random.default_rng(seed).integers(0, len(measure) + 1, (rows, n), dtype=np.uint8)
+    graph = StepGraph(measure)
+    with mock.patch.object(walk, "CHUNK_ROWS", chunk_rows):
+        words = walk._chunked_syllables(graph, block, stops)
+        words = None if words is None else list(words)
+    if words is None:
+        # only an edge of more than two syllables sends a block to advance
+        assert not any(measure is fixture_measure(name) for name in SYLLABLE_CASES)
+        assert any(syllables_of(edge[0]) > 2 for row in graph.edges for edge in row if edge)
+        return
+    nodes = walk._nodes_at(graph, block, stops)
+    for r, snaps in enumerate(stepped_rows(measure, block, stops)):
+        assert [(words[r][j], graph.parts[nodes[j][r]]) for j in range(len(stops))] == snaps
+
+
+@pytest.mark.parametrize(
+    "letters, runs",
+    [
+        ((1,), (1, 1, 0, 0)),
+        ((-2, -2, -2), (-2, 3, 0, 0)),
+        ((1, 1, 2), (1, 2, 2, 1)),
+        ((-1, 2, 2, 2), (-1, 1, 2, 3)),
+        ((1, 2, 1), None),
+        ((1, 2, 1, 2), None),
+        ((1, 1, 2, 1, 2, 2), None),
+        ((1, 2, 3), None),
+    ],
+)
+def test_array_route_two_runs_reads_at_most_two_syllables(letters, runs):
+    assert walk._two_runs(letters) == runs
+
+
+@pytest.mark.parametrize("chunk", ["whole-row", "third-of-a-row", "one-step"])
+def test_array_route_syllables_flip_cancel_and_merge_at_junctions(chunk):
+    # semidirect-linear: atoms a, A, b, B, shift +1, shift -1; Θ(p)(b) = a^p·b
+    measure = fixture_measure("semidirect-linear")
+    no_op = len(measure)
+    block = np.array(
+        [
+            # a, then a^-3·b at p = -3: the run a overshoots and flips to A·A,
+            # within one chunk or at the junction of the chunks a and a^-3·b
+            [0, 5, 5, 5, 2],
+            # a·a·b at p = 2, then B·A·A: every syllable cancels, down to the floor
+            [4, 4, 2, 3, no_op],
+        ],
+        dtype=np.uint8,
+    )
+    chunk_rows = {"whole-row": 1, "third-of-a-row": 3 * 2, "one-step": 2 * 5 + 1}[chunk]
+    with mock.patch.object(walk, "CHUNK_ROWS", chunk_rows):
+        words = list(walk._chunked_syllables(StepGraph(measure), block, (1, 5)))
+    assert words == [[(1,), (-1, -1, 2)], [(), ()]]
+    assert words == [[w for w, _ in snaps] for snaps in stepped_rows(measure, block, (1, 5))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(measure=syllable_measures, seed=seeds, data=st.data())
+def test_array_route_syllable_estimators_equal_advance(measure, seed, data):
+    # walk snapshots and resolved keys, plain and at last returns, against
+    # the rows drawn one at a time and stepped by advance, as free acting
+    # groups still run
+    n_paths = data.draw(st.integers(1, 60), label="n_paths")
+    n_steps = data.draw(st.integers(1, 80), label="n_steps")
+    record = sorted(data.draw(st.sets(st.integers(0, n_steps), max_size=4), label="record"))
+    chunk_rows = data.draw(
+        st.sampled_from((1, 3 * n_paths, n_paths * n_steps + 1)), label="chunk_rows"
+    )
+    spec = ModuliSpec((2,) * measure.acting.k)
+
+    def run():
+        batch = sample_paths(measure, seed, n_paths, n_steps, record_steps=record)
+        positions = {s: keys(measure.acting, batch.positions[s]) for s in batch.record_steps}
+        resolve = functools.partial(_resolve_paths, measure, seed, STREAM_WALK, n_paths, n_steps, 2)
+        return positions, resolve(None, None, 1.0), resolve(None, spec, 1.0)
+
+    with mock.patch.object(walk, "CHUNK_ROWS", chunk_rows), mock.patch.object(
+        walk, "_syllable_steps", wraps=walk._syllable_steps
+    ) as syllables:
+        arrays = run()
+    repeats = n_steps < n_paths.bit_length() and len(measure) ** n_steps <= n_paths
+    if any(measure is fixture_measure(name) for name in SYLLABLE_CASES):
+        assert syllables.call_count == 3 - repeats
+    with mock.patch.object(walk, "_in_blocks", return_value=False), mock.patch(
+        "walkbound.boundary._in_blocks", return_value=False
+    ):
+        assert arrays == run()
 
 
 @st.composite
