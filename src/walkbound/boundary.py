@@ -35,20 +35,20 @@ from .groups import (
     SublatticeSpec,
     _map_distinct,
     gauge_length,
-    part_in_sublattice,
 )
 from .morphisms import _ray_image
-from .walk import (
+from .walk import (  # _last_lattice_step stays bound here for bench/tracing.py
     BLOCK_CELLS,
     StepGraph,
     StepMeasure,
-    _block_ends,
     _empty_words,
     _fixed_pushes,
-    _in_blocks,
+    _Inside,
+    _last_lattice_step,
     _letter_rows,
     _masked_steps,
     _row_blocks,
+    _walk_rows,
 )
 from .words import Ray, Word, _reduced_word
 
@@ -286,78 +286,20 @@ def _agreement(w: list[int], images: _RayImages, entry: tuple, depth: int) -> in
     return agree
 
 
-# -- shared walk-endpoint machinery ---------------------------------------------
+# -- walk endpoints ----------------------------------------------------------------
+#
+# Every position an estimator resolves, x_n or its position at the last
+# return to the sublattice, is read through the one walk driver
+# ``walk._walk_rows``, which picks the route (letter pass, syllable pass,
+# ``advance`` on drawn rows, or rows drawn one by one) once per call.
 
 
-class _Inside(dict):
-    """``part_in_sublattice`` of each visited step-graph node id, computed once.
-
-    The root's entry is filled on construction, so a spec that does not match
-    the acting group raises before any path is walked.
-    """
-
-    def __init__(self, graph: StepGraph, spec: SublatticeSpec):
-        super().__init__()
-        self.graph = graph
-        self.spec = spec
-        self[graph.root]
-
-    def __missing__(self, node: int) -> bool:
-        graph = self.graph
-        member = self[node] = part_in_sublattice(graph.acting, graph.parts[node], self.spec)
-        return member
-
-
-def _last_lattice_step(graph: StepGraph, indices: list[int], inside: _Inside) -> int:
-    """Last step n >= 1 whose acting part lies in the sublattice, else 0."""
-    edges = graph.edges
-    node = graph.root
-    last = 0
-    for n, i in enumerate(indices, start=1):
-        node = (edges[node][i] or graph.link(node, i))[1]
-        if inside[node]:
-            last = n
-    return last
-
-
+# Kept, though the package no longer calls it: bench/tracing.py wraps it by name.
 def _endpoint(graph: StepGraph, indices: list[int]) -> tuple[list[int], int]:
     """Run the walk over pre-drawn atom indices; returns the end's (stack, node)."""
     stack: list[int] = []
     node = graph.advance(stack, graph.root, indices)
     return stack, node
-
-
-def _walk_ends(
-    graph: StepGraph,
-    seed: int,
-    stream: int,
-    n_paths: int,
-    n_steps: int,
-    return_lattice: SublatticeSpec | None,
-):
-    """(run_to, stack, node) of each path of ``stream``, in path order.
-
-    ``run_to`` is ``n_steps``, or with ``return_lattice`` the last step whose
-    acting part lies in the sublattice (0 for none, and then no stack). A
-    walk whose atoms push fixed words, or whose acting group is a lattice,
-    runs a row block at a time (``walk._block_ends``): ``run_to`` comes from
-    the cumulative sum of the increments, and each path is walked once, by
-    an array pass or by ``advance`` on the rows already drawn. Only a free
-    acting group's walk, whose part no cumulative sum tracks, draws row by
-    row here, with a node pass (``_last_lattice_step`` over ``_Inside``)
-    before the stack pass for ``run_to``.
-    """
-    table = _fixed_pushes(graph)
-    if _in_blocks(graph, table):
-        yield from _block_ends(graph, table, seed, stream, n_paths, n_steps, return_lattice)
-        return
-    inside = None if return_lattice is None else _Inside(graph, return_lattice)
-    for idx in graph.measure.draw_rows(seed, stream, 0, n_paths, n_steps):
-        run_to = n_steps if inside is None else _last_lattice_step(graph, idx, inside)
-        if run_to:
-            yield (run_to, *_endpoint(graph, idx[:run_to]))
-        else:
-            yield 0, None, graph.root
 
 
 @dataclass(frozen=True)
@@ -401,7 +343,8 @@ def _resolve_paths(
     graph = StepGraph(measure)
     out: list[tuple[int, ...] | None] = []
     misses = 0
-    for run_to, stack, node in _walk_ends(graph, seed, stream, n_paths, n_steps, return_lattice):
+    ends = _walk_rows(graph, seed, stream, 0, n_paths, n_steps, (n_steps,), return_lattice)
+    for run_to, ((stack, node),) in ends:
         key = None
         if run_to:
             entry = images.of(graph.probe_part(node))
@@ -434,7 +377,7 @@ def empirical_hitting_measure(
     the last position whose acting part lies in the sublattice); the position
     is resolved to a cylinder when every translated probe agrees on the first
     ``depth`` letters. Raises a convergence error when the unresolved
-    fraction exceeds the ceiling.
+    fraction exceeds the ceiling, or when no path resolves.
     """
     resolved = _resolve_paths(
         measure, seed, STREAM_WALK, n_paths, n_steps, depth, probes, return_lattice,
@@ -442,6 +385,12 @@ def empirical_hitting_measure(
     )
     counts = Counter(key for key in resolved if key is not None)
     hits = sum(counts.values())
+    if not hits:
+        # a ceiling of 1 lets every path stay unresolved; nothing is left to tabulate
+        raise ConvergenceError(
+            f"no path resolved at depth {depth} after {n_steps} steps; "
+            "run longer or lower the depth"
+        )
     distribution = CylinderDistribution.from_counts(measure.acting.base_rank, depth, counts)
     return HittingEstimate(distribution, (n_paths - hits) / n_paths, hits, n_paths)
 

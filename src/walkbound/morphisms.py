@@ -30,11 +30,9 @@ from .words import MAX_RANK, Ray, Word, _conjugator_length, _reduced_word, free_
 __all__ = [
     "Automorphism",
     "GrowthReport",
-    "CancellationBound",
     "identity_automorphism",
     "inner_automorphism",
     "classify_growth",
-    "cancellation_bound",
     "boundary_apply",
     "DEFAULT_FIT_GAP",
 ]
@@ -473,61 +471,6 @@ def classify_growth(
     )
 
 
-# -- bounded cancellation ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CancellationBound:
-    """Largest junction cancellation seen between images of reduced products.
-
-    Certified by exhaustive search over all reduced products u·v with
-    |u|, |v| <= search_length; beyond that horizon the bound is a heuristic.
-    """
-
-    value: int
-    search_length: int
-
-
-def cancellation_bound(
-    phi: Automorphism, L: int, max_pairs: int = 2_000_000
-) -> CancellationBound:
-    """Exhaustively maximize cancellation between φ(u) and φ(v) over u·v reduced."""
-    if L < 1:
-        raise ValueError("search length must be >= 1")
-    rank = phi.rank
-    words: list[tuple[int, ...]] = []
-    frontier: list[tuple[int, ...]] = [()]
-    for _ in range(L):
-        nxt = []
-        for w in frontier:
-            for s in range(-rank, rank + 1):
-                if s == 0 or (w and w[-1] == -s):
-                    continue
-                nxt.append(w + (s,))
-        words.extend(nxt)
-        frontier = nxt
-    if len(words) ** 2 > max_pairs:
-        raise BudgetError(
-            f"cancellation search needs {len(words) ** 2} pairs, over the "
-            f"budget of {max_pairs}; lower L or raise the budget"
-        )
-    images = {w: tuple(phi.apply_letters(w)) for w in words}
-    best = 0
-    for u in words:
-        iu = images[u]
-        for v in words:
-            if u[-1] == -v[0]:
-                continue  # u·v not reduced
-            iv = images[v]
-            c = 0
-            limit = min(len(iu), len(iv))
-            while c < limit and iu[len(iu) - 1 - c] == -iv[c]:
-                c += 1
-            if c > best:
-                best = c
-    return CancellationBound(value=best, search_length=L)
-
-
 # -- boundary action -----------------------------------------------------------
 
 
@@ -561,7 +504,9 @@ def boundary_apply(phi: Automorphism, r: Ray, depth: int) -> Word:
     """First ``depth`` letters of φ applied to the boundary point of ``r``.
 
     Exact for every φ and every ray: the image is built as a ray
-    (``_ray_image``), never by applying φ to a cut prefix.
+    (``_ray_image``), never by applying φ to a cut prefix. Kept public though
+    the estimators call ``_ray_image`` directly: it is that routine's checked
+    public form, and bench/tracing.py wraps it by name.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")

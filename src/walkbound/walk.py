@@ -35,13 +35,17 @@ distinct row is walked once and every path that draws it shares its
 snapshot elements, which ``PathBatch.gauges_at`` and the CLI's rows then
 measure and render once per distinct element (``groups._map_distinct``).
 
-Longer walks step a row block at a time when the acting part at every step
-can be read off the cumulative sum of the increments (``_in_blocks``): atoms
-that all have the identity part, or a lattice. Rows are drawn as one
-(rows, n) index block; few long rows are cut into time chunks of about
-``CHUNK_ROWS`` chunk rows in all, each walked from the empty word, and a
-row's chunk words are merged in order with junction cancellation. Two array
-passes serve these blocks, chosen from the step data:
+Every other position read goes through one driver, ``_walk_rows``: it
+yields each path's (stack, node) at its stops, and picks the route once per
+call. A walk whose acting part at every step is the cumulative sum of the
+increments (``_in_blocks``: atoms that all have the identity part, or a
+lattice) is drawn as (rows, n) index blocks; its last returns to a
+sublattice come from the same sums (``_last_returns``), and the steps past
+them are masked with a no-op atom, so each path is walked once. Few long
+rows are cut into time chunks of about ``CHUNK_ROWS`` chunk rows in all,
+each walked from the empty word, and a row's chunk words are merged in order
+with junction cancellation. Two array passes serve these blocks, chosen from
+the step data:
 
 - the letter pass, ``_masked_steps`` over int8 letters, for atoms that push
   a fixed word from every node (``_fixed_pushes``: identity-part atoms, or
@@ -58,15 +62,14 @@ passes serve these blocks, chosen from the step data:
   letters only at the stops.
 
 A block whose used edges push more than two syllables (an exponential twist)
-steps ``advance`` on the rows already drawn. ``sample_paths`` reads its
-snapshots there, w = v·c(p)⁻¹ in a frame only at the recorded steps;
-``boundary``'s resolve routine (``_block_ends``: last returns from the
-cumulative sum of the increments, so each path is walked once, on either
-pass or by ``advance``) runs on it too. ``track_convergence`` (one-letter
-fixed pushes, step by step) and ``entropy_depth_counts`` for a
+steps ``advance`` on the rows already drawn. A free acting group's walk,
+whose part no cumulative sum tracks, draws its rows one by one and finds its
+last returns by a node pass (``_last_lattice_step``). Rows walked one by one,
+and the stepped entropy counts, step ``_run_one_path``. ``track_convergence``
+(one-letter fixed pushes, step by step) and ``entropy_depth_counts`` for a
 nearest-neighbour walk on F_d whose depths are at most ``HEAD`` use the
-letter pass. Free acting groups, first returns and short rows that repeat
-stay on ``advance``.
+letter pass on their own; first returns and short rows that repeat stay on
+``advance``.
 """
 
 from __future__ import annotations
@@ -85,6 +88,7 @@ from .errors import BudgetError, ConfigError
 from .groups import (
     ActingGroup,
     ExtElement,
+    SublatticeSpec,
     _map_distinct,
     ball,
     element_key,
@@ -377,24 +381,24 @@ def _run_one_path(
     graph: StepGraph,
     idx: list[int],
     n_steps: int,
-    record: list[int],
-) -> dict[int, ExtElement]:
-    """Positions of one path at the ascending ``record`` steps.
+    stops: Sequence[int],
+) -> list[tuple[tuple[int, ...], int]]:
+    """(reduced stack, node) of one path at each of the ascending ``stops``.
 
-    ``idx`` holds the path's ``n_steps`` atom indices.
+    ``idx`` holds at least ``n_steps`` atom indices; the path walks the
+    first ``n_steps`` of them, and a stop past ``n_steps`` reads the position
+    after them.
     """
-    rank = graph.acting.base_rank
     stack: list[int] = []
     node = graph.root
-    snaps: dict[int, ExtElement] = {}
+    out = []
     done = 0
-    for step in record:
-        node = graph.advance(stack, node, idx[done:step])
-        done = step
-        snaps[step] = ExtElement(
-            _reduced_word(rank, graph.free_letters(stack, node)), graph.parts[node]
-        )
-    return snaps
+    for stop in stops:
+        stop = min(stop, n_steps)
+        node = graph.advance(stack, node, idx[done:stop])
+        done = stop
+        out.append((tuple(stack), node))
+    return out
 
 
 # -- the array route: walks whose every atom pushes a fixed word -----------------
@@ -424,7 +428,7 @@ def _fixed_pushes(graph: StepGraph) -> np.ndarray | None:
     over a lattice, where atom (u, m) pushes u·c(m) and the acting part is
     the sum of the increments. Else, or when letters or atom indices would
     not fit the int8 and uint8 arrays, None: a lattice walk then takes the
-    syllable pass (``_block_words``), any other walk steps ``advance``.
+    syllable pass (``_walk_rows``), any other walk steps ``advance``.
     """
     measure = graph.measure
     if all(increment is None for _, increment in measure._step_data):
@@ -938,8 +942,39 @@ def _last_returns(graph: StepGraph, block: np.ndarray, spec) -> np.ndarray:
     return out
 
 
+class _Inside(dict):
+    """``part_in_sublattice`` of each visited step-graph node id, computed once.
+
+    The root's entry is filled on construction, so a spec that does not match
+    the acting group raises before any path is walked.
+    """
+
+    def __init__(self, graph: StepGraph, spec: SublatticeSpec):
+        super().__init__()
+        self.graph = graph
+        self.spec = spec
+        self[graph.root]
+
+    def __missing__(self, node: int) -> bool:
+        graph = self.graph
+        member = self[node] = part_in_sublattice(graph.acting, graph.parts[node], self.spec)
+        return member
+
+
+def _last_lattice_step(graph: StepGraph, indices: list[int], inside: _Inside) -> int:
+    """Last step n >= 1 whose acting part lies in the sublattice, else 0."""
+    edges = graph.edges
+    node = graph.root
+    last = 0
+    for n, i in enumerate(indices, start=1):
+        node = (edges[node][i] or graph.link(node, i))[1]
+        if inside[node]:
+            last = n
+    return last
+
+
 def _in_blocks(graph: StepGraph, table: np.ndarray | None) -> bool:
-    """Whether the walk steps a row block at a time.
+    """Whether the walk steps a row block at a time: the one route predicate.
 
     It does when its atoms push fixed words (``table``, from
     ``_fixed_pushes``), or when its acting group is a lattice, whose part at
@@ -952,103 +987,61 @@ def _in_blocks(graph: StepGraph, table: np.ndarray | None) -> bool:
     return acting.kind == "lattice" and len(graph.measure) <= 255 and acting.base_rank < FLOOR
 
 
-def _block_rows(table: np.ndarray | None, n_steps: int) -> int:
-    """Rows per block of n-step rows.
-
-    A block holds ``BLOCK_CELLS`` atom indices on the letter pass, else
-    ``SYLLABLE_CELLS``.
-    """
-    return max(1, (BLOCK_CELLS if table is not None else SYLLABLE_CELLS) // n_steps)
-
-
-def _block_words(
-    graph: StepGraph, table: np.ndarray | None, block: np.ndarray, stops: Sequence[int]
-) -> Iterator[list[tuple[int, ...]]] | None:
-    """Each row's reduced stacks at the ascending ``stops``, or None to step the block.
-
-    Fixed pushes take the letter pass (``_chunked_words``), one-letter
-    pushes at one sub-step a step. A lattice walk whose used edges push at
-    most two syllables each takes the syllable pass
-    (``_chunked_syllables``); any other block, an exponential twist's for
-    one, steps ``advance`` on the rows already drawn.
-    """
-    if table is not None:
-        return _chunked_words(table, block, stops)
-    return _chunked_syllables(graph, block, stops)
-
-
-def _block_ends(
+def _walk_rows(
     graph: StepGraph,
-    table: np.ndarray | None,
     seed: int,
     stream: int,
+    first: int,
     count: int,
     n_steps: int,
-    spec,
-) -> Iterator[tuple[int, list[int] | tuple[int, ...], int]]:
-    """(run_to, the reduced stack after run_to steps, node) of each path, in path order.
+    stops: Sequence[int],
+    spec: SublatticeSpec | None = None,
+) -> Iterator[tuple[int, list[tuple[tuple[int, ...], int]]]]:
+    """(run_to, [(reduced stack, node) at each stop]) of each path, in path order.
 
-    ``run_to`` is ``n_steps``, or with a sublattice spec the last return
-    (``_last_returns``); steps past it are masked with the no-op atom, so
-    each path is walked once, and a block that ``_block_words`` leaves to
-    ``advance`` steps each row up to ``run_to`` once. With fixed pushes the
-    node is the root, whose ``StepGraph.probe_part`` every node shares.
+    The one driver of position reads, for paths ``first .. first + count - 1``
+    of ``stream`` at the ascending ``stops``, the last ``n_steps``.
+    ``run_to`` is ``n_steps``, or with a sublattice ``spec`` the last step
+    whose acting part lies in it (0 for none); a stop past it reads the
+    position after ``run_to`` steps, so each path is walked once. The route
+    is chosen here, once per call. A walk that steps a row block at a time
+    (``_in_blocks``) draws index blocks, takes ``run_to`` and the nodes from
+    the cumulative sums of the increments (``_last_returns``, ``_nodes_at``)
+    and masks the steps past ``run_to`` with the no-op atom; fixed pushes
+    take the letter pass, other lattice walks the syllable pass, and a block
+    the syllable pass refuses steps ``_run_one_path`` on the rows it drew.
+    Any other walk (a free acting group's) draws its rows one by one, finds
+    ``run_to`` by a node pass (``_last_lattice_step``) and steps
+    ``_run_one_path``.
     """
-    if spec is not None:
-        # a spec that does not match the acting group raises before any draw
-        part_in_sublattice(graph.acting, graph.parts[graph.root], spec)
-    no_op = np.uint8(len(graph.measure))
-    rows = _block_rows(table, n_steps)
-    for block in _row_blocks(graph.measure, seed, stream, 0, count, n_steps, rows):
-        run_to = np.full(len(block), n_steps)
-        masked = block
+    # a spec that does not match the acting group raises before any draw
+    inside = None if spec is None else _Inside(graph, spec)
+    measure = graph.measure
+    table = _fixed_pushes(graph)
+    if not _in_blocks(graph, table):
+        for idx in measure.draw_rows(seed, stream, first, count, n_steps):
+            run_to = n_steps if inside is None else _last_lattice_step(graph, idx, inside)
+            yield run_to, _run_one_path(graph, idx, run_to, stops)
+        return
+    no_op = np.uint8(len(measure))
+    rows = max(1, (BLOCK_CELLS if table is not None else SYLLABLE_CELLS) // n_steps)
+    for block in _row_blocks(measure, seed, stream, first, count, n_steps, rows):
+        run_to = [n_steps] * len(block)
         if spec is not None:
-            run_to = _last_returns(graph, block, spec)
-            masked = np.where(np.arange(n_steps) < run_to[:, None], block, no_op)
-        words = _block_words(graph, table, masked, (n_steps,))
-        if words is None:
-            for idx, stop in zip(block.tolist(), run_to.tolist()):
-                stack: list[int] = []
-                yield stop, stack, graph.advance(stack, graph.root, idx[:stop])
-            continue
-        if table is None:
-            (nodes,) = _nodes_at(graph, masked, (n_steps,))
+            last = _last_returns(graph, block, spec)
+            block = np.where(np.arange(n_steps) < last[:, None], block, no_op)
+            run_to = last.tolist()
+        if table is not None:
+            words = _chunked_words(table, block, stops)
         else:
-            nodes = [graph.root] * len(block)
-        for stop, (stack,), node in zip(run_to.tolist(), words, nodes):
-            yield stop, stack, node
-
-
-def _sample_blocks(
-    graph: StepGraph,
-    table: np.ndarray | None,
-    seed: int,
-    n_paths: int,
-    n_steps: int,
-    steps: list[int],
-    first_path: int,
-    per_step: dict[int, list[ExtElement]],
-) -> None:
-    """``sample_paths``' snapshots a row block at a time, appended to ``per_step``.
-
-    A snapshot's free part is read back from the stack at its node
-    (``StepGraph.free_letters``), w = v·c(p)⁻¹ in a frame. A block that
-    ``_block_words`` leaves to ``advance`` runs ``_run_one_path`` per row.
-    """
-    rank = graph.acting.base_rank
-    rows = _block_rows(table, n_steps)
-    for block in _row_blocks(graph.measure, seed, STREAM_WALK, first_path, n_paths, n_steps, rows):
-        words = _block_words(graph, table, block, steps)
+            words = _chunked_syllables(graph, block, stops)
         if words is None:
-            for idx in block.tolist():
-                for step, g in _run_one_path(graph, idx, n_steps, steps).items():
-                    per_step[step].append(g)
+            for idx, stop in zip(block.tolist(), run_to):
+                yield stop, _run_one_path(graph, idx, stop, stops)
             continue
-        nodes = _nodes_at(graph, block, steps)
-        for r, snaps in enumerate(words):
-            for step, letters, at in zip(steps, snaps, nodes):
-                letters = graph.free_letters(letters, at[r])
-                per_step[step].append(ExtElement(_reduced_word(rank, letters), graph.parts[at[r]]))
+        nodes = _nodes_at(graph, block, stops)
+        for r, (stop, snaps) in enumerate(zip(run_to, words)):
+            yield stop, [(stack, at[r]) for stack, at in zip(snaps, nodes)]
 
 
 def sample_paths(
@@ -1066,8 +1059,9 @@ def sample_paths(
     disjoint ranges simulated separately merge into the same batch. When
     there are no more distinct rows (|support| ** n_steps) than paths, each
     distinct row is walked once and its paths share the same snapshots.
-    Otherwise a walk whose atoms push fixed words, or whose acting group is
-    a lattice, steps a row block at a time (``_in_blocks``).
+    Otherwise every path is read through the walk driver (``_walk_rows``).
+    A snapshot's free part is read back from the stack at its node
+    (``StepGraph.free_letters``), w = v·c(p)⁻¹ in a frame.
     """
     if n_paths < 1 or n_steps < 1:
         raise ConfigError("need n_paths >= 1 and n_steps >= 1")
@@ -1080,32 +1074,35 @@ def sample_paths(
             raise ConfigError(f"record steps {sorted(record)} outside 0..{n_steps}")
     steps = sorted(record)
     graph = StepGraph(measure)
-    per_step: dict[int, list[ExtElement]] = {s: [] for s in steps}
+    rank = measure.acting.base_rank
+
+    def elements(snaps: list[tuple[tuple[int, ...], int]]) -> list[ExtElement]:
+        return [
+            ExtElement(_reduced_word(rank, graph.free_letters(stack, node)), graph.parts[node])
+            for stack, node in snaps
+        ]
+
     # With two or more atoms, k ** n_steps <= n_paths needs n_steps below
     # n_paths' bit length; testing that first keeps the power a small int.
-    repeats = n_steps < n_paths.bit_length() and len(measure) ** n_steps <= n_paths
-    table = None if repeats else _fixed_pushes(graph)
-    if not repeats and _in_blocks(graph, table):
-        _sample_blocks(graph, table, seed, n_paths, n_steps, steps, first_path, per_step)
-    else:
-        walked: dict[tuple[int, ...], dict[int, ExtElement]] = {}
+    if n_steps < n_paths.bit_length() and len(measure) ** n_steps <= n_paths:
+        walked: dict[tuple[int, ...], list[ExtElement]] = {}
+        rows = []
         for idx in measure.draw_rows(seed, STREAM_WALK, first_path, n_paths, n_steps):
-            if repeats:
-                row = tuple(idx)
-                snaps = walked.get(row)
-                if snaps is None:
-                    snaps = walked[row] = _run_one_path(graph, idx, n_steps, steps)
-            else:
-                snaps = _run_one_path(graph, idx, n_steps, steps)
-            for s, g in snaps.items():
-                per_step[s].append(g)
+            row = tuple(idx)
+            snaps = walked.get(row)
+            if snaps is None:
+                snaps = walked[row] = elements(_run_one_path(graph, idx, n_steps, steps))
+            rows.append(snaps)
+    else:
+        paths = _walk_rows(graph, seed, STREAM_WALK, first_path, n_paths, n_steps, steps)
+        rows = [elements(snaps) for _, snaps in paths]
     return PathBatch(
         acting=measure.acting,
         seed=seed,
         n_paths=n_paths,
         n_steps=n_steps,
         record_steps=tuple(steps),
-        positions={s: tuple(v) for s, v in per_step.items()},
+        positions=dict(zip(steps, zip(*rows))),
         first_path=first_path,
     )
 
@@ -1258,21 +1255,16 @@ def _stepped_depth_counts(
     depths: tuple[int, ...],
     first_path: int,
 ) -> dict[int, dict]:
-    """``entropy_depth_counts`` of any walk, path by path through ``StepGraph.advance``."""
+    """``entropy_depth_counts`` of any walk, path by path through ``_run_one_path``."""
     part_key = measure.acting.part_key
     graph = StepGraph(measure)
     n_steps = max(depths)
     ascending = sorted(set(depths))
     counts: dict[int, dict] = {d: {} for d in depths}
+    tables = [counts[d] for d in ascending]
     for idx in measure.draw_rows(seed, STREAM_WALK, first_path, n_paths, n_steps):
-        stack: list[int] = []
-        node = graph.root
-        done = 0
-        for d in ascending:
-            node = graph.advance(stack, node, idx[done:d])
-            done = d
+        for table, (stack, node) in zip(tables, _run_one_path(graph, idx, n_steps, ascending)):
             key = (graph.free_letters(stack, node), part_key(graph.parts[node]))
-            table = counts[d]
             table[key] = table.get(key, 0) + 1
     return counts
 

@@ -12,12 +12,20 @@ of which have their own unit suites.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
-from walkbound import StepMeasure, element_key, ext_identity, ext_multiply
+from walkbound import (
+    Automorphism,
+    BudgetError,
+    StepMeasure,
+    element_key,
+    ext_identity,
+    ext_multiply,
+)
 
 
 def radial_drift_exact(rank: int, n_steps: int) -> float:
@@ -245,3 +253,58 @@ def nn_entropy_rate(weights: dict[int, float], q: dict[int, float]) -> float:
         back = nn_cylinder_mass(q, (-x,))
         total.append(w * (back * math.log(q[-x]) - (1 - back) * math.log(q[x])))
     return math.fsum(total)
+
+
+# -- bounded cancellation, by exhaustive search over short reduced products ----
+
+
+@dataclass(frozen=True)
+class CancellationBound:
+    """Largest junction cancellation seen between images of reduced products.
+
+    Certified by exhaustive search over all reduced products u·v with
+    |u|, |v| <= search_length; beyond that horizon the bound is a heuristic.
+    """
+
+    value: int
+    search_length: int
+
+
+def cancellation_bound(
+    phi: Automorphism, L: int, max_pairs: int = 2_000_000
+) -> CancellationBound:
+    """Exhaustively maximize cancellation between φ(u) and φ(v) over u·v reduced."""
+    if L < 1:
+        raise ValueError("search length must be >= 1")
+    rank = phi.rank
+    words: list[tuple[int, ...]] = []
+    frontier: list[tuple[int, ...]] = [()]
+    for _ in range(L):
+        nxt = []
+        for w in frontier:
+            for s in range(-rank, rank + 1):
+                if s == 0 or (w and w[-1] == -s):
+                    continue
+                nxt.append(w + (s,))
+        words.extend(nxt)
+        frontier = nxt
+    if len(words) ** 2 > max_pairs:
+        raise BudgetError(
+            f"cancellation search needs {len(words) ** 2} pairs, over the "
+            f"budget of {max_pairs}; lower L or raise the budget"
+        )
+    images = {w: tuple(phi.apply_letters(w)) for w in words}
+    best = 0
+    for u in words:
+        iu = images[u]
+        for v in words:
+            if u[-1] == -v[0]:
+                continue  # u·v not reduced
+            iv = images[v]
+            c = 0
+            limit = min(len(iu), len(iv))
+            while c < limit and iu[len(iu) - 1 - c] == -iv[c]:
+                c += 1
+            if c > best:
+                best = c
+    return CancellationBound(value=best, search_length=L)

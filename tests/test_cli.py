@@ -313,6 +313,16 @@ def test_unresolved_walk_exits_three(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_hitting_with_no_resolved_path_exits_three(capsys):
+    # a ceiling of 1 admits every path unresolved; one step never resolves depth 5
+    code = main(["hitting", "--config", "fixture:srw-f2", "--n-paths", "5", "--n-steps", "1",
+                 "--depth", "5", "--ceiling", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "no path resolved at depth 5 after 1 steps" in captured.err
+
+
 def test_exhausted_return_budget_exits_four(capsys):
     code = main(["first-return", "--config", "fixture:semidirect-mixed",
                  "--seed", "1", "--n-samples", "200", "--step-budget", "1"])
@@ -1041,6 +1051,30 @@ GOLDEN_DIGESTS = (
         "poisson --config fixture:semidirect-linear --seed 77 --n-samples 150 --n-steps 300",
         "7c40f6cfb798591c9e92a0c2405aac717cae87594edfd17b406d223c928efee0",
         id="poisson-long-semidirect-linear",
+    ),
+    # recorded before every position read went through one walk driver: a
+    # free acting group's rows drawn one by one, stepped depth counts, and a
+    # fibonacci block that steps advance with several stops
+    pytest.param(
+        "hitting --config fixture:free-acting --seed 80 --n-paths 200 --n-steps 120 --depth 2",
+        "1e353bf87920b75a9f9fe89d71cbc5d841620afd49d5732b7911573ca563f294",
+        id="hitting-free-acting",
+    ),
+    pytest.param(
+        "poisson --config fixture:free-acting --seed 81 --n-samples 100 --n-steps 120",
+        "e71324b1851919a768d55b00b5b50de3d7ef9bd1eb97693e96500c536a458dcf",
+        id="poisson-free-acting",
+    ),
+    pytest.param(
+        "entropy-rate --config fixture:semidirect-linear --seed 82 --n-paths 2000 --depths 4,8",
+        "d041abc6d29c1fe08db1c35bb155801fb5c603eaaf60e6c785d0e86a01e07520",
+        id="entropy-rate-semidirect-linear",
+    ),
+    pytest.param(
+        "walk --config fixture:fibonacci --seed 83 --n-paths 60 --n-steps 20 "
+        "--record 0,3,11 --format csv",
+        "8c83b930a06816334745893c7441423c24775e44b753023bce66419e9454e862",
+        id="walk-csv-records-fibonacci",
     ),
 )
 

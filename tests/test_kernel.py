@@ -40,9 +40,9 @@ from walkbound import (
     walk,
 )
 from walkbound._rng import STREAM_RETURN, STREAM_WALK, derived_rng
-from walkbound.boundary import _endpoint, _Inside, _last_lattice_step, _resolve_paths
+from walkbound.boundary import _endpoint, _resolve_paths
 from walkbound.morphisms import _conjugator
-from walkbound.walk import StepGraph, _stepped_depth_counts
+from walkbound.walk import StepGraph, _Inside, _last_lattice_step, _stepped_depth_counts
 
 # exponential twists make fold words grow like phi^steps
 MAX_STEPS = {"fibonacci": 18}
@@ -558,6 +558,79 @@ def test_array_route_estimators_equal_advance(measure, seed, data):
     assert np.array_equal(lengths, stepped[2])
 
 
+# The kernel of F_2 onto the permutations of three points, a by a 3-cycle and
+# b by a transposition: free-acting's walk leaves it and comes back.
+FREE_KERNEL = PermKernelSpec(3, ((1, 2, 0), (1, 0, 2)))
+# every route of the walk driver: (the case's sublattice spec, the route)
+WALK_ROWS_CASES = {
+    # every step lies in the empty moduli spec's sublattice
+    "srw-f2": (ModuliSpec(()), "letters"),
+    "direct-product": (ModuliSpec((2,)), "letters"),
+    "inner-ab": (ModuliSpec((2,)), "letters"),
+    "semidirect-linear": (ModuliSpec((2,)), "syllables"),
+    "lattice-rank2": (ModuliSpec((2, 2)), "syllables"),
+    # an exponential twist: a block with an edge of over two syllables steps advance
+    "fibonacci": (ModuliSpec((2,)), "syllables or stepped"),
+    "free-acting": (FREE_KERNEL, "rows"),
+}
+
+
+@pytest.mark.parametrize("returns", [False, True], ids=["plain", "at-returns"])
+@pytest.mark.parametrize("name", sorted(WALK_ROWS_CASES))
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds, data=st.data())
+# 30 rows of 18 steps, and 100 of one step, some of which never return
+@example(seed=1, data="long")
+@example(seed=1, data="one-step")
+def test_array_route_walk_rows_equal_fold(name, returns, seed, data):
+    # run_to, and (stack, node) at every stop, against the fold over the
+    # same draws: stops at 0 and n, path ranges that start past 0
+    spec, route = WALK_ROWS_CASES[name]
+    spec = spec if returns else None
+    measure = case_measure(name, None)
+    if data == "long":
+        count, n, first, stops = 30, 18, 5, [0, 7, 18]
+    elif data == "one-step":
+        count, n, first, stops = 100, 1, 0, [0, 1]
+    else:
+        count = data.draw(st.integers(1, 30), label="count")
+        n = data.draw(st.integers(1, MAX_STEPS.get(name, 60)), label="n")
+        first = data.draw(st.integers(0, 2**32 - 1 - count), label="first")
+        stops = sorted(data.draw(st.sets(st.integers(0, n)), label="stops") | {0, n})
+    graph = StepGraph(measure)
+    with mock.patch.object(walk, "_chunked_words", wraps=walk._chunked_words) as letters, \
+            mock.patch.object(walk, "_syllable_steps", wraps=walk._syllable_steps) as syllables, \
+            mock.patch.object(walk, "_run_one_path", wraps=walk._run_one_path) as one_by_one:
+        rows = list(walk._walk_rows(graph, seed, STREAM_WALK, first, count, n, stops, spec))
+    acting = measure.acting
+    drawn = list(measure.draw_rows(seed, STREAM_WALK, first, count, n))
+    assert len(rows) == count
+    for (run_to, snaps), idx in zip(rows, drawn):
+        positions = fold(measure, idx)
+        members = [m for m in range(1, n + 1) if in_sublattice(acting, positions[m], spec)] \
+            if spec is not None else [n]
+        assert run_to == (members[-1] if members else 0)
+        assert len(snaps) == len(stops)
+        for stop, (stack, node) in zip(stops, snaps):
+            assert all(x != -y for x, y in zip(stack, stack[1:]))
+            letters_ = graph.free_letters(stack, node)
+            got = ExtElement(Word(acting.base_rank, letters_), graph.parts[node])
+            assert keys(acting, [got]) == keys(acting, [positions[min(stop, run_to)]])
+    if data == "one-step" and spec is not None and name != "srw-f2":
+        assert any(run_to == 0 for run_to, _ in rows)
+    ran = (letters.called, syllables.called, one_by_one.call_count)
+    if route == "letters":
+        assert ran == (True, False, 0)
+    elif route == "syllables":
+        assert ran == (False, True, 0)
+    elif route == "rows":
+        assert ran == (False, False, count)
+    else:
+        assert ran in ((False, True, 0), (False, False, count))
+        if data == "long":
+            assert ran == (False, False, count)
+
+
 def test_array_route_is_chosen_from_step_data(tmp_path):
     # renamed copies take their originals' routes, read from the step data
     def renamed(name, old, new):
@@ -579,8 +652,10 @@ def test_array_route_is_chosen_from_step_data(tmp_path):
         ("lattice-rank2", fixture("lattice-rank2"), syllables),
         # an exponential twist: its blocks step advance on the rows they drew
         ("fibonacci", fixture("fibonacci"), stepped),
-        # no cumulative sum tracks a free acting part: rows are drawn one by one
+        # no cumulative sum tracks a free acting part: rows are drawn one by one,
+        # and last returns to a permutation kernel come from a node pass
         ("free-acting", fixture("free-acting"), None),
+        ("free-acting at returns", (fixture_measure("free-acting"), FREE_KERNEL), None),
     ):
         with mock.patch.object(walk, "_chunked_words", wraps=walk._chunked_words) as letter_pass, \
                 mock.patch.object(walk, "_syllable_steps", wraps=walk._syllable_steps) as pass_, \
@@ -588,8 +663,8 @@ def test_array_route_is_chosen_from_step_data(tmp_path):
                 mock.patch.object(walk, "draw_rows", wraps=walk.draw_rows) as rows, \
                 mock.patch.object(StepGraph, "advance", autospec=True,
                                   side_effect=StepGraph.advance) as advance, \
-                mock.patch("walkbound.boundary._last_lattice_step",
-                           wraps=boundary._last_lattice_step) as node_pass:
+                mock.patch.object(walk, "_last_lattice_step",
+                                  wraps=walk._last_lattice_step) as node_pass:
             sample_paths(measure, 1, 4, 30)
             _resolve_paths(measure, 1, STREAM_WALK, 4, 30, 1, None, spec, 1.0)
         assert letter_pass.call_count == 2 * (route == letters), name
@@ -598,7 +673,8 @@ def test_array_route_is_chosen_from_step_data(tmp_path):
         # that steps advance walks each row once, up to its last return
         assert (blocks.call_count, rows.call_count) == ((0, 2) if route is None else (2, 0)), name
         assert advance.call_count == 8 * (route in (stepped, None)), name
-        assert node_pass.called == (route is None and spec is not None), name
+        # once per row of the resolve call
+        assert node_pass.call_count == 4 * (route is None and spec is not None), name
         with mock.patch("walkbound.boundary._array_lengths") as lengths:
             lengths.return_value = np.zeros((4, 30), dtype=np.int32)
             track_convergence(measure, 1, 4, 30, 3)
@@ -744,9 +820,8 @@ def test_array_route_syllable_estimators_equal_advance(measure, seed, data):
     repeats = n_steps < n_paths.bit_length() and len(measure) ** n_steps <= n_paths
     if any(measure is fixture_measure(name) for name in SYLLABLE_CASES):
         assert syllables.call_count == 3 - repeats
-    with mock.patch.object(walk, "_in_blocks", return_value=False), mock.patch(
-        "walkbound.boundary._in_blocks", return_value=False
-    ):
+    # the driver's one route predicate: no row blocks, rows drawn one by one
+    with mock.patch.object(walk, "_in_blocks", return_value=False):
         assert arrays == run()
 
 

@@ -12,7 +12,6 @@ from walkbound import (
     Ray,
     Word,
     boundary_apply,
-    cancellation_bound,
     classify_growth,
     fixture_names,
     free_reduce,
@@ -23,7 +22,7 @@ from walkbound import (
     morphisms,
 )
 from walkbound.cli import main
-from oracles import fibonacci_rate
+from oracles import cancellation_bound, fibonacci_rate
 
 
 def shift_rank3() -> Automorphism:
