@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .groups import (
     SublatticeSpec,
     _map_distinct,
     gauge_length,
+    part_in_sublattice,
 )
 from .morphisms import _ray_image
 from .walk import (  # _last_lattice_step stays bound here for bench/tracing.py
@@ -43,11 +43,11 @@ from .walk import (  # _last_lattice_step stays bound here for bench/tracing.py
     StepMeasure,
     _empty_words,
     _fixed_pushes,
-    _Inside,
     _last_lattice_step,
     _letter_rows,
     _masked_steps,
     _row_blocks,
+    _sublattice_mask,
     _walk_rows,
 )
 from .words import Ray, Word, _reduced_word
@@ -290,8 +290,8 @@ def _agreement(w: list[int], images: _RayImages, entry: tuple, depth: int) -> in
 #
 # Every position an estimator resolves, x_n or its position at the last
 # return to the sublattice, is read through the one walk driver
-# ``walk._walk_rows``, which picks the route (letter pass, syllable pass,
-# ``advance`` on drawn rows, or rows drawn one by one) once per call.
+# ``walk._walk_rows``, which picks the route (letter pass, syllable pass, or
+# ``advance`` on drawn rows) once per call.
 
 
 # Kept, though the package no longer calls it: bench/tracing.py wraps it by name.
@@ -717,7 +717,7 @@ class FirstReturnSample:
 
 
 def _indices_past_head(measure: StepMeasure, past_head, index: int, step_budget: int):
-    """Atom indices of return sample ``index`` after its head, up to the budget.
+    """Atom index blocks of return sample ``index`` after its head, up to the budget.
 
     Drawn only when the head is used up, 128 at a time, so a sample that
     returns soon after draws little more; ``past_head`` is the samples'
@@ -727,7 +727,7 @@ def _indices_past_head(measure: StepMeasure, past_head, index: int, step_budget:
         return
     rng = past_head(index)
     for drawn in range(HEAD, step_budget, 128):
-        yield from measure.draw_indices(rng, min(128, step_budget - drawn)).tolist()
+        yield measure.draw_indices(rng, min(128, step_budget - drawn))
 
 
 def first_return_sampler(
@@ -743,41 +743,52 @@ def first_return_sampler(
     Each sample runs an independent walk until it lands in the sublattice or
     the step budget runs out; budget exhaustion is counted per sample and the
     whole call fails only when the failure fraction exceeds the ceiling. The
-    first ``HEAD`` steps of every sample are drawn in one batch; a sample
-    still outside after them goes on along its own stream. At the default
-    budget none does on ``semidirect-mixed`` and about 1.3% of them on
-    ``lattice-rank2``.
+    first ``HEAD`` steps of every sample are drawn as index blocks, tau is
+    the first return in the block's membership mask (``walk._sublattice_mask``)
+    and each sample's head is walked once, up to tau. A sample still outside
+    after its head goes on along its own stream, 128 draws at a time, each
+    masked from its current part. At the default budget none does on
+    ``semidirect-mixed`` and about 1.3% of them on ``lattice-rank2``.
     """
     if n_samples < 1 or step_budget < 1:
         raise ConfigError("need n_samples >= 1 and step_budget >= 1")
     _check_ceiling("failure ceiling", failure_ceiling)
     graph = StepGraph(measure)
-    inside = _Inside(graph, sublattice)
+    # a spec that does not match the acting group raises before any draw
+    part_in_sublattice(measure.acting, graph.parts[graph.root], sublattice)
     rank = measure.acting.base_rank
     # one element per distinct returned position (node, stack)
     returned: dict[tuple, ExtElement] = {}
     samples: list[ExtElement] = []
     times: list[int] = []
     failures = 0
-    heads = measure.draw_rows(seed, STREAM_RETURN, 0, n_samples, min(step_budget, HEAD))
     past_head = streams_past_head(seed, STREAM_RETURN, 0, n_samples)
-    for index, head in enumerate(heads):
-        stack: list[int] = []
-        node = graph.root
-        steps = chain(head, _indices_past_head(measure, past_head, index, step_budget))
-        for n, i in enumerate(steps, start=1):
-            node = graph.advance(stack, node, (i,))
-            if inside[node]:
-                key = (node, tuple(stack))
-                g = returned.get(key)
-                if g is None:
-                    w = _reduced_word(rank, graph.free_letters(stack, node))
-                    g = returned[key] = ExtElement(w, graph.parts[node])
-                samples.append(g)
-                times.append(n)
-                break
-        else:
-            failures += 1
+    index = -1
+    for block in measure.index_blocks(seed, STREAM_RETURN, 0, n_samples, min(step_budget, HEAD)):
+        inside = _sublattice_mask(graph, block, sublattice)
+        inside[:, 0] = False  # tau >= 1: the start is no return
+        for idx, tau in zip(block.tolist(), inside.argmax(axis=1).tolist()):
+            index += 1
+            stack: list[int] = []
+            node = graph.advance(stack, graph.root, idx[: tau or None])
+            walked = 0 if tau else len(idx)
+            for chunk in () if tau else _indices_past_head(measure, past_head, index, step_budget):
+                # the part after ``walked`` steps is outside: column 0 reads False
+                tau = int(_sublattice_mask(graph, chunk[None], sublattice, graph.parts[node]).argmax())
+                node = graph.advance(stack, node, chunk[: tau or None].tolist())
+                if tau:
+                    break
+                walked += len(chunk)
+            if not tau:
+                failures += 1
+                continue
+            key = (node, tuple(stack))
+            g = returned.get(key)
+            if g is None:
+                w = _reduced_word(rank, graph.free_letters(stack, node))
+                g = returned[key] = ExtElement(w, graph.parts[node])
+            samples.append(g)
+            times.append(walked + tau)
     result = FirstReturnSample(tuple(samples), tuple(times), failures, step_budget)
     if result.failure_fraction > failure_ceiling:
         raise BudgetError(

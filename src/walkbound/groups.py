@@ -410,8 +410,8 @@ def _word_permutation(p: Word, spec: PermKernelSpec) -> tuple[int, ...]:
 
     Letters compose left to right as ``perm = perm ∘ image``, so the
     permutation of a product p·q is that of p composed with that of q.
-    Samplers never compose permutations themselves: they ask
-    ``part_in_sublattice`` once per acting position they visit.
+    ``walk._sublattice_mask`` composes the atoms' permutations by this rule
+    along a block of walks.
     """
     perm = list(range(spec.degree))
     for s in p.letters:

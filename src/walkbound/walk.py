@@ -37,15 +37,18 @@ measure and render once per distinct element (``groups._map_distinct``).
 
 Every other position read goes through one driver, ``_walk_rows``: it
 yields each path's (stack, node) at its stops, and picks the route once per
-call. A walk whose acting part at every step is the cumulative sum of the
-increments (``_in_blocks``: atoms that all have the identity part, or a
-lattice) is drawn as (rows, n) index blocks; its last returns to a
-sublattice come from the same sums (``_last_returns``), and the steps past
-them are masked with a no-op atom, so each path is walked once. Few long
-rows are cut into time chunks of about ``CHUNK_ROWS`` chunk rows in all,
-each walked from the empty word, and a row's chunk words are merged in order
-with junction cancellation. Two array passes serve these blocks, chosen from
-the step data:
+call. Every walk is drawn as (rows, n) index blocks, uint8 up to 255 atoms
+(the no-op atom ``len(measure)`` included) and wider past them. Whether the
+acting part after each step lies in a finite-index subgroup is one mask over
+a block (``_sublattice_mask``): a cumulative sum of the increments tested
+against the moduli on a lattice, a composition of each atom's permutation
+on a free acting group. Last returns (``_last_lattice_step``) and
+``first_return_sampler``'s first returns are read off it, and the steps past
+a last return are masked with the no-op atom, so each path is walked once.
+Few long rows are cut into time chunks of about ``CHUNK_ROWS`` chunk rows in
+all, each walked from the empty word, and a row's chunk words are merged in
+order with junction cancellation. Two array passes serve these blocks,
+chosen from the step data:
 
 - the letter pass, ``_masked_steps`` over int8 letters, for atoms that push
   a fixed word from every node (``_fixed_pushes``: identity-part atoms, or
@@ -61,15 +64,13 @@ the step data:
   pushed, merged or cancelled in one sub-step; words are expanded to
   letters only at the stops.
 
-A block whose used edges push more than two syllables (an exponential twist)
-steps ``advance`` on the rows already drawn. A free acting group's walk,
-whose part no cumulative sum tracks, draws its rows one by one and finds its
-last returns by a node pass (``_last_lattice_step``). Rows walked one by one,
-and the stepped entropy counts, step ``_run_one_path``. ``track_convergence``
-(one-letter fixed pushes, step by step) and ``entropy_depth_counts`` for a
-nearest-neighbour walk on F_d whose depths are at most ``HEAD`` use the
-letter pass on their own; first returns and short rows that repeat stay on
-``advance``.
+A block that neither pass serves (a free acting group's, or one whose used
+edges push more than two syllables, an exponential twist) steps
+``_run_one_path`` on the rows it drew, as do the stepped entropy counts.
+``track_convergence`` (one-letter fixed pushes, step by step) and
+``entropy_depth_counts`` for a nearest-neighbour walk on F_d whose depths
+are at most ``HEAD`` use the letter pass on their own; short rows that
+repeat stay on ``advance``.
 """
 
 from __future__ import annotations
@@ -87,9 +88,12 @@ from ._rng import HEAD, STREAM_WALK, draw_rows, index_blocks
 from .errors import BudgetError, ConfigError
 from .groups import (
     ActingGroup,
+    ActingPart,
     ExtElement,
+    PermKernelSpec,
     SublatticeSpec,
     _map_distinct,
+    _word_permutation,
     ball,
     element_key,
     ext_multiply,
@@ -120,7 +124,7 @@ class StepMeasure:
 
     Weights must be positive and sum to 1 within 1e-9, atoms must be pairwise
     distinct. By default the constructor also checks that products of support
-    elements reach the whole gauge ball of radius ``generation_radius``; pass
+    elements reach the whole gauge ball of radius 1; pass
     ``check_generation=False`` for measures that deliberately generate a
     proper subsemigroup (point masses, sub-walk measures).
     """
@@ -134,7 +138,6 @@ class StepMeasure:
         weights: list[float] | tuple[float, ...],
         *,
         check_generation: bool = True,
-        generation_radius: int = 1,
     ):
         atoms = tuple(atoms)
         weights = tuple(float(w) for w in weights)
@@ -168,17 +171,16 @@ class StepMeasure:
             (g.w.letters, None if acting.part_is_identity(g.p) else g.p) for g in atoms
         )
         if check_generation:
-            self._check_generation(generation_radius)
+            self._check_generation()
 
-    def _check_generation(self, radius: int) -> None:
+    def _check_generation(self) -> None:
         acting = self.acting
-        target = {element_key(acting, g) for g in ball(acting, radius)}
+        target = {element_key(acting, g) for g in ball(acting, 1)}
         reached: set = set()
         frontier = list(self.atoms)
         for g in frontier:
             reached.add(element_key(acting, g))
-        rounds = 2 * radius + 2
-        for _ in range(rounds):
+        for _ in range(4):
             if target <= reached:
                 return
             nxt = []
@@ -193,7 +195,7 @@ class StepMeasure:
         if not target <= reached:
             missing = len(target - reached)
             raise ConfigError(
-                f"support does not reach {missing} element(s) of the radius-{radius} "
+                f"support does not reach {missing} element(s) of the radius-1 "
                 "ball by short products; pass check_generation=False if this measure "
                 "is meant to generate a proper subsemigroup"
             )
@@ -406,8 +408,8 @@ def _run_one_path(
 # Chunk rows one masked pass aims to cover: below it each numpy call steps
 # too few rows to pay for itself, above it merging chunk words costs more.
 CHUNK_ROWS = 2048
-# Atom indices per row block, held as uint8 (the pass holds a few int8
-# arrays of about the same size).
+# Atom indices per row block, held as uint8 up to 255 atoms (the pass holds
+# a few int8 arrays of about the same size).
 BLOCK_CELLS = 1 << 20
 # Atom indices per row block of a walk on the syllable pass, which holds
 # about 30 bytes a cell beside the block at its peak.
@@ -426,9 +428,9 @@ def _fixed_pushes(graph: StepGraph) -> np.ndarray | None:
     atom. A push is the same from every node when every atom has the
     identity part (the walk never leaves the root), or in a conjugator frame
     over a lattice, where atom (u, m) pushes u·c(m) and the acting part is
-    the sum of the increments. Else, or when letters or atom indices would
-    not fit the int8 and uint8 arrays, None: a lattice walk then takes the
-    syllable pass (``_walk_rows``), any other walk steps ``advance``.
+    the sum of the increments. Else, or when letters would not fit the int8
+    arrays, None: a lattice walk then takes the syllable pass
+    (``_walk_rows``), any other walk steps ``advance``.
     """
     measure = graph.measure
     if all(increment is None for _, increment in measure._step_data):
@@ -437,7 +439,7 @@ def _fixed_pushes(graph: StepGraph) -> np.ndarray | None:
         words = graph._framed
     else:
         return None
-    if len(words) > 255 or graph.acting.base_rank >= FLOOR:
+    if graph.acting.base_rank >= FLOOR:
         return None
     table = np.zeros((len(words) + 1, max(1, *map(len, words))), dtype=np.int8)
     for i, letters in enumerate(words):
@@ -448,15 +450,17 @@ def _fixed_pushes(graph: StepGraph) -> np.ndarray | None:
 def _row_blocks(
     measure: StepMeasure, seed: int, stream: int, first: int, count: int, n: int, rows: int
 ) -> Iterator[np.ndarray]:
-    """The rows of ``index_blocks`` as uint8 arrays of about ``rows`` rows each.
+    """The rows of ``index_blocks`` as arrays of about ``rows`` rows each.
 
-    The pieces of a block are let go before it is yielded, so a consumer
-    holds it once.
+    Their dtype is the least that holds the no-op atom ``len(measure)``:
+    uint8 up to 255 atoms. The pieces of a block are let go before it is
+    yielded, so a consumer holds it once.
     """
+    dtype = np.min_scalar_type(len(measure))
     held: list[np.ndarray] = []
     done = 0
     for block in measure.index_blocks(seed, stream, first, count, n):
-        held.append(block.astype(np.uint8))
+        held.append(block.astype(dtype))
         done += len(block)
         if sum(map(len, held)) >= rows or done == count:
             block = np.concatenate(held)
@@ -829,13 +833,15 @@ def _chunked_syllables(
 ) -> Iterator[list[tuple[int, ...]]] | None:
     """Each row's reduced words at the ascending ``stops``, the last n, or None.
 
-    ``block`` holds (rows, n) atom indices of a lattice walk; None when a
-    used edge pushes more than two syllables (``_syllable_edges``). Rows are
-    cut into time chunks (``_spans``), each chunk's syllables are walked
-    from the empty word by ``_syllable_steps``, a row's chunk words are
-    merged in order as syllables (``_merged_chunks``), and only the stops'
-    words are expanded to letters.
+    ``block`` holds (rows, n) atom indices. None when the walk is not on a
+    lattice, or when a used edge pushes more than two syllables
+    (``_syllable_edges``). Rows are cut into time chunks (``_spans``), each
+    chunk's syllables are walked from the empty word by ``_syllable_steps``,
+    a row's chunk words are merged in order as syllables
+    (``_merged_chunks``), and only the stops' words are expanded to letters.
     """
+    if graph.acting.kind != "lattice" or graph.acting.base_rank >= FLOOR:
+        return None
     rows, n = block.shape
     _, spans, ends = _spans(rows, n, stops)
     stream = _syllable_stream(graph, block, spans)
@@ -888,8 +894,8 @@ def _unpacked_rows(letters: np.ndarray, bounds: list[int], stops: int) -> Iterat
         ]
 
 
-def _increments(graph: StepGraph) -> list[tuple[int, tuple[int, ...]]]:
-    """(atom index, lattice increment) of every atom whose acting part is not the identity."""
+def _increments(graph: StepGraph) -> list[tuple[int, ActingPart]]:
+    """(atom index, acting increment) of every atom whose acting part is not the identity."""
     return [(i, p) for i, (_, p) in enumerate(graph.measure._step_data) if p is not None]
 
 
@@ -914,77 +920,56 @@ def _nodes_at(graph: StepGraph, block: np.ndarray, stops: Sequence[int]) -> list
     return out
 
 
-def _last_returns(graph: StepGraph, block: np.ndarray, spec) -> np.ndarray:
-    """Per row, the last step n >= 1 whose acting part lies in the sublattice, else 0.
+def _sublattice_mask(
+    graph: StepGraph, block: np.ndarray, spec: SublatticeSpec, start: ActingPart | None = None
+) -> np.ndarray:
+    """Whether the acting part after each step of ``block`` lies in the subgroup of ``spec``.
 
-    A lattice part is read from the cumulative sum of each coordinate's
-    increments; with none the part is the root's at every step, whose
-    membership ``part_in_sublattice`` decides.
+    ``block`` holds (rows, n) atom indices, the no-op atom ``len(measure)``
+    included, walked from the part ``start`` (the identity by default).
+    Returns a (rows, n + 1) bool mask whose column t reads the part after t
+    steps, column 0 the start's. On a lattice the part is the start plus the
+    cumulative sum of the increments, tested against the moduli a slice of
+    rows at a time. On a free acting group each row carries the permutation
+    of its part, and a step composes the atom's (``groups._word_permutation``)
+    on the right, p·q ↦ perm_p[perm_q], one gather per step.
     """
+    start = graph.parts[graph.root] if start is None else start
     rows, n = block.shape
-    member = part_in_sublattice(graph.acting, graph.parts[graph.root], spec)
-    moving = _increments(graph)
-    if not moving:
-        return np.full(rows, n if member else 0)
+    if isinstance(spec, PermKernelSpec):
+        degree = spec.degree
+        identity = np.arange(degree)
+        table = np.tile(identity, (len(graph.measure) + 1, 1))
+        for i, increment in _increments(graph):
+            table[i] = _word_permutation(increment, spec)
+        perms = np.empty((n + 1, rows, degree), dtype=np.min_scalar_type(degree))
+        perms[0] = _word_permutation(start, spec)
+        flat = perms.reshape(-1)
+        # step t + 1 of row r reads row r's permutation after t steps at the atom's cells
+        cells = table[block.T]
+        cells += np.arange(0, n * rows * degree, degree).reshape(n, rows, 1)
+        for t, source in enumerate(cells, start=1):
+            perms[t] = flat[source]
+        return (perms == identity).all(axis=2).T
+    inside = np.ones((rows, n + 1), dtype=bool)
+    inside[:, 0] = part_in_sublattice(graph.acting, start, spec)
     columns = np.zeros((len(spec.moduli), len(graph.measure) + 1), dtype=np.int64)
-    for i, increment in moving:
+    for i, increment in _increments(graph):
         columns[:, i] = increment
-    out = np.empty(rows, dtype=np.int64)
     # a slice of rows at a time keeps the int64 sums small beside the block
-    step = max(1, RETURN_CELLS // n)
-    for start in range(0, rows, step):
-        part = block[start : start + step]
-        inside = np.ones(part.shape, dtype=bool)
-        for column, modulus in zip(columns, spec.moduli):
-            inside &= np.cumsum(column[part], axis=1) % modulus == 0
-        last = n - np.argmax(inside[:, ::-1], axis=1)
-        out[start : start + step] = np.where(inside.any(axis=1), last, 0)
-    return out
+    step = max(1, RETURN_CELLS // max(n, 1))
+    for first in range(0, rows, step):
+        part = block[first : first + step]
+        for column, modulus, at in zip(columns, spec.moduli, start):
+            inside[first : first + step, 1:] &= (np.cumsum(column[part], axis=1) + at) % modulus == 0
+    return inside
 
 
-class _Inside(dict):
-    """``part_in_sublattice`` of each visited step-graph node id, computed once.
-
-    The root's entry is filled on construction, so a spec that does not match
-    the acting group raises before any path is walked.
-    """
-
-    def __init__(self, graph: StepGraph, spec: SublatticeSpec):
-        super().__init__()
-        self.graph = graph
-        self.spec = spec
-        self[graph.root]
-
-    def __missing__(self, node: int) -> bool:
-        graph = self.graph
-        member = self[node] = part_in_sublattice(graph.acting, graph.parts[node], self.spec)
-        return member
-
-
-def _last_lattice_step(graph: StepGraph, indices: list[int], inside: _Inside) -> int:
-    """Last step n >= 1 whose acting part lies in the sublattice, else 0."""
-    edges = graph.edges
-    node = graph.root
-    last = 0
-    for n, i in enumerate(indices, start=1):
-        node = (edges[node][i] or graph.link(node, i))[1]
-        if inside[node]:
-            last = n
-    return last
-
-
-def _in_blocks(graph: StepGraph, table: np.ndarray | None) -> bool:
-    """Whether the walk steps a row block at a time: the one route predicate.
-
-    It does when its atoms push fixed words (``table``, from
-    ``_fixed_pushes``), or when its acting group is a lattice, whose part at
-    every step is the cumulative sum of the increments, and its atom indices
-    and letters fit the uint8 and int8 arrays.
-    """
-    if table is not None:
-        return True
-    acting = graph.acting
-    return acting.kind == "lattice" and len(graph.measure) <= 255 and acting.base_rank < FLOOR
+def _last_lattice_step(graph: StepGraph, block: np.ndarray, spec: SublatticeSpec) -> np.ndarray:
+    """Per row of ``block``, the last step n >= 1 whose acting part lies in the subgroup, else 0."""
+    # reversed, column 0 (the identity, always inside) comes last: a row with no return reads 0
+    inside = _sublattice_mask(graph, block, spec)[:, ::-1]
+    return block.shape[1] - inside.argmax(axis=1)
 
 
 def _walk_rows(
@@ -1002,34 +987,24 @@ def _walk_rows(
     The one driver of position reads, for paths ``first .. first + count - 1``
     of ``stream`` at the ascending ``stops``, the last ``n_steps``.
     ``run_to`` is ``n_steps``, or with a sublattice ``spec`` the last step
-    whose acting part lies in it (0 for none); a stop past it reads the
-    position after ``run_to`` steps, so each path is walked once. The route
-    is chosen here, once per call. A walk that steps a row block at a time
-    (``_in_blocks``) draws index blocks, takes ``run_to`` and the nodes from
-    the cumulative sums of the increments (``_last_returns``, ``_nodes_at``)
-    and masks the steps past ``run_to`` with the no-op atom; fixed pushes
-    take the letter pass, other lattice walks the syllable pass, and a block
-    the syllable pass refuses steps ``_run_one_path`` on the rows it drew.
-    Any other walk (a free acting group's) draws its rows one by one, finds
-    ``run_to`` by a node pass (``_last_lattice_step``) and steps
-    ``_run_one_path``.
+    whose acting part lies in it (0 for none, ``_last_lattice_step``); a
+    stop past it reads the position after ``run_to`` steps, so each path is
+    walked once. Rows are drawn as index blocks, and the steps past
+    ``run_to`` masked with the no-op atom. The route is chosen here, once
+    per call: fixed pushes take the letter pass, other lattice walks the
+    syllable pass, and a block that neither serves (a free acting group's,
+    or one the syllable pass refuses) steps ``_run_one_path`` on its rows.
     """
-    # a spec that does not match the acting group raises before any draw
-    inside = None if spec is None else _Inside(graph, spec)
-    measure = graph.measure
+    if spec is not None:
+        # a spec that does not match the acting group raises before any draw
+        part_in_sublattice(graph.acting, graph.parts[graph.root], spec)
     table = _fixed_pushes(graph)
-    if not _in_blocks(graph, table):
-        for idx in measure.draw_rows(seed, stream, first, count, n_steps):
-            run_to = n_steps if inside is None else _last_lattice_step(graph, idx, inside)
-            yield run_to, _run_one_path(graph, idx, run_to, stops)
-        return
-    no_op = np.uint8(len(measure))
     rows = max(1, (BLOCK_CELLS if table is not None else SYLLABLE_CELLS) // n_steps)
-    for block in _row_blocks(measure, seed, stream, first, count, n_steps, rows):
+    for block in _row_blocks(graph.measure, seed, stream, first, count, n_steps, rows):
         run_to = [n_steps] * len(block)
         if spec is not None:
-            last = _last_returns(graph, block, spec)
-            block = np.where(np.arange(n_steps) < last[:, None], block, no_op)
+            last = _last_lattice_step(graph, block, spec)
+            block = np.where(np.arange(n_steps) < last[:, None], block, len(graph.measure))
             run_to = last.tolist()
         if table is not None:
             words = _chunked_words(table, block, stops)
@@ -1325,8 +1300,11 @@ def _checked_depths(
     depths = tuple(sorted(set(int(d) for d in depths)))
     if not depths or depths[0] < 1:
         raise ConfigError("need at least one positive depth")
-    support_bound = len(measure) ** depths[-1]
-    if min(support_bound, n_paths) * len(depths) > max_cells:
+    # with two or more atoms, k ** depth exceeds n_paths from n_paths' bit
+    # length on; below it the power is a small int
+    k, deepest = len(measure), depths[-1]
+    cells = n_paths if k > 1 and deepest >= n_paths.bit_length() else min(k**deepest, n_paths)
+    if cells * len(depths) > max_cells:
         raise BudgetError(
             f"plug-in tabulation would exceed {max_cells} cells; lower the depths"
         )

@@ -494,7 +494,7 @@ CEILINGED = {
 def test_ceilings_outside_the_unit_interval_raise_before_any_path(
     monkeypatch, mixed_measure, estimator, ceiling
 ):
-    # first returns draw rows, the lattice walks of hitting and rays index blocks
+    # every walk draws index blocks; draw_rows serves short rows that repeat
     monkeypatch.setattr(walk, "draw_rows", no_paths)
     monkeypatch.setattr(walk, "index_blocks", no_paths)
     with pytest.raises(ConfigError, match=r"ceiling must lie in \[0, 1\]"):

@@ -345,6 +345,7 @@ def test_ceiling_outside_the_unit_interval_exits_two(monkeypatch, capsys, argv):
         raise AssertionError("a path was walked")
 
     monkeypatch.setattr(walk, "draw_rows", no_paths)
+    monkeypatch.setattr(walk, "index_blocks", no_paths)
     assert main([*argv, "--seed", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1052,9 +1053,9 @@ GOLDEN_DIGESTS = (
         "7c40f6cfb798591c9e92a0c2405aac717cae87594edfd17b406d223c928efee0",
         id="poisson-long-semidirect-linear",
     ),
-    # recorded before every position read went through one walk driver: a
-    # free acting group's rows drawn one by one, stepped depth counts, and a
-    # fibonacci block that steps advance with several stops
+    # recorded before every position read went through walk._walk_rows, when
+    # a free acting group's rows were drawn one by one: stepped depth counts,
+    # and a fibonacci block that steps advance with several stops
     pytest.param(
         "hitting --config fixture:free-acting --seed 80 --n-paths 200 --n-steps 120 --depth 2",
         "1e353bf87920b75a9f9fe89d71cbc5d841620afd49d5732b7911573ca563f294",

@@ -42,7 +42,8 @@ from walkbound import (
 from walkbound._rng import STREAM_RETURN, STREAM_WALK, derived_rng
 from walkbound.boundary import _endpoint, _resolve_paths
 from walkbound.morphisms import _conjugator
-from walkbound.walk import StepGraph, _Inside, _last_lattice_step, _stepped_depth_counts
+from walkbound.groups import part_in_sublattice
+from walkbound.walk import StepGraph, _last_lattice_step, _stepped_depth_counts, _sublattice_mask
 
 # exponential twists make fold words grow like phi^steps
 MAX_STEPS = {"fibonacci": 18}
@@ -110,6 +111,35 @@ KERNEL_CASES = (
 )
 
 
+# Over 255 atoms, so that row blocks hold uint16 indices: every letter or
+# none under 53 acting parts, on a fixture's acting group. On direct-product
+# they take the letter pass, on semidirect-linear the syllable pass, and on
+# free-acting the stepped route.
+WIDE_CASES = {
+    "wide-direct-product": "direct-product",
+    "wide-semidirect-linear": "semidirect-linear",
+    "wide-free-acting": "free-acting",
+}
+
+
+def wide_measure(name):
+    acting = fixture_measure(name).acting
+    if acting.kind == "lattice":
+        parts = [(m,) for m in range(-26, 27)]
+    else:
+        # the reduced words of at most three letters over F_2
+        letters = (1, -1, 2, -2)
+        reduced = [()]
+        for w in reduced:
+            if len(w) < 3:
+                reduced.extend(w + (x,) for x in letters if not w or w[-1] != -x)
+        parts = [Word(acting.k, w) for w in reduced]
+    rank = acting.base_rank
+    words = [Word.identity(rank)] + [Word.generator(rank, j, e) for j in (1, 2) for e in (1, -1)]
+    atoms = [ExtElement(w, p) for w in words for p in parts]
+    return StepMeasure(acting, atoms, [1 / len(atoms)] * len(atoms), check_generation=False)
+
+
 @functools.lru_cache(maxsize=None)
 def case_measure(name, atoms):
     """The fixture's or inner case's measure, or a fixture's acting group under ``atoms``.
@@ -118,6 +148,8 @@ def case_measure(name, atoms):
     """
     if name == "inner-ab":
         return build_measure(INNER_AB)
+    if name in WIDE_CASES:
+        return wide_measure(WIDE_CASES[name])
     if name in INNER_GROUPS:
         acting, atoms = INNER_GROUPS[name]
     elif atoms is None:
@@ -262,6 +294,17 @@ def assert_first_returns(measure, spec, seed, n_samples, budget):
 @settings(max_examples=10, deadline=None)
 # budgets past 128 steps draw in more than one block
 @given(seed=seeds, budget=st.integers(1, 200))
+# a sample that returns at HEAD = 16, the head's last step: seed 193 on
+# direct-product, fibonacci and semidirect-linear, 31 on lattice-rank2, 773
+# on semidirect-mixed; at HEAD + 1, the first step past it: 193 on
+# direct-product, 260 on fibonacci and semidirect-linear, 153 on lattice-rank2
+@example(seed=193, budget=200)
+@example(seed=260, budget=200)
+@example(seed=31, budget=200)
+@example(seed=153, budget=200)
+@example(seed=773, budget=200)
+# a budget below HEAD: the head is cut short and nothing continues
+@example(seed=193, budget=9)
 def test_first_returns_are_first_sublattice_visits(name, seed, budget):
     measure = fixture_measure(name)
     spec = sublattice_spec(load_fixture(name))
@@ -294,6 +337,16 @@ def free_rank3_measure():
 permutations = st.permutations(list(range(4))).map(tuple)
 
 
+def assert_mask_and_last_return(measure, spec, indices, positions):
+    """The one-row block of ``indices``: its membership mask and last return, against the fold."""
+    members = [in_sublattice(measure.acting, x, spec) for x in positions]
+    block = np.array([indices], dtype=np.uint8).reshape(1, len(indices))
+    graph = StepGraph(measure)
+    assert _sublattice_mask(graph, block, spec).tolist() == [members]
+    last = max((n for n in range(1, len(indices) + 1) if members[n]), default=0)
+    assert _last_lattice_step(graph, block, spec).tolist() == [last]
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=seeds, images=st.tuples(permutations, permutations, permutations))
 def test_first_returns_to_permutation_kernels(seed, images):
@@ -311,13 +364,7 @@ def test_lattice_tracker_agrees_with_in_sublattice(images, indices):
     measure = free_rank3_measure()
     spec = PermKernelSpec(4, images)
     positions = fold(measure, indices)
-    members = [
-        n for n in range(1, len(indices) + 1) if in_sublattice(measure.acting, positions[n], spec)
-    ]
-    graph = StepGraph(measure)
-    assert _last_lattice_step(graph, indices, _Inside(graph, spec)) == (
-        members[-1] if members else 0
-    )
+    assert_mask_and_last_return(measure, spec, indices, positions)
 
 
 @pytest.mark.parametrize("name", RETURNING)
@@ -329,12 +376,7 @@ def test_moduli_tracker_agrees_with_in_sublattice(name, seed, path, data):
     n_steps = data.draw(st.integers(0, MAX_STEPS.get(name, 60)), label="n_steps")
     indices = measure.draw_indices(derived_rng(seed, STREAM_WALK, path), n_steps).tolist()
     positions = fold(measure, indices)
-    members = [n for n in range(1, n_steps + 1) if in_sublattice(measure.acting, positions[n], spec)]
-    graph = StepGraph(measure)
-    inside = _Inside(graph, spec)
-    # a second path over the same graph reads memoized nodes and built edges
-    for _ in range(2):
-        assert _last_lattice_step(graph, indices, inside) == (members[-1] if members else 0)
+    assert_mask_and_last_return(measure, spec, indices, positions)
 
 
 def test_finished_estimators_leave_no_reference_cycles():
@@ -511,19 +553,65 @@ def test_array_route_words_and_nodes_equal_advance(measure, data):
         assert [(words[r][j], graph.parts[nodes[j][r]]) for j in range(len(stops))] == snaps
 
 
-@pytest.mark.parametrize("name", (*ARRAY_CASES, *SYLLABLE_CASES))
+@pytest.mark.parametrize("name", (*ARRAY_CASES, *SYLLABLE_CASES, "free-acting"))
 @settings(max_examples=10, deadline=None)
 @given(seed=seeds, data=st.data())
 def test_array_route_last_returns_equal_lattice_steps(name, seed, data):
+    # the block routine against each row stepped along the graph's edges, its
+    # nodes' parts tested one by one; blocks hold the no-op atom
     measure = case_measure(name, None)
-    spec = ARRAY_SPECS[name] or ModuliSpec(())
+    spec = FREE_KERNEL if name == "free-acting" else ARRAY_SPECS[name] or ModuliSpec(())
     n = data.draw(st.integers(1, 60), label="n")
     rows = data.draw(st.integers(1, 50), label="rows")
-    block = np.random.default_rng(seed % 2**32).integers(0, len(measure), (rows, n), dtype=np.uint8)
+    block = np.random.default_rng(seed % 2**32).integers(
+        0, len(measure) + 1, (rows, n), dtype=np.uint8
+    )
     graph = StepGraph(measure)
-    run_to = walk._last_returns(graph, block, spec)
-    inside = _Inside(graph, spec)
-    assert run_to.tolist() == [_last_lattice_step(graph, idx, inside) for idx in block.tolist()]
+    expected = []
+    for idx in block.tolist():
+        node, last = graph.root, 0
+        for step, i in enumerate(idx, start=1):
+            if i < len(measure):
+                node = (graph.edges[node][i] or graph.link(node, i))[1]
+            if part_in_sublattice(measure.acting, graph.parts[node], spec):
+                last = step
+        expected.append(last)
+    assert _last_lattice_step(graph, block, spec).tolist() == expected
+
+
+def free_two_letter_measure():
+    """F_2 ⋊ F_3 under identity twists; atom acting parts are two-letter words, most with an inverse letter."""
+    acting = ActingGroup("free", (identity_automorphism(2),) * 3, 2)
+    parts = ("aB", "Ca", "bC", "AB", "cb", "Ac", "bA")
+    atoms = [ExtElement(Word.identity(2), Word.parse(3, p)) for p in parts]
+    return StepMeasure(acting, atoms, [1 / len(parts)] * len(parts), check_generation=False)
+
+
+# a 3-cycle and two transpositions of three points: no two images commute
+NON_COMMUTING = PermKernelSpec(3, ((1, 2, 0), (1, 0, 2), (0, 2, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(st.lists(st.integers(0, 7), min_size=10, max_size=10), min_size=1, max_size=4),
+    start=reduced_words(3),
+)
+# b·aB·bC = baC lies in the kernel; composed in the other order it would not
+@example(rows=[[0, 2]], start=Word.parse(3, "b"))
+def test_permutation_mask_equals_in_sublattice_of_the_fold(rows, start):
+    # the mask started from ``start`` against in_sublattice of the ext_multiply
+    # fold from (1, start); atom 7 is the no-op atom
+    measure = free_two_letter_measure()
+    acting = measure.acting
+    inside = _sublattice_mask(StepGraph(measure), np.array(rows, dtype=np.uint8), NON_COMMUTING, start)
+    for row, mask in zip(rows, inside.tolist()):
+        x = ExtElement(Word.identity(2), start)
+        expected = [in_sublattice(acting, x, NON_COMMUTING)]
+        for i in row:
+            if i < len(measure):
+                x = ext_multiply(acting, x, measure.atoms[i])
+            expected.append(in_sublattice(acting, x, NON_COMMUTING))
+        assert mask == expected
 
 
 @settings(max_examples=25, deadline=None)
@@ -571,7 +659,11 @@ WALK_ROWS_CASES = {
     "lattice-rank2": (ModuliSpec((2, 2)), "syllables"),
     # an exponential twist: a block with an edge of over two syllables steps advance
     "fibonacci": (ModuliSpec((2,)), "syllables or stepped"),
-    "free-acting": (FREE_KERNEL, "rows"),
+    # no array pass serves a free acting group: its blocks step advance
+    "free-acting": (FREE_KERNEL, "stepped"),
+    "wide-direct-product": (ModuliSpec((2,)), "letters"),
+    "wide-semidirect-linear": (ModuliSpec((2,)), "syllables"),
+    "wide-free-acting": (FREE_KERNEL, "stepped"),
 }
 
 
@@ -623,12 +715,23 @@ def test_array_route_walk_rows_equal_fold(name, returns, seed, data):
         assert ran == (True, False, 0)
     elif route == "syllables":
         assert ran == (False, True, 0)
-    elif route == "rows":
+    elif route == "stepped":
         assert ran == (False, False, count)
     else:
         assert ran in ((False, True, 0), (False, False, count))
         if data == "long":
             assert ran == (False, False, count)
+
+
+def test_row_blocks_widen_past_255_atoms():
+    # the no-op atom len(measure) fits uint8 up to 255 atoms
+    assert len(case_measure("wide-semidirect-linear", None)) == 5 * 53
+    for name, dtype in (("semidirect-linear", np.uint8), ("wide-semidirect-linear", np.uint16)):
+        measure = case_measure(name, None)
+        blocks = list(walk._row_blocks(measure, 1, STREAM_WALK, 0, 40, 30, 16))
+        assert {b.dtype for b in blocks} == {np.dtype(dtype)}
+        drawn = np.concatenate(list(measure.index_blocks(1, STREAM_WALK, 0, 40, 30)))
+        assert np.array_equal(np.concatenate(blocks), drawn)
 
 
 def test_array_route_is_chosen_from_step_data(tmp_path):
@@ -650,12 +753,11 @@ def test_array_route_is_chosen_from_step_data(tmp_path):
         ("renamed semidirect-linear", renamed("semidirect-linear", "alpha", "twist"), syllables),
         ("semidirect-mixed", fixture("semidirect-mixed"), syllables),
         ("lattice-rank2", fixture("lattice-rank2"), syllables),
-        # an exponential twist: its blocks step advance on the rows they drew
+        # an exponential twist, and a free acting group, which no array pass
+        # serves: their blocks step advance on the rows they drew
         ("fibonacci", fixture("fibonacci"), stepped),
-        # no cumulative sum tracks a free acting part: rows are drawn one by one,
-        # and last returns to a permutation kernel come from a node pass
-        ("free-acting", fixture("free-acting"), None),
-        ("free-acting at returns", (fixture_measure("free-acting"), FREE_KERNEL), None),
+        ("free-acting", fixture("free-acting"), stepped),
+        ("free-acting at returns", (fixture_measure("free-acting"), FREE_KERNEL), stepped),
     ):
         with mock.patch.object(walk, "_chunked_words", wraps=walk._chunked_words) as letter_pass, \
                 mock.patch.object(walk, "_syllable_steps", wraps=walk._syllable_steps) as pass_, \
@@ -664,17 +766,17 @@ def test_array_route_is_chosen_from_step_data(tmp_path):
                 mock.patch.object(StepGraph, "advance", autospec=True,
                                   side_effect=StepGraph.advance) as advance, \
                 mock.patch.object(walk, "_last_lattice_step",
-                                  wraps=walk._last_lattice_step) as node_pass:
+                                  wraps=walk._last_lattice_step) as last_returns:
             sample_paths(measure, 1, 4, 30)
             _resolve_paths(measure, 1, STREAM_WALK, 4, 30, 1, None, spec, 1.0)
         assert letter_pass.call_count == 2 * (route == letters), name
         assert pass_.called == (route == syllables), name
-        # every lattice walk draws each row once, a block at a time; a block
-        # that steps advance walks each row once, up to its last return
-        assert (blocks.call_count, rows.call_count) == ((0, 2) if route is None else (2, 0)), name
-        assert advance.call_count == 8 * (route in (stepped, None)), name
-        # once per row of the resolve call
-        assert node_pass.call_count == 4 * (route is None and spec is not None), name
+        # every walk draws each row once, a block at a time; a block that
+        # steps advance walks each row once, up to its last return
+        assert (blocks.call_count, rows.call_count) == (2, 0), name
+        assert advance.call_count == 8 * (route == stepped), name
+        # once per block of the resolve call, on either acting kind
+        assert last_returns.call_count == (spec is not None), name
         with mock.patch("walkbound.boundary._array_lengths") as lengths:
             lengths.return_value = np.zeros((4, 30), dtype=np.int32)
             track_convergence(measure, 1, 4, 30, 3)
@@ -797,8 +899,7 @@ def test_array_route_syllables_flip_cancel_and_merge_at_junctions(chunk):
 @given(measure=syllable_measures, seed=seeds, data=st.data())
 def test_array_route_syllable_estimators_equal_advance(measure, seed, data):
     # walk snapshots and resolved keys, plain and at last returns, against
-    # the rows drawn one at a time and stepped by advance, as free acting
-    # groups still run
+    # the same blocks stepped by advance, as free acting groups run
     n_paths = data.draw(st.integers(1, 60), label="n_paths")
     n_steps = data.draw(st.integers(1, 80), label="n_steps")
     record = sorted(data.draw(st.sets(st.integers(0, n_steps), max_size=4), label="record"))
@@ -820,8 +921,8 @@ def test_array_route_syllable_estimators_equal_advance(measure, seed, data):
     repeats = n_steps < n_paths.bit_length() and len(measure) ** n_steps <= n_paths
     if any(measure is fixture_measure(name) for name in SYLLABLE_CASES):
         assert syllables.call_count == 3 - repeats
-    # the driver's one route predicate: no row blocks, rows drawn one by one
-    with mock.patch.object(walk, "_in_blocks", return_value=False):
+    # no syllable pass: every block steps advance on the rows it drew
+    with mock.patch.object(walk, "_chunked_syllables", return_value=None):
         assert arrays == run()
 
 

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -198,6 +199,21 @@ def test_rank_one_entropy_vanishes():
 def test_entropy_budget_guard(srw_measure):
     with pytest.raises(BudgetError):
         asymptotic_entropy_estimate(srw_measure, 0, 10**6, (40,), max_cells=1000)
+
+
+def test_entropy_cell_bound_forms_no_power():
+    # 6 ** (10 ** 9) has 778 million digits: the bound compares the depth
+    # with the path count's bit length instead
+    measure = build_measure(load_fixture("semidirect-linear"))
+    start = time.perf_counter()
+    assert walk._checked_depths(measure, 10, (10**9,)) == (10**9,)
+    assert time.perf_counter() - start < 1.0
+    # min(6 ** 2, 10) cells at each of two depths
+    assert walk._checked_depths(measure, 10, (1, 2), max_cells=20) == (1, 2)
+    with pytest.raises(BudgetError):
+        walk._checked_depths(measure, 10, (1, 2), max_cells=19)
+    # one atom: a single cell at every depth, however many paths
+    assert walk._checked_depths(point_mass_a(), 10**6, (10**9,), max_cells=1) == (10**9,)
 
 
 def test_entropy_extrapolation_from_counts(srw_measure):
