@@ -16,9 +16,10 @@ draws, and ``draw_rows`` into rows of them, a list of ints each. Rows of
 at most ``HEAD`` uniforms come from a numpy transcription of Philox4x64-10
 and ``Generator.random``, vectorized over all rows of a block, so a run of
 short rows never imports ``numpy.random``; a longer row comes from one C
-Philox re-keyed per item. ``streams_past_head`` continues the items' streams
-after their first ``HEAD`` uniforms, also on one re-keyed Philox. No row
-costs a SeedSequence, and a call builds at most one generator.
+Philox re-keyed per item. ``_uniform_blocks`` draws the rows of any keys, so
+``walk._first_returns`` redraws the samples that have not yet returned, from
+the start of their own streams, with the keys of those samples picked out.
+No row costs a SeedSequence, and a call builds at most one generator.
 """
 
 from __future__ import annotations
@@ -193,58 +194,28 @@ def uniform_blocks(seed: int, stream: int, first: int, count: int, n: int) -> It
 
 
 def _uniform_blocks(keys: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """The first ``n`` uniforms of each key's stream, as blocks of about ``BLOCK`` uniforms.
+
+    ``keys`` is any (rows, 2) array of Philox keys: a range from
+    ``philox_keys``, or rows picked out of one.
+    """
     rows = max(1, BLOCK // n)
     if n <= HEAD:
         for start in range(0, len(keys), rows):
             yield _head_uniforms(keys[start : start + rows], n)
         return
-    rekeyed = _rekeyed(0)
+    # one C Philox, re-keyed per row from its state at counter 0 with an empty buffer
+    bit_gen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    rng = np.random.Generator(bit_gen)
+    state = bit_gen.state
     for start in range(0, len(keys), rows):
         chunk = keys[start : start + rows]
         block = np.empty((len(chunk), n))
         for key, row in zip(chunk, block):
-            rekeyed(key).random(out=row)
+            state["state"]["key"] = key
+            bit_gen.state = state
+            rng.random(out=row)
         yield block
-
-
-def streams_past_head(seed: int, stream: int, first: int, count: int):
-    """A function from an item index to that item's stream after ``HEAD`` uniforms.
-
-    For ``index`` in ``first .. first + count - 1`` it returns a generator
-    that draws what ``derived_rng(seed, stream, index)`` draws after
-    ``random(HEAD)``: ``first_return_sampler`` goes on with it once a
-    sample's batched head is used up. The range's keys and one Philox are
-    made on the first call, and every call re-keys that Philox, so a
-    returned generator is valid only until the next call.
-    """
-    made = None
-
-    def past_head(index: int) -> np.random.Generator:
-        nonlocal made
-        if made is None:
-            made = philox_keys(seed, stream, first, count), _rekeyed(HEAD // 4)
-        keys, rekeyed = made
-        return rekeyed(keys[index - first])
-
-    return past_head
-
-
-def _rekeyed(counter: int):
-    """A function from a Philox key to that key's generator, ``counter`` blocks in.
-
-    One Philox is re-keyed per call (the given counter, an empty buffer), so a
-    returned generator is valid only until the next call.
-    """
-    bit_gen = np.random.Philox(counter=counter, key=np.zeros(2, dtype=np.uint64))
-    rng = np.random.Generator(bit_gen)
-    state = bit_gen.state
-
-    def at(key: np.ndarray) -> np.random.Generator:
-        state["state"]["key"] = key
-        bit_gen.state = state
-        return rng
-
-    return at
 
 
 def _head_uniforms(keys: np.ndarray, h: int) -> np.ndarray:

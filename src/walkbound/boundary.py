@@ -18,15 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import (
-    HEAD,
-    STREAM_BOUNDARY,
-    STREAM_RESAMPLE,
-    STREAM_RETURN,
-    STREAM_WALK,
-    derived_rng,
-    streams_past_head,
-)
+from ._rng import STREAM_BOUNDARY, STREAM_RESAMPLE, STREAM_RETURN, STREAM_WALK, derived_rng
 from .errors import BudgetError, ConfigError, ConvergenceError
 from .groups import (
     ActingGroup,
@@ -42,12 +34,12 @@ from .walk import (  # _last_lattice_step stays bound here for bench/tracing.py
     StepGraph,
     StepMeasure,
     _empty_words,
+    _first_returns,
     _fixed_pushes,
     _last_lattice_step,
     _letter_rows,
     _masked_steps,
     _row_blocks,
-    _sublattice_mask,
     _walk_rows,
 )
 from .words import Ray, Word, _reduced_word
@@ -650,7 +642,8 @@ def _array_lengths(
     rows = max(1, 4 * BLOCK_CELLS // (cells * (1 + 4 * states)))
     lengths = np.empty((n_paths, n_steps), dtype=np.int32)
     done = 0
-    for block in _row_blocks(graph.measure, seed, STREAM_WALK, 0, n_paths, n_steps, rows):
+    blocks = graph.measure.index_blocks(seed, STREAM_WALK, 0, n_paths, n_steps)
+    for block in _row_blocks(graph.measure, blocks, rows):
         words, top = _empty_words(len(block), cells)
         base = top.copy()
         flat = words.reshape(-1)
@@ -716,20 +709,6 @@ class FirstReturnSample:
         return float(np.mean(_map_distinct(gauge_length, self.samples)))
 
 
-def _indices_past_head(measure: StepMeasure, past_head, index: int, step_budget: int):
-    """Atom index blocks of return sample ``index`` after its head, up to the budget.
-
-    Drawn only when the head is used up, 128 at a time, so a sample that
-    returns soon after draws little more; ``past_head`` is the samples'
-    ``streams_past_head``.
-    """
-    if step_budget <= HEAD:
-        return
-    rng = past_head(index)
-    for drawn in range(HEAD, step_budget, 128):
-        yield measure.draw_indices(rng, min(128, step_budget - drawn))
-
-
 def first_return_sampler(
     measure: StepMeasure,
     sublattice: SublatticeSpec,
@@ -742,13 +721,13 @@ def first_return_sampler(
 
     Each sample runs an independent walk until it lands in the sublattice or
     the step budget runs out; budget exhaustion is counted per sample and the
-    whole call fails only when the failure fraction exceeds the ceiling. The
-    first ``HEAD`` steps of every sample are drawn as index blocks, tau is
-    the first return in the block's membership mask (``walk._sublattice_mask``)
-    and each sample's head is walked once, up to tau. A sample still outside
-    after its head goes on along its own stream, 128 draws at a time, each
-    masked from its current part. At the default budget none does on
-    ``semidirect-mixed`` and about 1.3% of them on ``lattice-rank2``.
+    whole call fails only when the failure fraction exceeds the ceiling.
+    ``walk._first_returns`` reads tau off the samples' membership masks,
+    redrawing the samples that have not returned from the start of their
+    streams, twice as long each time; only the samples that return are
+    walked, once each, up to tau. At the default budget no sample goes past
+    the first ``HEAD`` steps on ``semidirect-mixed``, and about 1.3% of them
+    do on ``lattice-rank2``.
     """
     if n_samples < 1 or step_budget < 1:
         raise ConfigError("need n_samples >= 1 and step_budget >= 1")
@@ -759,37 +738,24 @@ def first_return_sampler(
     rank = measure.acting.base_rank
     # one element per distinct returned position (node, stack)
     returned: dict[tuple, ExtElement] = {}
-    samples: list[ExtElement] = []
-    times: list[int] = []
-    failures = 0
-    past_head = streams_past_head(seed, STREAM_RETURN, 0, n_samples)
-    index = -1
-    for block in measure.index_blocks(seed, STREAM_RETURN, 0, n_samples, min(step_budget, HEAD)):
-        inside = _sublattice_mask(graph, block, sublattice)
-        inside[:, 0] = False  # tau >= 1: the start is no return
-        for idx, tau in zip(block.tolist(), inside.argmax(axis=1).tolist()):
-            index += 1
+    # per sample, its position and tau: None and 0 for a sample that does not return
+    found: list[ExtElement | None] = [None] * n_samples
+    taus = [0] * n_samples
+    blocks = _first_returns(graph, sublattice, seed, STREAM_RETURN, n_samples, step_budget)
+    for items, rows in blocks:
+        for index, idx in zip(items, rows):
             stack: list[int] = []
-            node = graph.advance(stack, graph.root, idx[: tau or None])
-            walked = 0 if tau else len(idx)
-            for chunk in () if tau else _indices_past_head(measure, past_head, index, step_budget):
-                # the part after ``walked`` steps is outside: column 0 reads False
-                tau = int(_sublattice_mask(graph, chunk[None], sublattice, graph.parts[node]).argmax())
-                node = graph.advance(stack, node, chunk[: tau or None].tolist())
-                if tau:
-                    break
-                walked += len(chunk)
-            if not tau:
-                failures += 1
-                continue
+            node = graph.advance(stack, graph.root, idx)
             key = (node, tuple(stack))
             g = returned.get(key)
             if g is None:
                 w = _reduced_word(rank, graph.free_letters(stack, node))
                 g = returned[key] = ExtElement(w, graph.parts[node])
-            samples.append(g)
-            times.append(walked + tau)
-    result = FirstReturnSample(tuple(samples), tuple(times), failures, step_budget)
+            found[index] = g
+            taus[index] = len(idx)
+    times = tuple(filter(None, taus))
+    samples = tuple(g for g in found if g is not None)
+    result = FirstReturnSample(samples, times, n_samples - len(times), step_budget)
     if result.failure_fraction > failure_ceiling:
         raise BudgetError(
             f"{result.failure_fraction:.1%} of samples failed to return within "

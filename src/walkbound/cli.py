@@ -54,7 +54,7 @@ from .errors import (
     WalkboundError,
 )
 from .fixtures import fixture_text
-from .groups import _map_distinct, ball, ext_identity, gauge_length
+from .groups import ModuliSpec, _map_distinct, ball, ext_identity, gauge_length
 from .harmonic import CylinderFunction, harmonicity_residual, poisson_eval
 from .morphisms import classify_growth
 from .tree import (
@@ -64,6 +64,7 @@ from .tree import (
     strip_growth_profile,
 )
 from .walk import (
+    StepMeasure,
     _checked_depths,
     drift_estimate,
     entropy_depth_counts,
@@ -296,13 +297,22 @@ def _cmd_walk(args, config: RunConfig, seed: int) -> _Output:
     return payload, ["path_id", "step", "w", "p", "gauge_length"], rows
 
 
+def _return_spec(config: RunConfig, measure: StepMeasure, needed_by: str) -> ModuliSpec:
+    """The config's sublattice, which ``needed_by`` reads returns to."""
+    if measure.acting.kind == "free":
+        raise ConfigError(
+            f"{needed_by} on a free acting group needs a permutation kernel, which no "
+            "config key builds (PermKernelSpec is library-only)"
+        )
+    lattice = sublattice_spec(config)
+    if lattice is None:
+        raise ConfigError(f"{needed_by} needs sublattice.moduli in the config")
+    return lattice
+
+
 def _cmd_hitting(args, config: RunConfig, seed: int) -> _Output:
     measure = build_measure(config)
-    lattice = None
-    if args.at_returns:
-        lattice = sublattice_spec(config)
-        if lattice is None:
-            raise ConfigError("--at-returns needs sublattice.moduli in the config")
+    lattice = _return_spec(config, measure, "--at-returns") if args.at_returns else None
     estimate = empirical_hitting_measure(
         measure,
         seed,
@@ -438,9 +448,7 @@ def _cmd_entropy_rate(args, config: RunConfig, seed: int) -> _Output:
 def _cmd_first_return(args, config: RunConfig, seed: int) -> _Output:
     measure = build_measure(config)
     acting = measure.acting
-    lattice = sublattice_spec(config)
-    if lattice is None:
-        raise ConfigError("first-return needs sublattice.moduli in the config")
+    lattice = _return_spec(config, measure, "first-return")
     sample = first_return_sampler(
         measure,
         lattice,

@@ -120,11 +120,6 @@ class ActingGroup:
             return tuple(-a for a in p)
         return p.inverse()
 
-    def part_length(self, p: ActingPart) -> int:
-        if self.kind == "lattice":
-            return sum(abs(a) for a in p)
-        return len(p)
-
     def part_is_identity(self, p: ActingPart) -> bool:
         if self.kind == "lattice":
             return not any(p)

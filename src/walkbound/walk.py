@@ -42,9 +42,12 @@ call. Every walk is drawn as (rows, n) index blocks, uint8 up to 255 atoms
 acting part after each step lies in a finite-index subgroup is one mask over
 a block (``_sublattice_mask``): a cumulative sum of the increments tested
 against the moduli on a lattice, a composition of each atom's permutation
-on a free acting group. Last returns (``_last_lattice_step``) and
-``first_return_sampler``'s first returns are read off it, and the steps past
-a last return are masked with the no-op atom, so each path is walked once.
+on a free acting group. Last returns (``_last_lattice_step``) are read off
+it, and the steps past a last return are masked with the no-op atom, so
+each path is walked once. First returns (``_first_returns``, for
+``first_return_sampler``) are read off it too: rows that have not returned
+are redrawn from their streams' starts, twice as long each time, and only
+the rows that return are walked.
 Few long rows are cut into time chunks of about ``CHUNK_ROWS`` chunk rows in
 all, each walked from the empty word, and a row's chunk words are merged in
 order with junction cancellation. Two array passes serve these blocks,
@@ -80,11 +83,11 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._rng import HEAD, STREAM_WALK, draw_rows, index_blocks
+from ._rng import HEAD, STREAM_WALK, _uniform_blocks, draw_rows, index_blocks, philox_keys
 from .errors import BudgetError, ConfigError
 from .groups import (
     ActingGroup,
@@ -448,9 +451,9 @@ def _fixed_pushes(graph: StepGraph) -> np.ndarray | None:
 
 
 def _row_blocks(
-    measure: StepMeasure, seed: int, stream: int, first: int, count: int, n: int, rows: int
+    measure: StepMeasure, blocks: Iterable[np.ndarray], rows: int
 ) -> Iterator[np.ndarray]:
-    """The rows of ``index_blocks`` as arrays of about ``rows`` rows each.
+    """Index ``blocks`` regrouped into arrays of about ``rows`` rows each, in order.
 
     Their dtype is the least that holds the no-op atom ``len(measure)``:
     uint8 up to 255 atoms. The pieces of a block are let go before it is
@@ -458,14 +461,14 @@ def _row_blocks(
     """
     dtype = np.min_scalar_type(len(measure))
     held: list[np.ndarray] = []
-    done = 0
-    for block in measure.index_blocks(seed, stream, first, count, n):
+    for block in blocks:
         held.append(block.astype(dtype))
-        done += len(block)
-        if sum(map(len, held)) >= rows or done == count:
+        if sum(map(len, held)) >= rows:
             block = np.concatenate(held)
             held.clear()
             yield block
+    if held:
+        yield np.concatenate(held)
 
 
 def _letter_rows(table: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -920,21 +923,18 @@ def _nodes_at(graph: StepGraph, block: np.ndarray, stops: Sequence[int]) -> list
     return out
 
 
-def _sublattice_mask(
-    graph: StepGraph, block: np.ndarray, spec: SublatticeSpec, start: ActingPart | None = None
-) -> np.ndarray:
+def _sublattice_mask(graph: StepGraph, block: np.ndarray, spec: SublatticeSpec) -> np.ndarray:
     """Whether the acting part after each step of ``block`` lies in the subgroup of ``spec``.
 
     ``block`` holds (rows, n) atom indices, the no-op atom ``len(measure)``
-    included, walked from the part ``start`` (the identity by default).
-    Returns a (rows, n + 1) bool mask whose column t reads the part after t
-    steps, column 0 the start's. On a lattice the part is the start plus the
-    cumulative sum of the increments, tested against the moduli a slice of
-    rows at a time. On a free acting group each row carries the permutation
-    of its part, and a step composes the atom's (``groups._word_permutation``)
-    on the right, p·q ↦ perm_p[perm_q], one gather per step.
+    included, walked from the identity. Returns a (rows, n + 1) bool mask
+    whose column t reads the part after t steps, column 0 the identity's
+    (always inside). On a lattice the part is the cumulative sum of the
+    increments, tested against the moduli a slice of rows at a time. On a
+    free acting group each row carries the permutation of its part, and a
+    step composes the atom's (``groups._word_permutation``) on the right,
+    p·q ↦ perm_p[perm_q], one gather per step.
     """
-    start = graph.parts[graph.root] if start is None else start
     rows, n = block.shape
     if isinstance(spec, PermKernelSpec):
         degree = spec.degree
@@ -943,7 +943,7 @@ def _sublattice_mask(
         for i, increment in _increments(graph):
             table[i] = _word_permutation(increment, spec)
         perms = np.empty((n + 1, rows, degree), dtype=np.min_scalar_type(degree))
-        perms[0] = _word_permutation(start, spec)
+        perms[0] = identity
         flat = perms.reshape(-1)
         # step t + 1 of row r reads row r's permutation after t steps at the atom's cells
         cells = table[block.T]
@@ -952,7 +952,6 @@ def _sublattice_mask(
             perms[t] = flat[source]
         return (perms == identity).all(axis=2).T
     inside = np.ones((rows, n + 1), dtype=bool)
-    inside[:, 0] = part_in_sublattice(graph.acting, start, spec)
     columns = np.zeros((len(spec.moduli), len(graph.measure) + 1), dtype=np.int64)
     for i, increment in _increments(graph):
         columns[:, i] = increment
@@ -960,8 +959,8 @@ def _sublattice_mask(
     step = max(1, RETURN_CELLS // max(n, 1))
     for first in range(0, rows, step):
         part = block[first : first + step]
-        for column, modulus, at in zip(columns, spec.moduli, start):
-            inside[first : first + step, 1:] &= (np.cumsum(column[part], axis=1) + at) % modulus == 0
+        for column, modulus in zip(columns, spec.moduli):
+            inside[first : first + step, 1:] &= np.cumsum(column[part], axis=1) % modulus == 0
     return inside
 
 
@@ -970,6 +969,49 @@ def _last_lattice_step(graph: StepGraph, block: np.ndarray, spec: SublatticeSpec
     # reversed, column 0 (the identity, always inside) comes last: a row with no return reads 0
     inside = _sublattice_mask(graph, block, spec)[:, ::-1]
     return block.shape[1] - inside.argmax(axis=1)
+
+
+def _first_returns(
+    graph: StepGraph, spec: SublatticeSpec, seed: int, stream: int, count: int, budget: int
+) -> Iterator[tuple[list[int], list[list[int]]]]:
+    """The items of ``0 .. count - 1`` that return, with their rows up to the first return.
+
+    Yields (items, rows) a group of rows at a time: each item with its atom
+    indices cut at its first return, the least t >= 1 whose acting part
+    lies in the subgroup of ``spec``, read off ``_sublattice_mask`` within
+    ``budget`` steps. An item with none is not yielded. Items come in the
+    order their returns are found. Every item's row is drawn
+    ``min(budget, HEAD)`` long first. The rows with no return yet are
+    redrawn from the start of their own streams, twice as long each time up
+    to ``budget``, from their keys picked out of ``philox_keys``, so each
+    row is what ``derived_rng(seed, stream, item)`` draws; a row that never
+    returns costs about 2 * budget draws and no walk. Rows are drawn and
+    masked in groups of about ``SYLLABLE_CELLS`` cells.
+    """
+    keys = philox_keys(seed, stream, 0, count)
+    cumulative = graph.measure._cumulative
+    pending = np.arange(count)
+    length = 0
+    while pending.size and length < budget:
+        length = min(budget, 2 * length or HEAD)
+        uniforms = _uniform_blocks(keys[pending], length)
+        blocks = (np.searchsorted(cumulative, u, side="right") for u in uniforms)
+        late = []
+        done = 0
+        for block in _row_blocks(graph.measure, blocks, max(1, SYLLABLE_CELLS // length)):
+            items = pending[done : done + len(block)]
+            done += len(block)
+            inside = _sublattice_mask(graph, block, spec)
+            inside[:, 0] = False  # tau >= 1: the start is no return
+            taus = inside.argmax(axis=1)
+            hits = np.flatnonzero(taus)
+            cut = taus[hits]
+            # the returned rows' steps up to tau, as one flat list
+            steps = block[hits][np.arange(length) < cut[:, None]].tolist()
+            ends = np.cumsum(cut).tolist()
+            yield items[hits].tolist(), [steps[end - tau : end] for end, tau in zip(ends, cut.tolist())]
+            late.append(items[taus == 0])
+        pending = np.concatenate(late)
 
 
 def _walk_rows(
@@ -1000,7 +1042,8 @@ def _walk_rows(
         part_in_sublattice(graph.acting, graph.parts[graph.root], spec)
     table = _fixed_pushes(graph)
     rows = max(1, (BLOCK_CELLS if table is not None else SYLLABLE_CELLS) // n_steps)
-    for block in _row_blocks(graph.measure, seed, stream, first, count, n_steps, rows):
+    blocks = graph.measure.index_blocks(seed, stream, first, count, n_steps)
+    for block in _row_blocks(graph.measure, blocks, rows):
         run_to = [n_steps] * len(block)
         if spec is not None:
             last = _last_lattice_step(graph, block, spec)

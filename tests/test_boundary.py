@@ -469,6 +469,8 @@ def test_mismatched_sublattice_spec_raises_before_any_path(monkeypatch, name, sp
     measure = build_measure(load_fixture(name))
     monkeypatch.setattr(walk, "draw_rows", no_paths)
     monkeypatch.setattr(walk, "index_blocks", no_paths)
+    # first returns draw rows from picked keys
+    monkeypatch.setattr(walk, "_uniform_blocks", no_paths)
     match = f"{message} does not match the acting group"
     with pytest.raises(ConfigError, match=match):
         empirical_hitting_measure(measure, 1, 10, 10, 1, return_lattice=spec)
@@ -494,9 +496,11 @@ CEILINGED = {
 def test_ceilings_outside_the_unit_interval_raise_before_any_path(
     monkeypatch, mixed_measure, estimator, ceiling
 ):
-    # every walk draws index blocks; draw_rows serves short rows that repeat
+    # every walk draws index blocks; draw_rows serves short rows that repeat,
+    # and first returns draw rows from picked keys
     monkeypatch.setattr(walk, "draw_rows", no_paths)
     monkeypatch.setattr(walk, "index_blocks", no_paths)
+    monkeypatch.setattr(walk, "_uniform_blocks", no_paths)
     with pytest.raises(ConfigError, match=r"ceiling must lie in \[0, 1\]"):
         CEILINGED[estimator](mixed_measure, ceiling)
     # both ends are ceilings, and the patched routine is the one they walk from

@@ -344,8 +344,10 @@ def test_ceiling_outside_the_unit_interval_exits_two(monkeypatch, capsys, argv):
     def no_paths(*args):
         raise AssertionError("a path was walked")
 
+    # walks draw rows or index blocks, first returns rows from picked keys
     monkeypatch.setattr(walk, "draw_rows", no_paths)
     monkeypatch.setattr(walk, "index_blocks", no_paths)
+    monkeypatch.setattr(walk, "_uniform_blocks", no_paths)
     assert main([*argv, "--seed", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -559,6 +561,30 @@ def test_first_return_without_returns_prints_valid_json(capsys):
     assert payload["returned"] == 0
     assert payload["mean_gauge"] is None
     assert payload["mean_return_time"] is None
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["first-return", "--config", "fixture:free-acting"],
+         "first-return on a free acting group needs a permutation kernel, which no config key "
+         "builds (PermKernelSpec is library-only)"),
+        (["hitting", "--config", "fixture:free-acting", "--at-returns"],
+         "--at-returns on a free acting group needs a permutation kernel, which no config key "
+         "builds (PermKernelSpec is library-only)"),
+        (["first-return", "--config", "fixture:srw-f2"],
+         "first-return needs sublattice.moduli in the config"),
+        (["hitting", "--config", "fixture:srw-f2", "--at-returns"],
+         "--at-returns needs sublattice.moduli in the config"),
+    ],
+    ids=["first-return-free", "at-returns-free", "first-return-lattice", "at-returns-lattice"],
+)
+def test_returns_without_a_config_sublattice_exit_two(capsys, argv, message):
+    # moduli never apply to a free acting group: the message names what is missing
+    assert main([*argv, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"error: {message}"
 
 
 def test_tree_liminf_constant_sequence(capsys):
@@ -1076,6 +1102,27 @@ GOLDEN_DIGESTS = (
         "--record 0,3,11 --format csv",
         "8c83b930a06816334745893c7441423c24775e44b753023bce66419e9454e862",
         id="walk-csv-records-fibonacci",
+    ),
+    # recorded before the samples that had not returned after HEAD steps were
+    # redrawn, twice as long each time, from their streams' starts: at budget
+    # 200, 6 samples return past HEAD and 12 fail; at 17, 18 fail
+    pytest.param(
+        "first-return --config fixture:lattice-rank2 --seed 49 --n-samples 1500 "
+        "--step-budget 200 --ceiling 1",
+        "c4fb85d63b9dbc18d7aeb4a85c2cf4b8af9cd7e0389625ef9681f6efe75af774",
+        id="first-return-json-budget-200",
+    ),
+    pytest.param(
+        "first-return --config fixture:lattice-rank2 --seed 49 --n-samples 1500 "
+        "--step-budget 200 --ceiling 1 --format csv",
+        "87f246f769ac5545457c7cad058ec7d2fe3cb730d9c29277f806a261a0796364",
+        id="first-return-csv-budget-200",
+    ),
+    pytest.param(
+        "first-return --config fixture:lattice-rank2 --seed 49 --n-samples 1500 "
+        "--step-budget 17 --ceiling 1 --format csv",
+        "443aacd797b2bc4a64c436c6ebbe9bd8fd97c5d90ac34c33df8c78c3f743cc9a",
+        id="first-return-csv-budget-17",
     ),
 )
 

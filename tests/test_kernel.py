@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -39,7 +40,7 @@ from walkbound import (
     track_convergence,
     walk,
 )
-from walkbound._rng import STREAM_RETURN, STREAM_WALK, derived_rng
+from walkbound._rng import HEAD, STREAM_RETURN, STREAM_WALK, derived_rng
 from walkbound.boundary import _endpoint, _resolve_paths
 from walkbound.morphisms import _conjugator
 from walkbound.groups import part_in_sublattice
@@ -73,6 +74,11 @@ def fold(measure, indices):
 
 def keys(acting, elements):
     return [element_key(acting, g) for g in elements]
+
+
+# The kernel of F_2 onto the permutations of three points, a by a 3-cycle and
+# b by a transposition: free-acting's walk leaves it and comes back.
+FREE_KERNEL = PermKernelSpec(3, ((1, 2, 0), (1, 0, 2)))
 
 
 # Every fixture's atoms have free parts of at most one letter. These reuse a
@@ -312,13 +318,51 @@ def test_first_returns_are_first_sublattice_visits(name, seed, budget):
 
 
 def test_first_returns_continue_past_the_head_on_their_own_streams():
-    # the first HEAD steps of all samples come in one batch; later steps, here
-    # up to 317, continue each sample's own stream in blocks of 128
+    # the first HEAD steps of all samples come in one batch; the samples that
+    # have not returned are redrawn from their own streams' starts, twice as
+    # long each time, here up to 512 steps for a return at 317
     name = "lattice-rank2"
     spec = sublattice_spec(load_fixture(name))
     sample = assert_first_returns(fixture_measure(name), spec, 7, 400, 1024)
     assert max(sample.return_times) == 317
     assert sample.failures == 0
+
+
+@pytest.mark.parametrize("budget", [17, 200])
+def test_first_returns_to_a_free_kernel_past_the_head(budget):
+    # budgets past HEAD that are not HEAD * 2**k, so the last redraw is cut
+    # at the budget. Seed 83 has failures that would return within 32 and
+    # 256 steps, and at 200 a return at 168 read off rows of 200 draws
+    sample = assert_first_returns(fixture_measure("free-acting"), FREE_KERNEL, 83, 60, budget)
+    late = sorted(t for t in sample.return_times if t > HEAD)
+    assert (late, sample.failures) == {17: ([17], 6), 200: ([17, 27, 31, 48, 97, 168], 1)}[budget]
+
+
+def never_returning_measure():
+    """semidirect-linear's group, every atom with acting part +1: no return before 10**6 steps."""
+    acting = fixture_measure("semidirect-linear").acting
+    one = acting.parse_part("1")
+    atoms = [ExtElement(Word.parse(2, w), one) for w in ("a", "A", "b", "B")]
+    return StepMeasure(acting, atoms, [0.25] * 4, check_generation=False)
+
+
+def test_first_returns_draw_a_walk_that_never_returns_in_bounded_memory_unwalked():
+    # each doubling redraws every sample; a walk would push Θ(p)(b) = a^p·b,
+    # p + 1 letters a step, so none may run
+    tracemalloc.start()
+    try:
+        with mock.patch.object(StepGraph, "advance", side_effect=AssertionError("walked")):
+            sample = first_return_sampler(
+                never_returning_measure(), ModuliSpec((10**6,)), 3, 200,
+                step_budget=20_000, failure_ceiling=1.0,
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.failures == 200 and sample.return_times == ()
+    # a group of about SYLLABLE_CELLS cells is held at a time (under 2 MiB in
+    # all), where 200 rows of 20,000 atom indices and their mask take 8 MB
+    assert peak < 6 * 2**20
 
 
 def free_rank3_measure():
@@ -592,20 +636,17 @@ NON_COMMUTING = PermKernelSpec(3, ((1, 2, 0), (1, 0, 2), (0, 2, 1)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    rows=st.lists(st.lists(st.integers(0, 7), min_size=10, max_size=10), min_size=1, max_size=4),
-    start=reduced_words(3),
-)
-# b·aB·bC = baC lies in the kernel; composed in the other order it would not
-@example(rows=[[0, 2]], start=Word.parse(3, "b"))
-def test_permutation_mask_equals_in_sublattice_of_the_fold(rows, start):
-    # the mask started from ``start`` against in_sublattice of the ext_multiply
-    # fold from (1, start); atom 7 is the no-op atom
+@given(rows=st.lists(st.lists(st.integers(0, 7), min_size=10, max_size=10), min_size=1, max_size=4))
+# aB·AB·bC = aBAC lies in the kernel; composed in the other order it would not
+@example(rows=[[0, 3, 2]])
+def test_permutation_mask_equals_in_sublattice_of_the_fold(rows):
+    # the mask from the identity against in_sublattice of the ext_multiply
+    # fold; atom 7 is the no-op atom
     measure = free_two_letter_measure()
     acting = measure.acting
-    inside = _sublattice_mask(StepGraph(measure), np.array(rows, dtype=np.uint8), NON_COMMUTING, start)
+    inside = _sublattice_mask(StepGraph(measure), np.array(rows, dtype=np.uint8), NON_COMMUTING)
     for row, mask in zip(rows, inside.tolist()):
-        x = ExtElement(Word.identity(2), start)
+        x = ext_identity(acting)
         expected = [in_sublattice(acting, x, NON_COMMUTING)]
         for i in row:
             if i < len(measure):
@@ -646,9 +687,6 @@ def test_array_route_estimators_equal_advance(measure, seed, data):
     assert np.array_equal(lengths, stepped[2])
 
 
-# The kernel of F_2 onto the permutations of three points, a by a 3-cycle and
-# b by a transposition: free-acting's walk leaves it and comes back.
-FREE_KERNEL = PermKernelSpec(3, ((1, 2, 0), (1, 0, 2)))
 # every route of the walk driver: (the case's sublattice spec, the route)
 WALK_ROWS_CASES = {
     # every step lies in the empty moduli spec's sublattice
@@ -728,9 +766,10 @@ def test_row_blocks_widen_past_255_atoms():
     assert len(case_measure("wide-semidirect-linear", None)) == 5 * 53
     for name, dtype in (("semidirect-linear", np.uint8), ("wide-semidirect-linear", np.uint16)):
         measure = case_measure(name, None)
-        blocks = list(walk._row_blocks(measure, 1, STREAM_WALK, 0, 40, 30, 16))
+        drawn = list(measure.index_blocks(1, STREAM_WALK, 0, 40, 30))
+        blocks = list(walk._row_blocks(measure, drawn, 16))
         assert {b.dtype for b in blocks} == {np.dtype(dtype)}
-        drawn = np.concatenate(list(measure.index_blocks(1, STREAM_WALK, 0, 40, 30)))
+        drawn = np.concatenate(drawn)
         assert np.array_equal(np.concatenate(blocks), drawn)
 
 

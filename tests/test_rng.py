@@ -19,7 +19,6 @@ from walkbound._rng import (
     derived_rng,
     draw_rows,
     philox_keys,
-    streams_past_head,
     uniform_blocks,
 )
 from walkbound.cli import main
@@ -91,16 +90,19 @@ def test_rows_match_across_the_real_block_boundaries(n):
 
 
 @pytest.mark.parametrize("seed", (0, 2**128 + 1))
-def test_streams_past_head_continue_each_stream(seed):
-    past_head = streams_past_head(seed, 3, 70, 10)
-    # one generator serves every item, re-keyed at each call
-    for index in (77, 70, 79, 77):
-        continued = past_head(index)
-        np.testing.assert_array_equal(
-            np.concatenate([continued.random(5), continued.random(300)]),
-            derived_rng(seed, 3, index).random(HEAD + 305)[HEAD:],
-        )
-    assert past_head(71) is continued
+def test_rows_from_picked_keys_equal_derived_rng(seed):
+    # keys picked out of a range, as walk._first_returns picks its late rows,
+    # draw each item's own stream from its start
+    keys = philox_keys(seed, 3, 70, 10)
+    items = (70, 73, 79)
+    # below, at and past HEAD: the vectorized pass, then the re-keyed C Philox
+    for n in (HEAD - 3, HEAD, HEAD + 1, 300):
+        # two rows a block, so the picked rows span two blocks
+        with mock.patch.object(_rng, "BLOCK", 2 * n):
+            blocks = list(_rng._uniform_blocks(keys[[i - 70 for i in items]], n))
+        assert [len(block) for block in blocks] == [2, 1]
+        for i, row in zip(items, np.concatenate(blocks)):
+            np.testing.assert_array_equal(row, derived_rng(seed, 3, i).random(n))
 
 
 def test_last_representable_index_is_exact():
