@@ -170,9 +170,12 @@ class ActingGroup:
         or one unit off the first nonzero coordinate of a lattice part (the
         θ_j commute). Composing the long Θ(q) after the short θ substitutes
         whole images, and every Θ(q) on the way is cached, so long walks pay
-        per new acting position only. Θ(p)'s inverse is built from its
-        operands when first read (``Automorphism._inverse_table``), so
-        reading it never grows the cache.
+        per new acting position only. A step graph reads each node's Θ(p)
+        here once, on its first twisted edge, and keeps it
+        (``walk.StepGraph.link``), so the walk, the probes and
+        ``ext_multiply`` share one object per part. Θ(p)'s inverse is built
+        from its operands when first read (``Automorphism._inverse_table``),
+        so reading it never grows the cache.
         """
         key = self.part_key(p)
         cache = self._cache
@@ -224,11 +227,13 @@ class ActingGroup:
             signed = p.letters
         return tuple(free_reduce(chain.from_iterable(conjugators[s] for s in signed)))
 
+    # Kept, though the package no longer calls it: bench/tracing.py wraps it by name.
     def twist_letters(self, p: ActingPart, letters: tuple[int, ...]) -> tuple[int, ...]:
         """Reduced letters of Θ(p) applied to ``letters``.
 
-        Not memoized: a step graph calls this once per edge it builds. A
-        one-letter atom gets Θ(p)'s table entry itself, not a copy.
+        Not memoized. A one-letter word gets Θ(p)'s table entry itself, not
+        a copy. A step graph twists its edges by the same rule from each
+        node's Θ(p) (``walk.StepGraph.link``).
         """
         phi = self.automorphism_for(p)
         if len(letters) == 1:

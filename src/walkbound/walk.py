@@ -15,8 +15,11 @@ array passes below. The free part is a mutable letter stack; the acting
 part is an integer node of a step graph that each estimator call builds
 lazily over the acting positions its paths visit. ``edges[n][i]`` holds, once
 atom i is first taken from node n, the free part of atom i twisted by the
-node's accumulated automorphism (``ActingGroup.twist_letters``, computed once
-per edge) and the successor id.
+node's accumulated automorphism Θ(p) and the successor id. An atom whose
+letters every θ_j fixes (read from the θ_j's images) pushes its own word
+from every node, so its edges read no Θ(p). A node reads its Θ(p) from the
+acting group's cache (``ActingGroup.automorphism_for``) once, on its first
+twisted edge, so probes and ``ext_multiply`` read the same object.
 A step along a built edge is two list indexes and the junction cancellation:
 its cost is the twisted increment length, not the length of the whole word. A
 new acting position costs about the length of its twisted images.
@@ -254,10 +257,12 @@ class StepGraph:
     n, then (the letters atom i pushes from n, successor id). Ids hold no
     references, so no graph is a reference cycle. Built lazily per call,
     nothing stored on the measure or acting group; each edge is built once.
+    An atom whose letters every θ_j fixes pushes its own word from every node.
 
     Without a frame the stack holds the free part w of the position (w, p),
     and atom (u, m) pushes Θ(p)(u), for a one-letter atom Θ(p)'s own table
-    entry. When the group twists and every θ_j is inner, the graph has a
+    entry; a node keeps its Θ(p), read once from the acting group's cache.
+    When the group twists and every θ_j is inner, the graph has a
     conjugator frame c (``ActingGroup.conjugators``) with Θ(p) conjugation by
     c(p). The stack then holds v = w·c(p), and atom (u, m) pushes u·c(m) from
     every node, since w·Θ(p)(u)·c(p·m) = v·u·c(m). ``free_letters`` reads w
@@ -266,8 +271,8 @@ class StepGraph:
     """
 
     __slots__ = (
-        "measure", "acting", "root", "parts", "edges", "_ids", "_conjugators", "_framed",
-        "_unframe",
+        "measure", "acting", "root", "parts", "edges", "_ids", "_untwisted", "_twists",
+        "_conjugators", "_framed", "_unframe",
     )
 
     def __init__(self, measure: StepMeasure):
@@ -276,6 +281,13 @@ class StepGraph:
         self.parts: list = []
         self.edges: list[list] = []
         self._ids: dict = {}
+        # per atom, whether every θ_j fixes each of its letters, read from
+        # the θ_j's images: then it pushes its own word from every node
+        fixed = {s for s in range(-acting.base_rank, acting.base_rank + 1)
+                 if s and all(theta._table[s] == (s,) for theta in acting.theta)}
+        self._untwisted = [fixed.issuperset(letters) for letters, _ in measure._step_data]
+        # per node, Θ(p) once read
+        self._twists: list = []
         # with a frame: each atom's letters u·c(m), and c(p)⁻¹ of each node
         self._conjugators = acting.conjugators() if acting.k else None
         self._framed = self._unframe = None
@@ -294,6 +306,7 @@ class StepGraph:
             node = self._ids[key] = len(self.parts)
             self.parts.append(part)
             self.edges.append([None] * len(self.measure.atoms))
+            self._twists.append(None)
             if self._unframe is not None:
                 # c is a homomorphism: c(p)⁻¹ = c(p⁻¹)
                 inverse = self.acting.part_inverse(part)
@@ -301,13 +314,24 @@ class StepGraph:
         return node
 
     def link(self, node: int, i: int) -> tuple:
-        """Build and return edge i of ``node``: (pushed letters, successor id)."""
+        """Build and return edge i of ``node``: (pushed letters, successor id).
+
+        The letters are Θ(p)'s image of the atom's word; a one-letter atom
+        pushes Θ(p)'s table entry itself. An atom whose letters every θ_j
+        fixes pushes its own word, with no Θ(p) read.
+        """
         letters, increment = self.measure._step_data[i]
         part = self.parts[node]
         if self._framed is not None:
             letters = self._framed[i]
-        elif letters:
-            letters = self.acting.twist_letters(part, letters)
+        elif not self._untwisted[i]:
+            phi = self._twists[node]
+            if phi is None:
+                phi = self._twists[node] = self.acting.automorphism_for(part)
+            if len(letters) == 1:
+                letters = phi._table[letters[0]]
+            else:
+                letters = tuple(phi.apply_letters(letters))
         succ = node
         if increment is not None:
             succ = self._node(self.acting.part_multiply(part, increment))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walkbound import (
+    ActingGroup,
     Automorphism,
     ConfigError,
     ExtElement,
@@ -376,3 +377,46 @@ def test_walks_build_no_inverse_of_an_accumulated_automorphism(monkeypatch, caps
         assert main(argv) == 0
         assert composed, name
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["walk", "--config", "fixture:free-acting", "--n-paths", "20", "--n-steps", "300"],
+        ["hitting", "--config", "fixture:free-acting", "--n-paths", "40", "--n-steps", "200"],
+        ["hitting", "--config", "fixture:fibonacci", "--depth", "2", "--n-paths", "40",
+         "--n-steps", "40"],
+    ],
+    ids=["walk-free-acting", "hitting-free-acting", "hitting-fibonacci"],
+)
+def test_a_command_builds_each_twist_once(argv, monkeypatch, capsys):
+    # Every composed automorphism must be the one the acting group caches
+    # for some part, and every table substitution one such composition: a
+    # Θ(p) built twice (or kept apart from the cache) breaks one or the other.
+    caches, composed, substituted = [], [], []
+    start_caches = ActingGroup._start_caches
+    from_tables = Automorphism._from_tables.__func__
+    substitute = morphisms._substitute
+
+    def spy_start_caches(acting):
+        start_caches(acting)
+        caches.append(acting._cache)
+
+    def spy_from_tables(cls, rank, table, inv_table=None, operands=None):
+        phi = from_tables(cls, rank, table, inv_table, operands)
+        if operands is not None:
+            composed.append(phi)
+        return phi
+
+    def spy_substitute(table, images):
+        substituted.append(images)
+        return substitute(table, images)
+
+    monkeypatch.setattr(ActingGroup, "_start_caches", spy_start_caches)
+    monkeypatch.setattr(Automorphism, "_from_tables", classmethod(spy_from_tables))
+    monkeypatch.setattr(morphisms, "_substitute", spy_substitute)
+    assert main([*argv, "--seed", "5"]) == 0
+    cached = {id(phi) for cache in caches for phi in cache.values()}
+    assert composed
+    assert all(id(phi) in cached for phi in composed)
+    assert len(substituted) == len(composed)

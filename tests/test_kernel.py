@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -28,6 +29,7 @@ from walkbound import (
     ext_identity,
     ext_multiply,
     first_return_sampler,
+    free_reduce,
     fixture_names,
     fixture_text,
     identity_automorphism,
@@ -83,7 +85,7 @@ FREE_KERNEL = PermKernelSpec(3, ((1, 2, 0), (1, 0, 2)))
 
 # Every fixture's atoms have free parts of at most one letter. These reuse a
 # fixture's acting group with two-letter free parts, with and without an
-# acting increment, so that twist_letters substitutes whole words.
+# acting increment, so that step-graph edges twist whole words.
 TWO_LETTER_ATOMS = {
     "free-acting": (("ab", "1"), ("cA", "1"), ("Ba", "a"), ("ab", "B"), ("cA", "b"), ("1", "A")),
     "fibonacci": (("ab", "0"), ("Ba", "0"), ("ab", "1"), ("Ba", "-1"), ("1", "1"), ("1", "-1")),
@@ -267,6 +269,66 @@ def test_twist_letters_equals_automorphism_image(name):
             assert acting.twist_letters(p, word.letters) == phi.apply(word).letters
         # a one-letter atom gets Θ(p)'s own table entry
         assert acting.twist_letters(p, (-1,)) is phi._table[-1]
+
+
+@pytest.mark.parametrize("name, atoms", KERNEL_CASES)
+def test_step_graph_edges_push_each_atom_twisted_by_its_node(name, atoms):
+    measure = case_measure(name, atoms)
+    acting = measure.acting
+    graph = StepGraph(measure)
+    for idx in measure.draw_rows(11, STREAM_WALK, 0, 8, MAX_STEPS.get(name, 60)):
+        graph.advance([], graph.root, idx)
+    # Θ(p) and the frame's conjugators from a fresh group, by peeling keys
+    fresh = ActingGroup(acting.kind, acting.theta, acting.base_rank)
+    conjugators = fresh.conjugators() if fresh.k else None
+    # atoms whose letters every θ_j fixes push their own word from every node
+    untwisted = [
+        all(theta.apply(Word.generator(acting.base_rank, abs(s), s)).letters == (s,)
+            for theta in acting.theta for s in g.w.letters)
+        for g in measure.atoms
+    ]
+    twisted = 0
+    for part, edges in zip(graph.parts, graph.edges):
+        for i, edge in enumerate(edges):
+            if edge is None:
+                continue
+            letters, succ = edge
+            g = measure.atoms[i]
+            assert acting.part_key(graph.parts[succ]) == acting.part_key(
+                acting.part_multiply(part, g.p)
+            )
+            if conjugators is not None:
+                assert letters == tuple(free_reduce(
+                    g.w.letters + fresh.conjugator_of(conjugators, g.p)
+                ))
+            elif untwisted[i]:
+                # the atom's own word, shared, and no Θ(p) read for it
+                assert letters is g.w.letters
+            else:
+                twisted += 1
+                assert letters == fresh.automorphism_for(part).apply(g.w).letters
+                if len(g.w) == 1:
+                    # a one-letter atom pushes the cached Θ(p)'s table entry itself
+                    assert letters is acting.automorphism_for(part)._table[g.w.letters[0]]
+    assert twisted or conjugators is not None or all(untwisted)
+
+
+def test_deep_acting_chains_twist_without_recursion():
+    # c·a^N from N steps of (1, a) and one of (c, 1): the node a^N is N
+    # acting letters deep, more than the recursion limit, when its Θ is built
+    theta = fixture_measure("free-acting").acting.theta
+    acting = ActingGroup("free", theta, 3)
+    atoms = [
+        ExtElement(Word.identity(3), Word.parse(2, "a")),
+        ExtElement(Word.parse(3, "c"), Word.identity(2)),
+    ]
+    measure = StepMeasure(acting, atoms, [0.5, 0.5], check_generation=False)
+    n = sys.getrecursionlimit() + 100
+    graph = StepGraph(measure)
+    stack = []
+    node = graph.advance(stack, graph.root, [0] * n + [1])
+    assert stack == [3] + [1] * n
+    assert graph.parts[node].letters == (1,) * n
 
 
 def assert_first_returns(measure, spec, seed, n_samples, budget):
