@@ -158,14 +158,16 @@ class _RayImages:
     The rays are an estimator's probes or a harmonic evaluation's boundary
     samples. Theta(p) maps an eventually periodic ray to another one
     (``morphisms._ray_image``); an identity part keeps the ray itself.
-    ``of(part)`` looks the part up once and returns its entry, (part, a list
-    of each ray's prefix or None), which a step's scans and translations
-    share. ``at_least`` returns an entry's cached letter tuple for one ray,
-    holding at least the requested number of letters; callers index into it
-    rather than taking copies. A miss builds the image and keeps a prefix of
-    it twice the requested length (16 letters at least), so a prefix grown
-    step by step is rebuilt a logarithmic number of times. Nothing is cut
-    from the image before cancellation, so every letter served is exact.
+    ``of(part)`` looks the part up once and returns its entry, (Theta(p),
+    None for the identity part, and a list of each ray's prefix or None),
+    which a step's scans and translations share: Theta(p) is read from the
+    acting group once per entry. ``at_least`` returns an entry's cached
+    letter tuple for one ray, holding at least the requested number of
+    letters; callers index into it rather than taking copies. A miss builds
+    the image and keeps a prefix of it twice the requested length (16
+    letters at least), so a prefix grown step by step is rebuilt a
+    logarithmic number of times. Nothing is cut from the image before
+    cancellation, so every letter served is exact.
     """
 
     __slots__ = ("acting", "rays", "_cache")
@@ -179,16 +181,18 @@ class _RayImages:
         key = self.acting.part_key(part)
         entry = self._cache.get(key)
         if entry is None:
-            entry = self._cache[key] = (part, [None] * len(self.rays))
+            acting = self.acting
+            phi = None if acting.part_is_identity(part) else acting.automorphism_for(part)
+            entry = self._cache[key] = (phi, [None] * len(self.rays))
         return entry
 
     def at_least(self, entry: tuple, ray_idx: int, length: int) -> tuple[int, ...]:
-        part, prefixes = entry
+        phi, prefixes = entry
         cached = prefixes[ray_idx]
         if cached is None or len(cached) < length:
             image = self.rays[ray_idx]
-            if not self.acting.part_is_identity(part):
-                image = _ray_image(self.acting.automorphism_for(part), image)
+            if phi is not None:
+                image = _ray_image(phi, image)
             cached = prefixes[ray_idx] = image.prefix(max(2 * length, 16)).letters
         return cached
 
@@ -555,7 +559,7 @@ def track_convergence(
                 entry = entries[node]
             except IndexError:
                 entries.extend(
-                    images.of(graph.probe_part(m)) for m in range(len(entries), len(graph.parts))
+                    images.of(graph.probe_part(m)) for m in range(len(entries), len(graph.edges))
                 )
                 entry = entries[node]
             row[n] = _agreement(stack, images, entry, depth)
@@ -734,7 +738,7 @@ def first_return_sampler(
     _check_ceiling("failure ceiling", failure_ceiling)
     graph = StepGraph(measure)
     # a spec that does not match the acting group raises before any draw
-    part_in_sublattice(measure.acting, graph.parts[graph.root], sublattice)
+    part_in_sublattice(measure.acting, graph.part(graph.root), sublattice)
     rank = measure.acting.base_rank
     # one element per distinct returned position (node, stack)
     returned: dict[tuple, ExtElement] = {}
@@ -750,7 +754,7 @@ def first_return_sampler(
             g = returned.get(key)
             if g is None:
                 w = _reduced_word(rank, graph.free_letters(stack, node))
-                g = returned[key] = ExtElement(w, graph.parts[node])
+                g = returned[key] = ExtElement(w, graph.part(node))
             found[index] = g
             taus[index] = len(idx)
     times = tuple(filter(None, taus))

@@ -18,6 +18,11 @@ Gauge: |(w, p)| = |w| + |p| with |p| the ℓ¹ norm (lattice) or word length
 (free). This is the word length for the standard generating set whenever all
 θ-images are single letters, and an equivalent gauge otherwise, which is all
 the moment computations need.
+
+``ActingGroup`` gives each part it meets an id (``part_id``): a lattice part
+is its own id, and a free part is a node of the acting group's Cayley tree,
+an int. Walks step ids (``step_id``) and read Θ by id (``automorphism_at``),
+so a free part's word is built only when it is read back (``part_at``).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import Union
 
 from .errors import ConfigError
 from .morphisms import Automorphism, _conjugator, identity_automorphism
-from .words import Word, free_reduce
+from .words import Word, _reduced_word, free_reduce
 
 __all__ = [
     "ActingGroup",
@@ -57,12 +62,19 @@ class ActingGroup:
     exactly on generators at construction. For a free acting group no relation
     is imposed.
 
-    Accumulated automorphisms Θ(p) are memoized per instance. The cache is
-    confined to one process; parallel workers each build their own, and
-    results never depend on cache state.
+    Accumulated automorphisms Θ(p) are memoized per instance, keyed by part
+    id (``part_id``). A free acting group's ids are the nodes of a tree: id 0
+    is the identity, ``_children`` maps (id, signed acting letter) to the
+    child's id, and ``_parent[n]`` and ``_last[n]`` are the parent's id and
+    the last letter of id n's part. The tree and the cache are confined to
+    one process and start empty after a pickle round trip; parallel workers
+    each build their own, and results never depend on their state.
     """
 
-    __slots__ = ("kind", "k", "base_rank", "theta", "_signed_theta", "_cache", "_twist_cache")
+    __slots__ = (
+        "kind", "k", "base_rank", "theta", "_signed_theta", "_cache", "_twist_cache",
+        "_children", "_parent", "_last",
+    )
 
     def __init__(self, kind: str, theta: tuple[Automorphism, ...], base_rank: int):
         if kind not in ("lattice", "free"):
@@ -94,9 +106,13 @@ class ActingGroup:
         for j, phi in enumerate(self.theta, start=1):
             self._signed_theta[j] = phi
             self._signed_theta[-j] = phi.inverse()
-        self._cache: dict[tuple[int, ...], Automorphism] = {}
+        self._cache: dict[object, Automorphism] = {}
         # always empty, kept because bench/tracing.py reads its size
         self._twist_cache: dict = {}
+        # a free acting group's tree, the root alone
+        self._children: dict[tuple[int, int], int] = {}
+        self._parent = [0]
+        self._last = [0]
 
     @classmethod
     def trivial(cls, base_rank: int) -> "ActingGroup":
@@ -161,43 +177,96 @@ class ActingGroup:
             return ",".join(str(a) for a in p) if self.k else "0"
         return str(p)
 
-    # -- the accumulated automorphism Θ(p) --------------------------------------
+    # -- part ids and the accumulated automorphism Θ(p) ------------------------
+
+    def part_id(self, p: ActingPart):
+        """p's key in the Θ cache: a lattice part itself, a free part's tree id.
+
+        A free part's id is found by descending the tree from the root along
+        p's letters, adding the nodes not met before.
+        """
+        if self.kind == "lattice":
+            return p
+        return self.step_id(0, p)
+
+    def step_id(self, pid, m: ActingPart):
+        """The id of p·m, for the part p at id ``pid``.
+
+        On a free acting group m's letters step through the tree: a letter
+        that cancels the last letter of the current id's part returns its
+        parent, any other its child, added on first use. No word is built.
+        """
+        if self.kind == "lattice":
+            return tuple(a + b for a, b in zip(pid, m))
+        parent, last, children = self._parent, self._last, self._children
+        for s in m.letters:
+            if last[pid] == -s:
+                pid = parent[pid]
+                continue
+            child = children.get((pid, s))
+            if child is None:
+                child = children[pid, s] = len(parent)
+                parent.append(pid)
+                last.append(s)
+            pid = child
+        return pid
+
+    def part_at(self, pid) -> ActingPart:
+        """The part at id ``pid``; a free part's letters are read up the tree."""
+        if self.kind == "lattice":
+            return pid
+        letters = []
+        parent, last = self._parent, self._last
+        while pid:
+            letters.append(last[pid])
+            pid = parent[pid]
+        letters.reverse()
+        return _reduced_word(self.k, tuple(letters))
 
     def automorphism_for(self, p: ActingPart) -> Automorphism:
         """Θ(p); for a lattice ∏ θ_j^{p_j}, for a free part the composition along p.
 
-        Θ(p) = Θ(q)∘θ_j^{±1}, where q peels the last letter off a free part,
-        or one unit off the first nonzero coordinate of a lattice part (the
-        θ_j commute). Composing the long Θ(q) after the short θ substitutes
-        whole images, and every Θ(q) on the way is cached, so long walks pay
-        per new acting position only. A step graph reads each node's Θ(p)
-        here once, on its first twisted edge, and keeps it
-        (``walk.StepGraph.link``), so the walk, the probes and
-        ``ext_multiply`` share one object per part. Θ(p)'s inverse is built
-        from its operands when first read (``Automorphism._inverse_table``),
-        so reading it never grows the cache.
+        The cached Θ at p's id (``automorphism_at``): a free part descends
+        the tree along its letters, so the walk, the probes and
+        ``ext_multiply`` share one object per part.
         """
-        key = self.part_key(p)
+        return self.automorphism_at(self.part_id(p))
+
+    def automorphism_at(self, pid) -> Automorphism:
+        """Θ(p) for the part p at id ``pid``, cached under the id.
+
+        Θ(p) = Θ(q)∘θ_j^{±1}, where q is the parent in the tree of a free
+        part, or peels one unit off the first nonzero coordinate of a lattice
+        part (the θ_j commute). Composing the long Θ(q) after the short θ
+        substitutes whole images, and every Θ(q) on the way is cached first,
+        so a parent's entry always precedes its children's and long walks
+        pay per new acting position only. Θ(p)'s inverse is built from its
+        operands when first read (``Automorphism._inverse_table``), so
+        reading it never grows the cache, and reading the cache's inverses
+        in insertion order costs one substitution each.
+        """
         cache = self._cache
-        cached = cache.get(key)
+        cached = cache.get(pid)
         if cached is not None:
             return cached
-        # walk down to the nearest cached part, then compose back up
+        # walk up to the nearest cached id, then compose back down
         chain = []
-        while key not in cache and any(key):
-            if self.kind == "lattice":
-                j = next(i for i, a in enumerate(key) if a)
-                step = 1 if key[j] > 0 else -1
-                chain.append((key, step * (j + 1)))
-                key = key[:j] + (key[j] - step,) + key[j + 1 :]
-            else:
-                chain.append((key, key[-1]))
-                key = key[:-1]
-        result = cache.get(key)
+        if self.kind == "lattice":
+            while pid not in cache and any(pid):
+                j = next(i for i, a in enumerate(pid) if a)
+                step = 1 if pid[j] > 0 else -1
+                chain.append((pid, step * (j + 1)))
+                pid = pid[:j] + (pid[j] - step,) + pid[j + 1 :]
+        else:
+            parent, last = self._parent, self._last
+            while pid not in cache and pid:
+                chain.append((pid, last[pid]))
+                pid = parent[pid]
+        result = cache.get(pid)
         if result is None:
-            result = cache[key] = identity_automorphism(self.base_rank)
-        for key, letter in reversed(chain):
-            result = cache[key] = result.compose(self._signed_theta[letter])
+            result = cache[pid] = identity_automorphism(self.base_rank)
+        for pid, letter in reversed(chain):
+            result = cache[pid] = result.compose(self._signed_theta[letter])
         return result
 
     def conjugators(self) -> dict[int, tuple[int, ...]] | None:

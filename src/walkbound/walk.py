@@ -17,9 +17,13 @@ lazily over the acting positions its paths visit. ``edges[n][i]`` holds, once
 atom i is first taken from node n, the free part of atom i twisted by the
 node's accumulated automorphism Θ(p) and the successor id. An atom whose
 letters every θ_j fixes (read from the θ_j's images) pushes its own word
-from every node, so its edges read no Θ(p). A node reads its Θ(p) from the
-acting group's cache (``ActingGroup.automorphism_for``) once, on its first
-twisted edge, so probes and ``ext_multiply`` read the same object.
+from every node, so its edges read no Θ(p). Each node holds its part's id
+in the acting group (``ActingGroup.part_id``). A free part's id is a node of
+the acting group's tree, and an edge steps the increment's letters through
+it, so a new node builds no word. Edges read Θ(p) from the acting group's
+cache by the node's id (``ActingGroup.automorphism_at``), where a new
+entry is composed from its parent's, so probes and ``ext_multiply`` read
+the same object.
 A step along a built edge is two list indexes and the junction cancellation:
 its cost is the twisted increment length, not the length of the whole word. A
 new acting position costs about the length of its twisted images.
@@ -252,16 +256,20 @@ class StepMeasure:
 class StepGraph:
     """The acting positions one estimator call has visited, as a table.
 
-    Node n is an int, the ``root`` 0 is the identity: ``parts[n]`` is its
-    acting part, and ``edges[n][i]`` is None until atom i is first taken from
-    n, then (the letters atom i pushes from n, successor id). Ids hold no
-    references, so no graph is a reference cycle. Built lazily per call,
-    nothing stored on the measure or acting group; each edge is built once.
-    An atom whose letters every θ_j fixes pushes its own word from every node.
+    Node n is an int, the ``root`` 0 is the identity: ``edges[n][i]`` is None
+    until atom i is first taken from n, then (the letters atom i pushes from
+    n, successor id). Each node holds its part's id in the acting group
+    (``ActingGroup.part_id``): a lattice part itself, or a free part's id in
+    the acting group's tree, which an edge steps by the increment's letters
+    (``ActingGroup.step_id``), so a new node builds no word; ``part`` reads
+    the part back. Ids hold no references, so no graph is a reference cycle.
+    Built lazily per call, nothing stored on the measure; each edge is built
+    once. An atom whose letters every θ_j fixes pushes its own word from
+    every node.
 
     Without a frame the stack holds the free part w of the position (w, p),
     and atom (u, m) pushes Θ(p)(u), for a one-letter atom Θ(p)'s own table
-    entry; a node keeps its Θ(p), read once from the acting group's cache.
+    entry, with Θ(p) read from the acting group's cache by the node's id.
     When the group twists and every θ_j is inner, the graph has a
     conjugator frame c (``ActingGroup.conjugators``) with Θ(p) conjugation by
     c(p). The stack then holds v = w·c(p), and atom (u, m) pushes u·c(m) from
@@ -271,24 +279,24 @@ class StepGraph:
     """
 
     __slots__ = (
-        "measure", "acting", "root", "parts", "edges", "_ids", "_untwisted", "_twists",
+        "measure", "acting", "root", "edges", "_ids", "_nodes", "_parts", "_untwisted",
         "_conjugators", "_framed", "_unframe",
     )
 
     def __init__(self, measure: StepMeasure):
         self.measure = measure
         acting = self.acting = measure.acting
-        self.parts: list = []
         self.edges: list[list] = []
-        self._ids: dict = {}
+        # per node its part's id, each id's node, and the parts read back
+        self._ids: list = []
+        self._nodes: dict = {}
+        self._parts: dict = {}
         # per atom, whether every θ_j fixes each of its letters, read from
         # the θ_j's images: then it pushes its own word from every node
         fixed = {s for s in range(-acting.base_rank, acting.base_rank + 1)
                  if s and all(theta._table[s] == (s,) for theta in acting.theta)}
         self._untwisted = [fixed.issuperset(letters) for letters, _ in measure._step_data]
-        # per node, Θ(p) once read
-        self._twists: list = []
-        # with a frame: each atom's letters u·c(m), and c(p)⁻¹ of each node
+        # with a frame: each atom's letters u·c(m), and c(p)⁻¹ of each node once read
         self._conjugators = acting.conjugators() if acting.k else None
         self._framed = self._unframe = None
         if self._conjugators is not None:
@@ -296,22 +304,24 @@ class StepGraph:
                 tuple(free_reduce(g.w.letters + acting.conjugator_of(self._conjugators, g.p)))
                 for g in measure.atoms
             )
-            self._unframe = []
-        self.root = self._node(acting.identity_part())
+            self._unframe = {}
+        self.root = self._node(acting.part_id(acting.identity_part()))
 
-    def _node(self, part) -> int:
-        key = self.acting.part_key(part)
-        node = self._ids.get(key)
+    def _node(self, pid) -> int:
+        """The node of the part at id ``pid`` (``ActingGroup.part_id``), added on first use."""
+        node = self._nodes.get(pid)
         if node is None:
-            node = self._ids[key] = len(self.parts)
-            self.parts.append(part)
+            node = self._nodes[pid] = len(self.edges)
+            self._ids.append(pid)
             self.edges.append([None] * len(self.measure.atoms))
-            self._twists.append(None)
-            if self._unframe is not None:
-                # c is a homomorphism: c(p)⁻¹ = c(p⁻¹)
-                inverse = self.acting.part_inverse(part)
-                self._unframe.append(self.acting.conjugator_of(self._conjugators, inverse))
         return node
+
+    def part(self, node: int):
+        """The acting part of ``node``, read back from its id once."""
+        part = self._parts.get(node)
+        if part is None:
+            part = self._parts[node] = self.acting.part_at(self._ids[node])
+        return part
 
     def link(self, node: int, i: int) -> tuple:
         """Build and return edge i of ``node``: (pushed letters, successor id).
@@ -321,20 +331,18 @@ class StepGraph:
         fixes pushes its own word, with no Θ(p) read.
         """
         letters, increment = self.measure._step_data[i]
-        part = self.parts[node]
+        pid = self._ids[node]
         if self._framed is not None:
             letters = self._framed[i]
         elif not self._untwisted[i]:
-            phi = self._twists[node]
-            if phi is None:
-                phi = self._twists[node] = self.acting.automorphism_for(part)
+            phi = self.acting.automorphism_at(pid)
             if len(letters) == 1:
                 letters = phi._table[letters[0]]
             else:
                 letters = tuple(phi.apply_letters(letters))
         succ = node
         if increment is not None:
-            succ = self._node(self.acting.part_multiply(part, increment))
+            succ = self._node(self.acting.step_id(pid, increment))
         edge = self.edges[node][i] = (letters, succ)
         return edge
 
@@ -342,7 +350,11 @@ class StepGraph:
         """The reduced free part w of the position (stack, node): w = v·c(p)⁻¹ in a frame."""
         if self._unframe is None:
             return tuple(stack)
-        tail = self._unframe[node]
+        tail = self._unframe.get(node)
+        if tail is None:
+            # c is a homomorphism: c(p)⁻¹ = c(p⁻¹)
+            inverse = self.acting.part_inverse(self.part(node))
+            tail = self._unframe[node] = self.acting.conjugator_of(self._conjugators, inverse)
         n = len(stack)
         k = 0
         while k < len(tail) and k < n and stack[n - 1 - k] == -tail[k]:
@@ -352,8 +364,8 @@ class StepGraph:
     def probe_part(self, node: int):
         """The part p' with x·ξ = stack·Θ(p')(ξ) for the position x at (stack, node)."""
         if self._unframe is None:
-            return self.parts[node]
-        return self.parts[self.root]
+            return self.part(node)
+        return self.part(self.root)
 
     def advance(self, stack: list[int], node: int, indices: Sequence[int]) -> int:
         """Right-multiply the position (stack, node) by the atoms at ``indices``.
@@ -1063,7 +1075,7 @@ def _walk_rows(
     """
     if spec is not None:
         # a spec that does not match the acting group raises before any draw
-        part_in_sublattice(graph.acting, graph.parts[graph.root], spec)
+        part_in_sublattice(graph.acting, graph.part(graph.root), spec)
     table = _fixed_pushes(graph)
     rows = max(1, (BLOCK_CELLS if table is not None else SYLLABLE_CELLS) // n_steps)
     blocks = graph.measure.index_blocks(seed, stream, first, count, n_steps)
@@ -1120,7 +1132,7 @@ def sample_paths(
 
     def elements(snaps: list[tuple[tuple[int, ...], int]]) -> list[ExtElement]:
         return [
-            ExtElement(_reduced_word(rank, graph.free_letters(stack, node)), graph.parts[node])
+            ExtElement(_reduced_word(rank, graph.free_letters(stack, node)), graph.part(node))
             for stack, node in snaps
         ]
 
@@ -1306,7 +1318,7 @@ def _stepped_depth_counts(
     tables = [counts[d] for d in ascending]
     for idx in measure.draw_rows(seed, STREAM_WALK, first_path, n_paths, n_steps):
         for table, (stack, node) in zip(tables, _run_one_path(graph, idx, n_steps, ascending)):
-            key = (graph.free_letters(stack, node), part_key(graph.parts[node]))
+            key = (graph.free_letters(stack, node), part_key(graph.part(node)))
             table[key] = table.get(key, 0) + 1
     return counts
 

@@ -1,5 +1,7 @@
 """Extension-group arithmetic across all three acting kinds."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,7 @@ from walkbound import (
     ConfigError,
     ExtElement,
     ModuliSpec,
+    StepMeasure,
     Word,
     ball,
     build_acting_group,
@@ -19,7 +22,9 @@ from walkbound import (
     free_reduce,
     gauge_length,
     in_sublattice,
+    build_measure,
     load_fixture,
+    sample_paths,
     standard_generators,
 )
 from walkbound import morphisms, words
@@ -286,25 +291,87 @@ def test_served_inverse_is_the_twist_of_the_inverse_part(name, data):
 
 @pytest.mark.parametrize("name, text", [("fibonacci", "12"), ("free-acting", "abABaabbABBA")])
 def test_cached_inverses_read_in_order_take_one_step_each(monkeypatch, name, text):
-    # each entry's inverse is one substitution from its prefix's, read just
-    # before it, so reading the cache in order composes nothing
+    # Θ(p) = Θ(q)∘θ with q the parent of p's id, and the cache holds each
+    # parent before its children, so reading the cache's inverses in order
+    # substitutes once per composed entry and composes nothing
     acting = acting_for(name)
     acting.automorphism_for(acting.parse_part(text))
-    composed = []
+    # a walk reaches more parts, some of them again after cancelling
+    fixture = build_measure(load_fixture(name))
+    measure = StepMeasure(acting, fixture.atoms, fixture.weights, check_generation=False)
+    sample_paths(measure, 3, 20, 40)
+    position = {id(phi): n for n, phi in enumerate(acting._cache.values())}
+    composed = 0
+    for pid, phi in acting._cache.items():
+        if phi._operands is None:
+            continue
+        composed += 1
+        parent = phi._operands[0]
+        assert position[id(parent)] < position[id(phi)]
+        if acting.kind == "free":
+            assert parent is acting._cache[acting._parent[pid]]
+    assert composed > len(text)
+    composes, substituted = [], []
     compose = Automorphism.compose
+    substitute = morphisms._substitute
 
     def spy_compose(phi, other):
-        composed.append(phi)
+        composes.append(phi)
         return compose(phi, other)
 
+    def spy_substitute(table, images):
+        substituted.append(images)
+        return substitute(table, images)
+
     monkeypatch.setattr(Automorphism, "compose", spy_compose)
-    inverses = {key: phi.inverse_images for key, phi in acting._cache.items()}
-    assert composed == []
+    monkeypatch.setattr(morphisms, "_substitute", spy_substitute)
+    inverses = {pid: phi.inverse_images for pid, phi in acting._cache.items()}
+    assert composes == []
+    assert len(substituted) == composed
     monkeypatch.undo()
     reference = acting_for(name)
-    for key, images in inverses.items():
-        part = key if acting.kind == "lattice" else Word(acting.k, key)
+    for pid, images in inverses.items():
+        part = acting.part_at(pid)
         assert reference.automorphism_for(acting.part_inverse(part)).images == images
+
+
+def test_pickled_acting_group_starts_an_empty_tree():
+    # the tree and the cache stay behind; the far side rebuilds equal twists
+    acting = acting_for("free-acting")
+    parts = [acting.parse_part(text) for text in ("abABaabbABBA", "abAb", "BBa")]
+    twists = [acting.automorphism_for(part) for part in parts]
+    assert len(acting._parent) > 1 and acting._children and acting._cache
+    clone = pickle.loads(pickle.dumps(acting))
+    assert clone == acting
+    assert (clone._cache, clone._children, clone._parent, clone._last) == ({}, {}, [0], [0])
+    for part, phi in zip(parts, twists):
+        assert clone.automorphism_for(part) == phi
+        assert clone.automorphism_for(part)._table == phi._table
+        assert clone.part_at(clone.part_id(part)) == part
+
+
+def test_free_part_ids_step_through_one_tree():
+    # equal parts share an id whatever route reaches them, and a letter that
+    # cancels the last one steps back to the parent
+    acting = acting_for("free-acting")
+    parse = acting.parse_part
+    ab = acting.part_id(parse("ab"))
+    assert acting.part_id(parse("1")) == 0
+    assert acting.step_id(acting.part_id(parse("a")), parse("b")) == ab
+    assert acting.step_id(acting.part_id(parse("aB")), parse("bb")) == ab
+    assert acting.step_id(acting.part_id(parse("abA")), parse("a")) == ab
+    assert acting.step_id(ab, parse("BA")) == 0
+    assert acting.step_id(ab, parse("B")) == acting.part_id(parse("a"))
+    assert acting._parent[ab] == acting.part_id(parse("a")) and acting._last[ab] == 2
+    for text in ("1", "a", "b", "ab", "aB", "Ba", "abABaabbABBA"):
+        pid = acting.part_id(parse(text))
+        assert acting.part_at(pid) == parse(text)
+        assert acting.automorphism_at(pid) is acting.automorphism_for(parse(text))
+        assert acting.automorphism_at(pid)._table == acting_for("free-acting").automorphism_for(
+            parse(text)
+        )._table
+    # ids are never remade: one per distinct prefix met
+    assert len(acting._parent) == len(acting._children) + 1
 
 
 @pytest.mark.parametrize("name, text", [("fibonacci", "9"), ("free-acting", "abABaabbABBA")])

@@ -90,6 +90,12 @@ TWO_LETTER_ATOMS = {
     "free-acting": (("ab", "1"), ("cA", "1"), ("Ba", "a"), ("ab", "B"), ("cA", "b"), ("1", "A")),
     "fibonacci": (("ab", "0"), ("Ba", "0"), ("ab", "1"), ("Ba", "-1"), ("1", "1"), ("1", "-1")),
 }
+# free-acting's acting group under increments of one and two letters that
+# cancel one another in part or in whole, so that one free part is reached
+# along several routes of the acting group's tree.
+MULTI_LETTER_ATOMS = {
+    "free-acting": (("c", "ab"), ("A", "aB"), ("cb", "Ba"), ("1", "BA"), ("C", "b"), ("a", "A")),
+}
 # Groups whose every twist is inner, so that their walks step in a conjugator
 # frame: F_2 ⋊ Z twisted by conjugation with ab (a config no fixture ships),
 # Z^2 acting by conjugation with a and with aa, and F_2 by a and by b. The
@@ -114,6 +120,10 @@ KERNEL_CASES = (
     + [
         pytest.param(name, atoms, id=f"{name}-two-letter")
         for name, atoms in TWO_LETTER_ATOMS.items()
+    ]
+    + [
+        pytest.param(name, atoms, id=f"{name}-multi-letter")
+        for name, atoms in MULTI_LETTER_ATOMS.items()
     ]
     + [pytest.param(name, None, id=name) for name in INNER_CASES]
 )
@@ -234,7 +244,7 @@ def test_endpoint_equals_fold(name, atoms, seed, path, data):
     for _ in range(2):
         stack, node = _endpoint(graph, indices)
         letters = graph.free_letters(stack, node)
-        got = ExtElement(Word(measure.acting.base_rank, letters), graph.parts[node])
+        got = ExtElement(Word(measure.acting.base_rank, letters), graph.part(node))
         assert keys(measure.acting, [got]) == expected
 
 
@@ -278,7 +288,7 @@ def test_step_graph_edges_push_each_atom_twisted_by_its_node(name, atoms):
     graph = StepGraph(measure)
     for idx in measure.draw_rows(11, STREAM_WALK, 0, 8, MAX_STEPS.get(name, 60)):
         graph.advance([], graph.root, idx)
-    # Θ(p) and the frame's conjugators from a fresh group, by peeling keys
+    # Θ(p) and the frame's conjugators from a fresh group
     fresh = ActingGroup(acting.kind, acting.theta, acting.base_rank)
     conjugators = fresh.conjugators() if fresh.k else None
     # atoms whose letters every θ_j fixes push their own word from every node
@@ -287,14 +297,19 @@ def test_step_graph_edges_push_each_atom_twisted_by_its_node(name, atoms):
             for theta in acting.theta for s in g.w.letters)
         for g in measure.atoms
     ]
+    # one node per part, whatever route reached it, keyed by the part's id
+    parts = [graph.part(node) for node in range(len(graph.edges))]
+    assert len({acting.part_key(part) for part in parts}) == len(parts)
+    assert [acting.part_id(part) for part in parts] == graph._ids
     twisted = 0
-    for part, edges in zip(graph.parts, graph.edges):
+    for node, edges in enumerate(graph.edges):
+        part = parts[node]
         for i, edge in enumerate(edges):
             if edge is None:
                 continue
             letters, succ = edge
             g = measure.atoms[i]
-            assert acting.part_key(graph.parts[succ]) == acting.part_key(
+            assert acting.part_key(graph.part(succ)) == acting.part_key(
                 acting.part_multiply(part, g.p)
             )
             if conjugators is not None:
@@ -306,6 +321,10 @@ def test_step_graph_edges_push_each_atom_twisted_by_its_node(name, atoms):
                 assert letters is g.w.letters
             else:
                 twisted += 1
+                # the node's Θ(p), cached under its id, is the group's one Θ(p)
+                phi = acting._cache[graph._ids[node]]
+                assert phi is acting.automorphism_for(part)
+                assert phi._table == fresh.automorphism_for(part)._table
                 assert letters == fresh.automorphism_for(part).apply(g.w).letters
                 if len(g.w) == 1:
                     # a one-letter atom pushes the cached Θ(p)'s table entry itself
@@ -328,7 +347,7 @@ def test_deep_acting_chains_twist_without_recursion():
     stack = []
     node = graph.advance(stack, graph.root, [0] * n + [1])
     assert stack == [3] + [1] * n
-    assert graph.parts[node].letters == (1,) * n
+    assert graph.part(node).letters == (1,) * n
 
 
 def assert_first_returns(measure, spec, seed, n_samples, budget):
@@ -628,7 +647,7 @@ def stepped_rows(measure, block, stops):
         for stop in stops:
             node = graph.advance(stack, node, [i for i in idx[done:stop] if i < len(measure)])
             done = stop
-            snaps.append((tuple(stack), graph.parts[node]))
+            snaps.append((tuple(stack), graph.part(node)))
         out.append(snaps)
     return out
 
@@ -656,7 +675,7 @@ def test_array_route_words_and_nodes_equal_advance(measure, data):
     nodes = walk._nodes_at(graph, block, stops)
     expected = stepped_rows(measure, block, stops)
     for r, snaps in enumerate(expected):
-        assert [(words[r][j], graph.parts[nodes[j][r]]) for j in range(len(stops))] == snaps
+        assert [(words[r][j], graph.part(nodes[j][r])) for j in range(len(stops))] == snaps
 
 
 @pytest.mark.parametrize("name", (*ARRAY_CASES, *SYLLABLE_CASES, "free-acting"))
@@ -679,7 +698,7 @@ def test_array_route_last_returns_equal_lattice_steps(name, seed, data):
         for step, i in enumerate(idx, start=1):
             if i < len(measure):
                 node = (graph.edges[node][i] or graph.link(node, i))[1]
-            if part_in_sublattice(measure.acting, graph.parts[node], spec):
+            if part_in_sublattice(measure.acting, graph.part(node), spec):
                 last = step
         expected.append(last)
     assert _last_lattice_step(graph, block, spec).tolist() == expected
@@ -806,7 +825,7 @@ def test_array_route_walk_rows_equal_fold(name, returns, seed, data):
         for stop, (stack, node) in zip(stops, snaps):
             assert all(x != -y for x, y in zip(stack, stack[1:]))
             letters_ = graph.free_letters(stack, node)
-            got = ExtElement(Word(acting.base_rank, letters_), graph.parts[node])
+            got = ExtElement(Word(acting.base_rank, letters_), graph.part(node))
             assert keys(acting, [got]) == keys(acting, [positions[min(stop, run_to)]])
     if data == "one-step" and spec is not None and name != "srw-f2":
         assert any(run_to == 0 for run_to, _ in rows)
@@ -954,7 +973,7 @@ def test_array_route_syllable_words_and_nodes_equal_advance(measure, data):
         return
     nodes = walk._nodes_at(graph, block, stops)
     for r, snaps in enumerate(stepped_rows(measure, block, stops)):
-        assert [(words[r][j], graph.parts[nodes[j][r]]) for j in range(len(stops))] == snaps
+        assert [(words[r][j], graph.part(nodes[j][r])) for j in range(len(stops))] == snaps
 
 
 @pytest.mark.parametrize(
