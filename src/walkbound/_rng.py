@@ -11,21 +11,21 @@ that SeedSequence for a single item. ``philox_keys`` computes the keys of a
 whole index range in one batched numpy pass of the same hash, bit-identical to
 the SeedSequence keys.
 
-``index_blocks`` turns a range of items into (rows, n) blocks of categorical
-draws, and ``draw_rows`` into rows of them, a list of ints each. Rows of
-at most ``HEAD`` uniforms come from a numpy transcription of Philox4x64-10
-and ``Generator.random``, vectorized over all rows of a block, so a run of
-short rows never imports ``numpy.random``; a longer row comes from one C
-Philox re-keyed per item. ``_uniform_blocks`` draws the rows of any keys, so
-``walk._first_returns`` redraws the samples that have not yet returned, from
-the start of their own streams, with the keys of those samples picked out.
-No row costs a SeedSequence, and a call builds at most one generator.
+``index_blocks`` is the one draw routine: it turns the keys of any items
+into (rows, n) blocks of categorical draws, each block filled in place. The
+keys are a range from ``philox_keys``, or rows picked out of one:
+``walk._first_returns`` redraws the samples that have not yet returned that
+way, from the starts of their own streams. Rows of at most ``HEAD`` uniforms
+come from a numpy transcription of Philox4x64-10 and ``Generator.random``,
+vectorized over the rows of a block, so a run of short rows never imports
+``numpy.random``; a longer row comes from one C Philox re-keyed per item. No
+row costs a SeedSequence, and a call builds at most one generator.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -65,7 +65,8 @@ _MULT_HI = PHILOX_MULT >> 32
 # costs about 65 ns per uniform and numpy's C generator about 8, plus a re-key
 # of about 1.3 us per row, so a longer row is cheaper drawn whole in C.
 HEAD = 16
-# Uniforms per block of rows (one row when a row alone is longer). The pass
+# Uniforms drawn at a time into a block of rows (one row when a row alone is
+# longer), and about the size of the blocks that walks read row by row. The pass
 # is mostly per-call overhead at 4096 (about 98 ns per uniform for 6000 rows
 # of 16) and levels off from 16384 (66 ns), while a short-paths round's peak
 # RSS grows by about 0.5 MiB per doubling past it.
@@ -158,64 +159,63 @@ def philox_keys(seed: int, stream: int, first: int, count: int) -> np.ndarray:
 
 
 def index_blocks(
-    cumulative: np.ndarray, seed: int, stream: int, first: int, count: int, n: int
+    cumulative: np.ndarray, keys: np.ndarray, n: int, rows: int
 ) -> Iterator[np.ndarray]:
-    """Yield the categorical draws of items ``first .. first + count - 1`` as (rows, n) blocks.
+    """Yield the ``n`` categorical draws of each key's stream, as blocks of at most ``rows`` rows.
 
-    Stacked, row ``j`` is ``searchsorted(cumulative, derived_rng(seed, stream,
-    first + j).random(n), side="right")``: one search per block of
-    ``uniform_blocks``.
-    """
-    blocks = uniform_blocks(seed, stream, first, count, n)
-    return (np.searchsorted(cumulative, block, side="right") for block in blocks)
-
-
-def draw_rows(
-    cumulative: np.ndarray, seed: int, stream: int, first: int, count: int, n: int
-) -> Iterator[list[int]]:
-    """The rows of ``index_blocks`` in order, each a list of ints (one ``tolist`` per block)."""
-    blocks = index_blocks(cumulative, seed, stream, first, count, n)
-    return (row for block in blocks for row in block.tolist())
-
-
-def uniform_blocks(seed: int, stream: int, first: int, count: int, n: int) -> Iterator[np.ndarray]:
-    """Yield the uniforms of items ``first .. first + count - 1`` as (rows, n) blocks.
-
-    Stacked, row ``j`` equals ``derived_rng(seed, stream, first + j).random(n)``
-    bit for bit, for every split into blocks. Rows of at most ``HEAD``
-    uniforms come from ``_head_uniforms``, vectorized over a block; a longer
-    row from one C Philox re-keyed per item. A block holds about ``BLOCK``
-    uniforms. Arguments are checked and the keys computed on the call, not on
-    the first block.
+    ``keys`` is any (count, 2) array of rows of ``philox_keys``. Stacked, the
+    blocks' row ``j`` is ``searchsorted(cumulative, derived_rng(seed, stream,
+    item).random(n), side="right")`` for the item whose key is ``keys[j]``,
+    in the least unsigned dtype that holds the no-op atom
+    ``len(cumulative)``: uint8 up to 255 atoms. Each block is filled in
+    place, about ``BLOCK`` uniforms at a time. ``n`` is checked on the call,
+    not on the first block; callers compute ``keys`` on the call too, so bad
+    input raises before any draw.
     """
     if n < 1:
         raise ConfigError("need at least one draw per row")
-    return _uniform_blocks(philox_keys(seed, stream, first, count), n)
+    return _index_blocks(cumulative, keys, n, rows)
 
 
-def _uniform_blocks(keys: np.ndarray, n: int) -> Iterator[np.ndarray]:
-    """The first ``n`` uniforms of each key's stream, as blocks of about ``BLOCK`` uniforms.
+def _index_blocks(
+    cumulative: np.ndarray, keys: np.ndarray, n: int, rows: int
+) -> Iterator[np.ndarray]:
+    dtype = np.min_scalar_type(len(cumulative))
+    step = max(1, BLOCK // n)
+    uniforms = _uniform_rows(n)
+    for start in range(0, len(keys), rows):
+        chunk = keys[start : start + rows]
+        block = np.empty((len(chunk), n), dtype=dtype)
+        for first in range(0, len(chunk), step):
+            drawn = uniforms(chunk[first : first + step])
+            block[first : first + step] = np.searchsorted(cumulative, drawn, side="right")
+        yield block
 
-    ``keys`` is any (rows, 2) array of Philox keys: a range from
-    ``philox_keys``, or rows picked out of one.
+
+def _uniform_rows(n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """A function from (rows, 2) Philox keys to the first ``n`` uniforms of each key's stream.
+
+    Row ``j`` of its (rows, n) result equals ``derived_rng(seed, stream,
+    item).random(n)`` bit for bit for the item whose key is row ``j``. Up to
+    ``HEAD`` uniforms it is ``_head_uniforms``; past it, one C Philox built
+    here and re-keyed per row from its state at counter 0 with an empty
+    buffer.
     """
-    rows = max(1, BLOCK // n)
     if n <= HEAD:
-        for start in range(0, len(keys), rows):
-            yield _head_uniforms(keys[start : start + rows], n)
-        return
-    # one C Philox, re-keyed per row from its state at counter 0 with an empty buffer
+        return lambda keys: _head_uniforms(keys, n)
     bit_gen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     rng = np.random.Generator(bit_gen)
     state = bit_gen.state
-    for start in range(0, len(keys), rows):
-        chunk = keys[start : start + rows]
-        block = np.empty((len(chunk), n))
-        for key, row in zip(chunk, block):
+
+    def draw(keys: np.ndarray) -> np.ndarray:
+        block = np.empty((len(keys), n))
+        for key, row in zip(keys, block):
             state["state"]["key"] = key
             bit_gen.state = state
             rng.random(out=row)
-        yield block
+        return block
+
+    return draw
 
 
 def _head_uniforms(keys: np.ndarray, h: int) -> np.ndarray:

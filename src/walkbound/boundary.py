@@ -18,7 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import STREAM_BOUNDARY, STREAM_RESAMPLE, STREAM_RETURN, STREAM_WALK, derived_rng
+from ._rng import (
+    BLOCK, STREAM_BOUNDARY, STREAM_RESAMPLE, STREAM_RETURN, STREAM_WALK, derived_rng, index_blocks,
+    philox_keys,
+)
 from .errors import BudgetError, ConfigError, ConvergenceError
 from .groups import (
     ActingGroup,
@@ -39,7 +42,6 @@ from .walk import (  # _last_lattice_step stays bound here for bench/tracing.py
     _last_lattice_step,
     _letter_rows,
     _masked_steps,
-    _row_blocks,
     _walk_rows,
 )
 from .words import Ray, Word, _reduced_word
@@ -549,20 +551,22 @@ def track_convergence(
     # images.of(graph.probe_part(node)) of each node id
     entries: list[tuple] = []
     lengths = np.zeros((n_paths, n_steps), dtype=np.int32)
-    rows = measure.draw_rows(seed, STREAM_WALK, 0, n_paths, n_steps)
-    for row, idx in zip(lengths, rows):
-        stack: list[int] = []
-        node = graph.root
-        for n, i in enumerate(idx):
-            node = graph.advance(stack, node, (i,))
-            try:
-                entry = entries[node]
-            except IndexError:
-                entries.extend(
-                    images.of(graph.probe_part(m)) for m in range(len(entries), len(graph.edges))
-                )
-                entry = entries[node]
-            row[n] = _agreement(stack, images, entry, depth)
+    keys = philox_keys(seed, STREAM_WALK, 0, n_paths)
+    done = 0
+    for block in index_blocks(measure._cumulative, keys, n_steps, max(1, BLOCK // n_steps)):
+        for row, idx in zip(lengths[done:], block.tolist()):
+            stack: list[int] = []
+            node = graph.root
+            for n, i in enumerate(idx):
+                node = graph.advance(stack, node, (i,))
+                try:
+                    entry = entries[node]
+                except IndexError:
+                    new = range(len(entries), len(graph.edges))
+                    entries.extend(images.of(graph.probe_part(m)) for m in new)
+                    entry = entries[node]
+                row[n] = _agreement(stack, images, entry, depth)
+        done += len(block)
     return ConvergenceTrace(probes, depth, lengths, seed)
 
 
@@ -646,8 +650,8 @@ def _array_lengths(
     rows = max(1, 4 * BLOCK_CELLS // (cells * (1 + 4 * states)))
     lengths = np.empty((n_paths, n_steps), dtype=np.int32)
     done = 0
-    blocks = graph.measure.index_blocks(seed, STREAM_WALK, 0, n_paths, n_steps)
-    for block in _row_blocks(graph.measure, blocks, rows):
+    keys = philox_keys(seed, STREAM_WALK, 0, n_paths)
+    for block in index_blocks(graph.measure._cumulative, keys, n_steps, rows):
         words, top = _empty_words(len(block), cells)
         base = top.copy()
         flat = words.reshape(-1)

@@ -205,9 +205,15 @@ def _write_output(out_path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     tmp = f"{out_path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, out_path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, out_path)
+    except OSError as exc:
+        # a missing directory, or a directory at out_path: leave no temp file
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise ConfigError(f"cannot write output {out_path!r}: {exc}") from exc
 
 
 # What a command returns: its JSON payload, its CSV header and its CSV rows.

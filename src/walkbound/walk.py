@@ -5,10 +5,9 @@ finitely supported step measure on the right: x_n = h_1 h_2 ... h_n. Paths are
 reproducible bit for bit from (seed, path index) regardless of batching or
 worker scheduling, because every path owns a counter-derived RNG stream,
 keyed bit-identically to ``SeedSequence(seed, spawn_key=(stream, index))``.
-Samplers take their atom indices from ``StepMeasure.draw_rows`` (the array
-route below from ``index_blocks``), a block of paths at once: paths of at
-most ``_rng.HEAD`` steps in one vectorized Philox pass, longer paths each
-from one re-keyed C generator.
+Every sampler takes its atom indices from ``_rng.index_blocks``, a block of
+paths at once: paths of at most ``_rng.HEAD`` steps in one vectorized Philox
+pass, longer paths each from one re-keyed C generator.
 
 Every sampler runs one step kernel, ``StepGraph.advance``, apart from the
 array passes below. The free part is a mutable letter stack; the acting
@@ -90,11 +89,11 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._rng import HEAD, STREAM_WALK, _uniform_blocks, draw_rows, index_blocks, philox_keys
+from ._rng import BLOCK, HEAD, STREAM_WALK, index_blocks, philox_keys
 from .errors import BudgetError, ConfigError
 from .groups import (
     ActingGroup,
@@ -226,22 +225,6 @@ class StepMeasure:
         """n atom indices from one pre-drawn uniform block."""
         return np.searchsorted(self._cumulative, rng.random(n), side="right")
 
-    def draw_rows(
-        self, seed: int, stream: int, first: int, count: int, n: int
-    ) -> Iterator[list[int]]:
-        """The ``n`` atom indices of items ``first .. first + count - 1``, a list each.
-
-        Item ``j`` draws what ``draw_indices(derived_rng(seed, stream, j), n)``
-        draws, a block of items at a time (see ``_rng.draw_rows``).
-        """
-        return draw_rows(self._cumulative, seed, stream, first, count, n)
-
-    def index_blocks(
-        self, seed: int, stream: int, first: int, count: int, n: int
-    ) -> Iterator[np.ndarray]:
-        """The rows of ``draw_rows`` as (rows, n) index arrays, a block of items each."""
-        return index_blocks(self._cumulative, seed, stream, first, count, n)
-
     def __repr__(self) -> str:
         return f"StepMeasure({len(self.atoms)} atoms on {self.acting!r})"
 
@@ -371,8 +354,9 @@ class StepGraph:
         """Right-multiply the position (stack, node) by the atoms at ``indices``.
 
         ``stack`` holds the reduced free part and is updated in place; the
-        returned id is the new acting position. Pass Python ints (a row of
-        ``StepMeasure.draw_rows``): numpy scalars index lists slowly.
+        returned id is the new acting position. Pass Python ints (a row of an
+        ``_rng.index_blocks`` block read through ``tolist``): numpy scalars
+        index lists slowly.
         """
         edges = self.edges
         link = self.link
@@ -484,27 +468,6 @@ def _fixed_pushes(graph: StepGraph) -> np.ndarray | None:
     for i, letters in enumerate(words):
         table[i, : len(letters)] = letters
     return table
-
-
-def _row_blocks(
-    measure: StepMeasure, blocks: Iterable[np.ndarray], rows: int
-) -> Iterator[np.ndarray]:
-    """Index ``blocks`` regrouped into arrays of about ``rows`` rows each, in order.
-
-    Their dtype is the least that holds the no-op atom ``len(measure)``:
-    uint8 up to 255 atoms. The pieces of a block are let go before it is
-    yielded, so a consumer holds it once.
-    """
-    dtype = np.min_scalar_type(len(measure))
-    held: list[np.ndarray] = []
-    for block in blocks:
-        held.append(block.astype(dtype))
-        if sum(map(len, held)) >= rows:
-            block = np.concatenate(held)
-            held.clear()
-            yield block
-    if held:
-        yield np.concatenate(held)
 
 
 def _letter_rows(table: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -670,7 +633,8 @@ def _syllable_edges(
     int32 signed exponents of each id's syllables, (ids + 1, 2) each and 0
     past an edge's last syllable. None when a used edge pushes more than
     two syllables (an exponential twist, say), checked edge by edge so that
-    no edge is built past the first such one.
+    no edge is built past the first such one, and when the keys would not
+    fit int64 (many twisted coordinates, each spanning many values).
     """
     measure = graph.measure
     k = graph.acting.k
@@ -698,6 +662,8 @@ def _syllable_edges(
         corners.append((j, low, span, moves))
         digits.append(digit)
         scale *= span
+        if scale > np.iinfo(np.int64).max:
+            return None
     # key = atom + atoms · (the mixed-radix digits); dense ids when few keys
     dtype = np.int32 if scale <= block.size else np.int64
     keys = atom.astype(dtype)
@@ -1019,10 +985,11 @@ def _first_returns(
     order their returns are found. Every item's row is drawn
     ``min(budget, HEAD)`` long first. The rows with no return yet are
     redrawn from the start of their own streams, twice as long each time up
-    to ``budget``, from their keys picked out of ``philox_keys``, so each
-    row is what ``derived_rng(seed, stream, item)`` draws; a row that never
-    returns costs about 2 * budget draws and no walk. Rows are drawn and
-    masked in groups of about ``SYLLABLE_CELLS`` cells.
+    to ``budget``: ``_rng.index_blocks`` draws them from their keys picked
+    out of ``philox_keys``, so each row is what ``derived_rng(seed, stream,
+    item)`` draws; a row that never returns costs about 2 * budget draws
+    and no walk. Rows are drawn and masked in blocks of at most
+    ``SYLLABLE_CELLS`` cells.
     """
     keys = philox_keys(seed, stream, 0, count)
     cumulative = graph.measure._cumulative
@@ -1030,11 +997,10 @@ def _first_returns(
     length = 0
     while pending.size and length < budget:
         length = min(budget, 2 * length or HEAD)
-        uniforms = _uniform_blocks(keys[pending], length)
-        blocks = (np.searchsorted(cumulative, u, side="right") for u in uniforms)
         late = []
         done = 0
-        for block in _row_blocks(graph.measure, blocks, max(1, SYLLABLE_CELLS // length)):
+        rows = max(1, SYLLABLE_CELLS // length)
+        for block in index_blocks(cumulative, keys[pending], length, rows):
             items = pending[done : done + len(block)]
             done += len(block)
             inside = _sublattice_mask(graph, block, spec)
@@ -1078,8 +1044,8 @@ def _walk_rows(
         part_in_sublattice(graph.acting, graph.part(graph.root), spec)
     table = _fixed_pushes(graph)
     rows = max(1, (BLOCK_CELLS if table is not None else SYLLABLE_CELLS) // n_steps)
-    blocks = graph.measure.index_blocks(seed, stream, first, count, n_steps)
-    for block in _row_blocks(graph.measure, blocks, rows):
+    keys = philox_keys(seed, stream, first, count)
+    for block in index_blocks(graph.measure._cumulative, keys, n_steps, rows):
         run_to = [n_steps] * len(block)
         if spec is not None:
             last = _last_lattice_step(graph, block, spec)
@@ -1141,12 +1107,14 @@ def sample_paths(
     if n_steps < n_paths.bit_length() and len(measure) ** n_steps <= n_paths:
         walked: dict[tuple[int, ...], list[ExtElement]] = {}
         rows = []
-        for idx in measure.draw_rows(seed, STREAM_WALK, first_path, n_paths, n_steps):
-            row = tuple(idx)
-            snaps = walked.get(row)
-            if snaps is None:
-                snaps = walked[row] = elements(_run_one_path(graph, idx, n_steps, steps))
-            rows.append(snaps)
+        keys = philox_keys(seed, STREAM_WALK, first_path, n_paths)
+        for block in index_blocks(measure._cumulative, keys, n_steps, BLOCK // n_steps):
+            for idx in block.tolist():
+                row = tuple(idx)
+                snaps = walked.get(row)
+                if snaps is None:
+                    snaps = walked[row] = elements(_run_one_path(graph, idx, n_steps, steps))
+                rows.append(snaps)
     else:
         paths = _walk_rows(graph, seed, STREAM_WALK, first_path, n_paths, n_steps, steps)
         rows = [elements(snaps) for _, snaps in paths]
@@ -1284,9 +1252,12 @@ def _batched_depth_counts(
     ascending = sorted(set(depths))
     n_steps = ascending[-1]
     cells: dict[int, Counter] = {d: Counter() for d in ascending}
-    for idx in measure.index_blocks(seed, STREAM_WALK, first_path, n_paths, n_steps):
+    keys = philox_keys(seed, STREAM_WALK, first_path, n_paths)
+    for idx in index_blocks(measure._cumulative, keys, n_steps, BLOCK // n_steps):
         words, top = _empty_words(len(idx), n_steps + 2)
-        steps = _masked_steps(words.reshape(-1), top, letters[idx.T], 1)
+        # take, not fancy indexing: numpy casts a uint8 index block on a slow
+        # path there, and take's rows are contiguous for the pass
+        steps = _masked_steps(words.reshape(-1), top, letters.take(idx.T), 1)
         done = 0
         for d in ascending:
             for _ in range(done, d):
@@ -1316,10 +1287,12 @@ def _stepped_depth_counts(
     ascending = sorted(set(depths))
     counts: dict[int, dict] = {d: {} for d in depths}
     tables = [counts[d] for d in ascending]
-    for idx in measure.draw_rows(seed, STREAM_WALK, first_path, n_paths, n_steps):
-        for table, (stack, node) in zip(tables, _run_one_path(graph, idx, n_steps, ascending)):
-            key = (graph.free_letters(stack, node), part_key(graph.part(node)))
-            table[key] = table.get(key, 0) + 1
+    keys = philox_keys(seed, STREAM_WALK, first_path, n_paths)
+    for block in index_blocks(measure._cumulative, keys, n_steps, max(1, BLOCK // n_steps)):
+        for idx in block.tolist():
+            for table, (stack, node) in zip(tables, _run_one_path(graph, idx, n_steps, ascending)):
+                key = (graph.free_letters(stack, node), part_key(graph.part(node)))
+                table[key] = table.get(key, 0) + 1
     return counts
 
 

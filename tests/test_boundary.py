@@ -312,9 +312,9 @@ PROBED = {
 )
 @pytest.mark.parametrize("estimator", sorted(PROBED))
 def test_estimators_reject_bad_probes(monkeypatch, srw_measure, estimator, probes, message):
-    # the stepped route draws rows, the array route (srw-f2's) index blocks
-    monkeypatch.setattr(walk, "draw_rows", no_paths)
+    # every walk draws from _rng.index_blocks; track's two routes draw in boundary
     monkeypatch.setattr(walk, "index_blocks", no_paths)
+    monkeypatch.setattr(boundary, "index_blocks", no_paths)
     with pytest.raises(ConfigError, match=message):
         PROBED[estimator](srw_measure, probes)
     # the patched routines are the ones a valid call draws its paths from
@@ -467,10 +467,8 @@ def test_shift_dominated_walk_exhausts_budget(mixed_measure):
 )
 def test_mismatched_sublattice_spec_raises_before_any_path(monkeypatch, name, spec, message):
     measure = build_measure(load_fixture(name))
-    monkeypatch.setattr(walk, "draw_rows", no_paths)
+    # every walk draws from _rng.index_blocks, first returns from picked keys
     monkeypatch.setattr(walk, "index_blocks", no_paths)
-    # first returns draw rows from picked keys
-    monkeypatch.setattr(walk, "_uniform_blocks", no_paths)
     match = f"{message} does not match the acting group"
     with pytest.raises(ConfigError, match=match):
         empirical_hitting_measure(measure, 1, 10, 10, 1, return_lattice=spec)
@@ -496,11 +494,8 @@ CEILINGED = {
 def test_ceilings_outside_the_unit_interval_raise_before_any_path(
     monkeypatch, mixed_measure, estimator, ceiling
 ):
-    # every walk draws index blocks; draw_rows serves short rows that repeat,
-    # and first returns draw rows from picked keys
-    monkeypatch.setattr(walk, "draw_rows", no_paths)
+    # every walk draws from _rng.index_blocks, first returns from picked keys
     monkeypatch.setattr(walk, "index_blocks", no_paths)
-    monkeypatch.setattr(walk, "_uniform_blocks", no_paths)
     with pytest.raises(ConfigError, match=r"ceiling must lie in \[0, 1\]"):
         CEILINGED[estimator](mixed_measure, ceiling)
     # both ends are ceilings, and the patched routine is the one they walk from

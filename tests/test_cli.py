@@ -153,6 +153,18 @@ def test_bad_config_exits_two_and_leaves_no_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["missing-dir/x.json", "a-dir"])
+def test_unwritable_out_exits_two_and_leaves_no_temp_file(tmp_path, capsys, target):
+    (tmp_path / "a-dir").mkdir()
+    code = main(["moments", "--config", "fixture:srw-f2", "--out", str(tmp_path / target)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: cannot write output" in captured.err
+    assert not list(tmp_path.rglob("*.tmp.*"))
+    assert not (tmp_path / "missing-dir").exists()
+
+
 def test_bad_env_seed_exits_two(monkeypatch, capsys):
     monkeypatch.setenv("WALKBOUND_SEED", "not-a-number")
     code = main(["moments", "--config", "fixture:srw-f2"])
@@ -344,10 +356,8 @@ def test_ceiling_outside_the_unit_interval_exits_two(monkeypatch, capsys, argv):
     def no_paths(*args):
         raise AssertionError("a path was walked")
 
-    # walks draw rows or index blocks, first returns rows from picked keys
-    monkeypatch.setattr(walk, "draw_rows", no_paths)
+    # every walk draws from _rng.index_blocks, first returns from picked keys
     monkeypatch.setattr(walk, "index_blocks", no_paths)
-    monkeypatch.setattr(walk, "_uniform_blocks", no_paths)
     assert main([*argv, "--seed", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -526,7 +536,6 @@ def test_entropy_rate_past_the_cell_budget_exits_four_before_walking(
         raise AssertionError("a path was walked or a pool started")
 
     # the stepped and the batched route's draws, and the pool _fan_out imports
-    monkeypatch.setattr(walk, "draw_rows", refuse)
     monkeypatch.setattr(walk, "index_blocks", refuse)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     code = main(["entropy-rate", "--config", "fixture:srw-f2", "--seed", "1",

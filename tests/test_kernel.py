@@ -42,7 +42,7 @@ from walkbound import (
     track_convergence,
     walk,
 )
-from walkbound._rng import HEAD, STREAM_RETURN, STREAM_WALK, derived_rng
+from walkbound._rng import HEAD, STREAM_RETURN, STREAM_WALK, derived_rng, index_blocks, philox_keys
 from walkbound.boundary import _endpoint, _resolve_paths
 from walkbound.morphisms import _conjugator
 from walkbound.groups import part_in_sublattice
@@ -76,6 +76,13 @@ def fold(measure, indices):
 
 def keys(acting, elements):
     return [element_key(acting, g) for g in elements]
+
+
+def drawn_rows(measure, seed, stream, first, count, n):
+    """The ``n`` atom indices of items ``first .. first + count - 1``, a list of ints each."""
+    item_keys = philox_keys(seed, stream, first, count)
+    blocks = index_blocks(measure._cumulative, item_keys, n, count)
+    return [row for block in blocks for row in block.tolist()]
 
 
 # The kernel of F_2 onto the permutations of three points, a by a 3-cycle and
@@ -207,7 +214,7 @@ def test_sample_paths_with_repeating_rows_equal_fold(name, atoms, seed, path, da
     batch = sample_paths(measure, seed, n_paths, n_steps, record_steps=sorted(record), first_path=path)
     acting = measure.acting
     folds = {}
-    rows = measure.draw_rows(seed, STREAM_WALK, path, n_paths, n_steps)
+    rows = drawn_rows(measure, seed, STREAM_WALK, path, n_paths, n_steps)
     for j, idx in enumerate(rows):
         row = tuple(idx)
         if row not in folds:
@@ -220,7 +227,7 @@ def test_paths_with_equal_rows_share_one_element():
     measure = fixture_measure("semidirect-mixed")
     n_paths, n_steps = 300, 2
     batch = sample_paths(measure, 5, n_paths, n_steps, record_steps=(1,))
-    rows = [tuple(idx) for idx in measure.draw_rows(5, STREAM_WALK, 0, n_paths, n_steps)]
+    rows = [tuple(idx) for idx in drawn_rows(measure, 5, STREAM_WALK, 0, n_paths, n_steps)]
     for step in (1, 2):
         first = {}
         for row, g in zip(rows, batch.positions[step]):
@@ -257,7 +264,7 @@ def test_stepped_depth_counts_equal_fold(name, atoms, seed, path):
     depths = (3, 8)
     counts = _stepped_depth_counts(measure, seed, 8, depths, path)
     expected = {d: {} for d in depths}
-    for idx in measure.draw_rows(seed, STREAM_WALK, path, 8, max(depths)):
+    for idx in drawn_rows(measure, seed, STREAM_WALK, path, 8, max(depths)):
         positions = fold(measure, idx)
         for d in depths:
             key = element_key(measure.acting, positions[d])
@@ -286,7 +293,7 @@ def test_step_graph_edges_push_each_atom_twisted_by_its_node(name, atoms):
     measure = case_measure(name, atoms)
     acting = measure.acting
     graph = StepGraph(measure)
-    for idx in measure.draw_rows(11, STREAM_WALK, 0, 8, MAX_STEPS.get(name, 60)):
+    for idx in drawn_rows(measure, 11, STREAM_WALK, 0, 8, MAX_STEPS.get(name, 60)):
         graph.advance([], graph.root, idx)
     # Θ(p) and the frame's conjugators from a fresh group
     fresh = ActingGroup(acting.kind, acting.theta, acting.base_rank)
@@ -814,7 +821,7 @@ def test_array_route_walk_rows_equal_fold(name, returns, seed, data):
             mock.patch.object(walk, "_run_one_path", wraps=walk._run_one_path) as one_by_one:
         rows = list(walk._walk_rows(graph, seed, STREAM_WALK, first, count, n, stops, spec))
     acting = measure.acting
-    drawn = list(measure.draw_rows(seed, STREAM_WALK, first, count, n))
+    drawn = drawn_rows(measure, seed, STREAM_WALK, first, count, n)
     assert len(rows) == count
     for (run_to, snaps), idx in zip(rows, drawn):
         positions = fold(measure, idx)
@@ -840,18 +847,6 @@ def test_array_route_walk_rows_equal_fold(name, returns, seed, data):
         assert ran in ((False, True, 0), (False, False, count))
         if data == "long":
             assert ran == (False, False, count)
-
-
-def test_row_blocks_widen_past_255_atoms():
-    # the no-op atom len(measure) fits uint8 up to 255 atoms
-    assert len(case_measure("wide-semidirect-linear", None)) == 5 * 53
-    for name, dtype in (("semidirect-linear", np.uint8), ("wide-semidirect-linear", np.uint16)):
-        measure = case_measure(name, None)
-        drawn = list(measure.index_blocks(1, STREAM_WALK, 0, 40, 30))
-        blocks = list(walk._row_blocks(measure, drawn, 16))
-        assert {b.dtype for b in blocks} == {np.dtype(dtype)}
-        drawn = np.concatenate(drawn)
-        assert np.array_equal(np.concatenate(blocks), drawn)
 
 
 def test_array_route_is_chosen_from_step_data(tmp_path):
@@ -882,7 +877,6 @@ def test_array_route_is_chosen_from_step_data(tmp_path):
         with mock.patch.object(walk, "_chunked_words", wraps=walk._chunked_words) as letter_pass, \
                 mock.patch.object(walk, "_syllable_steps", wraps=walk._syllable_steps) as pass_, \
                 mock.patch.object(walk, "index_blocks", wraps=walk.index_blocks) as blocks, \
-                mock.patch.object(walk, "draw_rows", wraps=walk.draw_rows) as rows, \
                 mock.patch.object(StepGraph, "advance", autospec=True,
                                   side_effect=StepGraph.advance) as advance, \
                 mock.patch.object(walk, "_last_lattice_step",
@@ -893,7 +887,7 @@ def test_array_route_is_chosen_from_step_data(tmp_path):
         assert pass_.called == (route == syllables), name
         # every walk draws each row once, a block at a time; a block that
         # steps advance walks each row once, up to its last return
-        assert (blocks.call_count, rows.call_count) == (2, 0), name
+        assert blocks.call_count == 2, name
         assert advance.call_count == 8 * (route == stepped), name
         # once per block of the resolve call, on either acting kind
         assert last_returns.call_count == (spec is not None), name
@@ -1119,3 +1113,29 @@ def test_array_route_track_lengths_equal_agreement_on_rays_with_heads(name, prob
     probes = tuple(Ray.parse(2, text) for text in probes)
     for seed in range(1, 4):
         assert_track_equals_agreement(ONE_LETTER_CASES[name], seed, 20, 60, 12, probes)
+
+
+def test_array_route_walk_rows_with_many_twisted_coordinates_equal_fold():
+    # F_2 ⋊ Z^12 with every θ_j the transvection b ↦ ba: an edge key holds one
+    # mixed-radix digit per coordinate, and 12 of them span more than int64,
+    # so the syllable pass refuses the block and it steps advance
+    rank, k = 2, 12
+    theta = Automorphism(rank, (Word(rank, (1,)), Word(rank, (2, 1))),
+                         (Word(rank, (1,)), Word(rank, (2, -1))))
+    acting = ActingGroup("lattice", (theta,) * k, rank)
+    zero = (0,) * k
+    units = [tuple(s * (i == j) for i in range(k)) for j in range(k) for s in (1, -1)]
+    pairs = [((s,), zero) for s in (1, -1, 2, -2)] + [((), u) for u in units]
+    atoms = [ExtElement(Word(rank, w), p) for w, p in pairs]
+    measure = StepMeasure(acting, atoms, [1 / len(atoms)] * len(atoms), check_generation=False)
+    count, n, stops = 16, 1000, [0, 400, 1000]
+    graph = StepGraph(measure)
+    with mock.patch.object(walk, "_run_one_path", wraps=walk._run_one_path) as one_by_one:
+        rows = list(walk._walk_rows(graph, 1, STREAM_WALK, 0, count, n, stops))
+    assert one_by_one.call_count == count
+    for (run_to, snaps), idx in zip(rows, drawn_rows(measure, 1, STREAM_WALK, 0, count, n)):
+        positions = fold(measure, idx)
+        assert run_to == n
+        for stop, (stack, node) in zip(stops, snaps):
+            got = ExtElement(Word(rank, graph.free_letters(stack, node)), graph.part(node))
+            assert keys(acting, [got]) == keys(acting, [positions[stop]])
