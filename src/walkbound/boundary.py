@@ -36,6 +36,7 @@ from .walk import (  # _last_lattice_step stays bound here for bench/tracing.py
     BLOCK_CELLS,
     StepGraph,
     StepMeasure,
+    _collector_paused,
     _empty_words,
     _first_returns,
     _fixed_pushes,
@@ -316,6 +317,7 @@ def _check_ceiling(name: str, ceiling: float) -> None:
         raise ConfigError(f"{name} must lie in [0, 1], got {ceiling}")
 
 
+@_collector_paused
 def _resolve_paths(
     measure: StepMeasure,
     seed: int,
@@ -520,6 +522,7 @@ class ConvergenceTrace:
         return float((self.final_lengths() >= at_depth).mean())
 
 
+@_collector_paused
 def track_convergence(
     measure: StepMeasure,
     seed: int,
@@ -717,6 +720,7 @@ class FirstReturnSample:
         return float(np.mean(_map_distinct(gauge_length, self.samples)))
 
 
+@_collector_paused
 def first_return_sampler(
     measure: StepMeasure,
     sublattice: SublatticeSpec,

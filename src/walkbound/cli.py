@@ -1,10 +1,11 @@
 """Batch command-line front end.
 
 One config (a file path or ``fixture:NAME``) plus one subcommand per run;
-results go to stdout or, with ``--out``, to a file written atomically. Exit
-codes: 0 success, 2 configuration problems, 3 convergence or resolution
-failures, 4 exhausted sampling budgets, 5 truncation overflow (reserved: the
-boundary action is exact and cannot raise it).
+results go to stdout or, with ``--out``, to a file written atomically, whose
+path is checked before the command runs. Exit codes: 0 success, 2
+configuration problems, 3 convergence or resolution failures, 4 exhausted
+sampling budgets, 5 truncation overflow (reserved: the boundary action is
+exact and cannot raise it).
 
 The seed is resolved in priority order: ``--seed`` flag, the
 ``WALKBOUND_SEED`` environment variable, the config's ``run.seed``, else 0.
@@ -17,6 +18,12 @@ else the config's ``run.<key>``, else the row's default; an integer option
 takes only an integral ``run.*`` value. The parser is built from that table
 once per process. A ``run.*`` key that no option of any command reads, other
 than ``run.seed``, is a configuration error.
+
+A call runs with the cyclic garbage collector paused, as every walk does
+(``walk._collector_paused``): a command makes no reference cycles beyond the
+few that ``json.dumps`` leaves, so the walk's step data is freed by
+refcounting when the call returns, where a collection while the command
+formats its output would scan all of it.
 """
 
 from __future__ import annotations
@@ -66,6 +73,7 @@ from .tree import (
 from .walk import (
     StepMeasure,
     _checked_depths,
+    _collector_paused,
     drift_estimate,
     entropy_depth_counts,
     entropy_from_counts,
@@ -198,6 +206,17 @@ def _resolve_options(args: argparse.Namespace, config: RunConfig) -> None:
     for opt in _OPTIONS[args.command]:
         if getattr(args, opt.dest) is None:
             setattr(args, opt.dest, _run_value(config, opt.config_key, opt.default))
+
+
+def _check_output(out_path: str | None) -> None:
+    """Reject, before the command runs, an ``--out`` path that is a directory or lies in none."""
+    if out_path is None:
+        return
+    if os.path.isdir(out_path):
+        raise ConfigError(f"cannot write output {out_path!r}: it is a directory")
+    parent = os.path.dirname(out_path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"cannot write output {out_path!r}: no directory {parent!r}")
 
 
 def _write_output(out_path: str | None, text: str) -> None:
@@ -636,11 +655,13 @@ _OPTIONS = {
 }
 
 
+@_collector_paused
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        _check_output(args.out)
         config = _load_config(args.config)
         seed = _resolve_seed(args, config)
         _resolve_options(args, config)

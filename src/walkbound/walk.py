@@ -84,6 +84,8 @@ repeat stay on ``advance``.
 
 from __future__ import annotations
 
+import functools
+import gc
 import math
 import struct
 from collections import Counter
@@ -126,6 +128,29 @@ __all__ = [
 ]
 
 WEIGHT_SUM_TOL = 1e-9
+
+
+def _collector_paused(fn):
+    """``fn`` with the cyclic garbage collector off while it runs.
+
+    Step graphs hold int ids, so a walk makes no reference cycle and
+    refcounting frees it; a collection would only rescan the long-lived
+    edge lists and Θ cache. The collector is switched off only if it is on
+    on entry, and back on when ``fn`` returns or raises, so nested calls
+    and callers that have disabled it themselves leave it as they found it.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class StepMeasure:
@@ -245,7 +270,9 @@ class StepGraph:
     (``ActingGroup.part_id``): a lattice part itself, or a free part's id in
     the acting group's tree, which an edge steps by the increment's letters
     (``ActingGroup.step_id``), so a new node builds no word; ``part`` reads
-    the part back. Ids hold no references, so no graph is a reference cycle.
+    the part back. Ids hold no references, so no graph is a reference cycle,
+    and the estimators that build one run with the collector paused
+    (``_collector_paused``).
     Built lazily per call, nothing stored on the measure; each edge is built
     once. An atom whose letters every θ_j fixes pushes its own word from
     every node.
@@ -473,7 +500,7 @@ def _fixed_pushes(graph: StepGraph) -> np.ndarray | None:
 def _letter_rows(table: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """The letters of a (rows, steps) index grid as a (steps · width, rows) int8 array."""
     rows, steps = grid.shape
-    return table[grid.T].transpose(0, 2, 1).reshape(steps * table.shape[1], rows)
+    return table.take(grid.T, axis=0).transpose(0, 2, 1).reshape(steps * table.shape[1], rows)
 
 
 def _empty_words(rows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1064,6 +1091,7 @@ def _walk_rows(
             yield stop, [(stack, at[r]) for stack, at in zip(snaps, nodes)]
 
 
+@_collector_paused
 def sample_paths(
     measure: StepMeasure,
     seed: int,
@@ -1273,6 +1301,7 @@ def _batched_depth_counts(
     return {d: decoded[d] for d in depths}
 
 
+@_collector_paused
 def _stepped_depth_counts(
     measure: StepMeasure,
     seed: int,

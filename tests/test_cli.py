@@ -154,13 +154,29 @@ def test_bad_config_exits_two_and_leaves_no_output(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("target", ["missing-dir/x.json", "a-dir"])
-def test_unwritable_out_exits_two_and_leaves_no_temp_file(tmp_path, capsys, target):
+def test_unwritable_out_exits_two_and_leaves_no_temp_file(tmp_path, monkeypatch, capsys, target):
+    """The path is checked before the command runs, so a long run is not wasted."""
+
+    def never(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setitem(cli._COMMANDS, "moments", (never, "never runs"))
     (tmp_path / "a-dir").mkdir()
     code = main(["moments", "--config", "fixture:srw-f2", "--out", str(tmp_path / target)])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: cannot write output" in captured.err
+    assert not list(tmp_path.rglob("*.tmp.*"))
+    assert not (tmp_path / "missing-dir").exists()
+
+
+@pytest.mark.parametrize("target", ["missing-dir/x.json", "a-dir"])
+def test_failed_output_write_leaves_no_temp_file(tmp_path, target):
+    """A path that turns unwritable after the early check still fails cleanly."""
+    (tmp_path / "a-dir").mkdir()
+    with pytest.raises(cli.ConfigError, match="cannot write output"):
+        cli._write_output(str(tmp_path / target), "{}\n")
     assert not list(tmp_path.rglob("*.tmp.*"))
     assert not (tmp_path / "missing-dir").exists()
 
@@ -323,6 +339,17 @@ def test_unresolved_walk_exits_three(tmp_path, capsys):
                  "--n-paths", "50", "--n-steps", "40", "--depth", "1"])
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_collector_is_restored_after_a_command(capsys):
+    assert gc.isenabled()
+    assert main(["walk", "--config", "fixture:free-acting", "--n-paths", "4",
+                 "--n-steps", "20"]) == 0
+    assert gc.isenabled()
+    assert main(["hitting", "--config", "fixture:free-acting", "--n-paths", "5",
+                 "--n-steps", "1", "--depth", "5", "--ceiling", "0"]) == 3
+    assert gc.isenabled()
+    capsys.readouterr()
 
 
 def test_hitting_with_no_resolved_path_exits_three(capsys):

@@ -15,6 +15,7 @@ from walkbound import (
     ActingGroup,
     Automorphism,
     ConfigError,
+    ConvergenceError,
     ExtElement,
     ModuliSpec,
     PermKernelSpec,
@@ -512,10 +513,18 @@ def test_moduli_tracker_agrees_with_in_sublattice(name, seed, path, data):
 
 
 def test_finished_estimators_leave_no_reference_cycles():
-    """A step graph holds node ids, not nodes, so refcounting frees each walk."""
+    """A step graph holds node ids, not nodes, so refcounting frees each walk.
+
+    Walks run with the collector paused, so a cycle made in one would pile
+    up for its whole length. Free acting parts step a tree of ids, the
+    exponential twist grows long Θ(p) words, and ``direct-product``'s walks
+    keep a conjugator frame.
+    """
     name = "semidirect-linear"
     measure = fixture_measure(name)
     spec = sublattice_spec(load_fixture(name))
+    free = fixture_measure("free-acting")
+    framed = fixture_measure("direct-product")
     runs = {
         "sample_paths": lambda: sample_paths(measure, 1, 20, 60),
         "entropy_depth_counts": lambda: entropy_depth_counts(measure, 1, 20, (3, 6)),
@@ -529,6 +538,15 @@ def test_finished_estimators_leave_no_reference_cycles():
         "first_return": lambda: first_return_sampler(
             measure, spec, 1, 20, failure_ceiling=1.0
         ),
+        "free-acting sample_paths": lambda: sample_paths(free, 1, 20, 200),
+        "free-acting hitting": lambda: empirical_hitting_measure(
+            free, 1, 40, 200, 2, unresolved_ceiling=1.0
+        ),
+        "fibonacci sample_paths": lambda: sample_paths(fixture_measure("fibonacci"), 1, 8, 30),
+        "direct-product sample_paths": lambda: sample_paths(framed, 1, 20, 200),
+        "direct-product hitting": lambda: empirical_hitting_measure(
+            framed, 1, 40, 200, 2, unresolved_ceiling=1.0
+        ),
     }
     gc.collect()
     gc.disable()
@@ -538,6 +556,54 @@ def test_finished_estimators_leave_no_reference_cycles():
             assert gc.collect() == 0, label
     finally:
         gc.enable()
+
+
+def test_collector_is_paused_in_a_walk_and_restored_after_it(monkeypatch):
+    """Every estimator leaves the collector as it found it, also when it raises."""
+    measure = fixture_measure("free-acting")
+    seen = []
+    run_one = walk._run_one_path
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return run_one(*args)
+
+    monkeypatch.setattr(walk, "_run_one_path", spy)
+    assert gc.isenabled()
+    sample_paths(measure, 1, 4, 20)
+    assert gc.isenabled() and seen and not any(seen)
+    with pytest.raises(ConvergenceError):
+        empirical_hitting_measure(measure, 1, 40, 1, 5, unresolved_ceiling=0.0)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        sample_paths(measure, 1, 4, 20)
+        with pytest.raises(ConvergenceError):
+            empirical_hitting_measure(measure, 1, 40, 1, 5, unresolved_ceiling=0.0)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_nested_collector_pauses_resume_at_the_outermost_exit():
+    states = []
+
+    @walk._collector_paused
+    def inner():
+        states.append(gc.isenabled())
+
+    @walk._collector_paused
+    def outer():
+        inner()
+        states.append(gc.isenabled())
+        raise ValueError("outer")
+
+    assert gc.isenabled()
+    with pytest.raises(ValueError):
+        outer()
+    assert states == [False, False]
+    assert gc.isenabled()
+    assert outer.__wrapped__.__name__ == "outer"
 
 
 # -- the conjugator frame of inner twists ---------------------------------------
@@ -896,6 +962,18 @@ def test_array_route_is_chosen_from_step_data(tmp_path):
             track_convergence(measure, 1, 4, 30, 3)
         # track's array route takes pushes of at most one letter
         assert lengths.called == (route == letters and name != "inner-ab"), name
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+@settings(max_examples=25, deadline=None)
+@given(width=st.integers(1, 4), rows=st.integers(1, 9), steps=st.integers(1, 9), data=st.data())
+def test_array_route_letter_rows_take_equals_fancy_indexing(dtype, width, rows, steps, data):
+    atoms = data.draw(st.integers(1, 254 if dtype is np.uint8 else 600), label="atoms")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    table = rng.integers(-3, 4, size=(atoms + 1, width), dtype=np.int8)
+    grid = rng.integers(0, atoms + 1, size=(rows, steps)).astype(dtype)
+    expected = table[grid.T].transpose(0, 2, 1).reshape(steps * width, rows)
+    np.testing.assert_array_equal(walk._letter_rows(table, grid), expected)
 
 
 # -- the syllable route: lattice walks whose pushes depend on the acting part ----
