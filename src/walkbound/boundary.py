@@ -145,13 +145,19 @@ def default_probes(rank: int) -> tuple[Ray, Ray]:
 
 
 def _checked_probes(rank: int, probes: tuple[Ray, ...] | None) -> tuple[Ray, ...]:
-    """``default_probes`` when None, else at least two pairwise distinct rays."""
+    """``default_probes`` when None, else at least two pairwise distinct boundary points.
+
+    Rays that differ as objects may name one point, as a·a^∞ and a^∞ do;
+    two eventually periodic rays are the same point when they agree past the
+    longer head for a common period of their cycles.
+    """
     if probes is None:
         return default_probes(rank)
-    if len(probes) < 2 or len(set(probes)) != len(probes):
-        raise ConfigError("need at least two pairwise distinct probe rays")
     if any(r.rank != rank for r in probes):
         raise ConfigError(f"probe rays must have the walk's base rank {rank}")
+    span = max((len(r.head) for r in probes), default=0) + math.lcm(*(len(r.cycle) for r in probes))
+    if len(probes) < 2 or len({r.prefix(span) for r in probes}) != len(probes):
+        raise ConfigError("need at least two pairwise distinct probe rays (as boundary points)")
     return tuple(probes)
 
 
@@ -293,7 +299,6 @@ def _agreement(w: list[int], images: _RayImages, entry: tuple, depth: int) -> in
 # ``advance`` on drawn rows) once per call.
 
 
-# Kept, though the package no longer calls it: bench/tracing.py wraps it by name.
 def _endpoint(graph: StepGraph, indices: list[int]) -> tuple[list[int], int]:
     """Run the walk over pre-drawn atom indices; returns the end's (stack, node)."""
     stack: list[int] = []
@@ -536,18 +541,20 @@ def track_convergence(
     Each step's length is ``_agreement``'s, the rule by which hitting
     resolves a path, so a path of the same seed whose final length reaches
     ``depth`` is one that hitting resolves. A walk whose atoms push fixed
-    words of at most one letter computes it for a block of paths at once
-    (``_array_lengths``); every other walk calls ``_agreement`` after each
-    ``advance``. Longer pushes stay there: each letter of width costs every
-    array step one more masked step and cell update, and at a few dozen
-    paths that loses to ``advance``.
+    words of at most one letter, tracked by constant probes x^∞ (as
+    ``default_probes`` are), computes it for a block of paths at once
+    (``_array_lengths``); every other walk or probe set calls ``_agreement``
+    after each ``advance``. Longer pushes stay there: each letter of width
+    costs every array step one more masked step and cell update, and at a
+    few dozen paths that loses to ``advance``.
     """
     if depth < 1 or n_paths < 1 or n_steps < 1:
         raise ConfigError("need depth, n_paths, n_steps all >= 1")
     probes = _checked_probes(measure.acting.base_rank, probes)
     graph = StepGraph(measure)
     table = _fixed_pushes(graph)
-    if table is not None and table.shape[1] == 1:
+    constant = all(not ray.head and len(ray.cycle) == 1 for ray in probes)
+    if constant and table is not None and table.shape[1] == 1:
         lengths = _array_lengths(graph, table, seed, n_paths, n_steps, depth, probes)
         return ConvergenceTrace(probes, depth, lengths, seed)
     images = _RayImages(measure.acting, probes)
@@ -573,54 +580,6 @@ def track_convergence(
     return ConvergenceTrace(probes, depth, lengths, seed)
 
 
-class _ProbeSuffixes:
-    """Every suffix of the probes, numbered probe by probe, for ``_array_lengths``.
-
-    State ``first[q] + j`` is the suffix ξ_q[j:] of probe q, for j below
-    |head| + |cycle|; one letter on from the last state is the state at
-    |head|. ``inverse[s]`` is the inverse of state s's first letter, and
-    ``successor[s]`` the state one letter on (None when every state is its
-    own successor, as for constant rays). ``lcp[q - 1][a, b]`` is the common
-    prefix length, capped at ``depth``, of state a of probe 0 and state b of
-    probe q, relative to each probe's first state.
-    """
-
-    def __init__(self, probes: tuple[Ray, ...], depth: int):
-        inverse: list[int] = []
-        successor: list[int] = []
-        self.first: list[int] = []
-        self.heads = [len(ray.head.letters) for ray in probes]
-        self.periods = [len(ray.cycle.letters) for ray in probes]
-        for ray, head, period in zip(probes, self.heads, self.periods):
-            start = len(inverse)
-            self.first.append(start)
-            for j in range(head + period):
-                inverse.append(-ray.letter(j))
-                successor.append(start + (j + 1 if j + 1 < head + period else head))
-        self.inverse = np.array(inverse, dtype=np.int8)
-        self.successor = None if successor == list(range(len(successor))) else np.array(successor)
-
-        def lcp(b: Ray, i: int, j: int) -> int:
-            d = 0
-            while d < depth and probes[0].letter(i + d) == b.letter(j + d):
-                d += 1
-            return d
-
-        states = [head + period for head, period in zip(self.heads, self.periods)]
-        self.lcp = [
-            np.array([[lcp(ray, i, j) for j in range(n)] for i in range(states[0])])
-            for ray, n in zip(probes[1:], states[1:])
-        ]
-
-    def after(self, q: int, cancelled: np.ndarray):
-        """The state of probe q (relative to its first) ``cancelled`` letters in."""
-        head, period = self.heads[q], self.periods[q]
-        if period == 1 and not head:
-            return 0
-        cycled = head + (cancelled - head) % period
-        return np.where(cancelled < head, cancelled, cycled) if head else cycled
-
-
 def _array_lengths(
     graph: StepGraph,
     table: np.ndarray,
@@ -630,27 +589,28 @@ def _array_lengths(
     depth: int,
     probes: tuple[Ray, ...],
 ) -> np.ndarray:
-    """``track_convergence``'s lengths of a walk that pushes one fixed letter or none per atom.
+    """``track_convergence``'s lengths of a one-letter fixed-push walk under constant probes.
 
     A block of paths steps ``walk._masked_steps``. A probe translates by the
-    stack v itself (``StepGraph.probe_part`` is the identity), so
-    v·ξ_q = v[:s_q]·ξ_q[c_q:] with c_q = LCP(v⁻¹, ξ_q) and s_q = |v| − c_q.
-    Each stack cell i keeps, for every probe suffix state j,
-    L_j = LCP(v[:i]⁻¹, ξ[j:]); a push of x sets L_j ← [−x = ξ[j]]·(1 + L_{j+1})
-    in the new top cell. The top cell is recomputed after every step, which
-    leaves it as it was when the step popped or did nothing. Translates 0
-    and q then agree on min(s_0, s_q) letters when s_0 ≠ s_q (the next
-    letters are one of v's and the first uncancelled ray letter, which differ
-    since the ray is reduced), else on s_0 plus the common prefix of
-    ξ_0[c_0:] and ξ_q[c_q:]; the agreement is the least of these over q ≥ 1,
-    capped at ``depth``, as ``_agreement`` computes it.
+    stack v itself (``StepGraph.probe_part`` is the identity), and the probes
+    are distinct constant rays x_q^∞. The translate v·x_q^∞ cancels v's
+    trailing run of x_q⁻¹, and since the x_q are distinct at most one probe
+    cancels. Let c be that run's length (0 when no probe cancels). The
+    cancelling translate continues with its probe letter after |v| − c
+    letters, where every other translate continues with v's own letter or
+    with another probe letter, so the agreement is min(depth, |v| − c), as
+    ``_agreement`` computes it. Each stack cell keeps the length of the run
+    of equal letters ending there, 0 when its letter's inverse is no probe
+    letter; the top cell is recomputed after every step, which leaves it as
+    it was when the step popped or did nothing. A ``FLOOR`` cell cancels no
+    probe.
     """
-    suffixes = _ProbeSuffixes(probes, depth)
-    inverse, successor, first = suffixes.inverse, suffixes.successor, suffixes.first
+    # indexed by an int8 letter's byte: 1 where the letter cancels a probe
+    cancels = np.zeros(256, dtype=np.int32)
+    cancels[[-ray.cycle.letters[0] % 256 for ray in probes]] = 1
     cells = n_steps + 2
-    states = len(inverse)
-    # about 4 · BLOCK_CELLS bytes of int8 words and int32 suffix LCPs a block
-    rows = max(1, 4 * BLOCK_CELLS // (cells * (1 + 4 * states)))
+    # about 4 · BLOCK_CELLS bytes of int8 words and int32 run lengths a block
+    rows = max(1, 4 * BLOCK_CELLS // (5 * cells))
     lengths = np.empty((n_paths, n_steps), dtype=np.int32)
     done = 0
     keys = philox_keys(seed, STREAM_WALK, 0, n_paths)
@@ -658,32 +618,16 @@ def _array_lengths(
         words, top = _empty_words(len(block), cells)
         base = top.copy()
         flat = words.reshape(-1)
-        # a floor cell's values are recomputed as 0: FLOOR matches no state
-        suffix_lcp = np.zeros((flat.size, states), dtype=np.int32)
+        runs = np.zeros(flat.size, dtype=np.int32)
         trace = np.empty((n_steps, len(block)), dtype=np.int32)
         for t, _ in enumerate(_masked_steps(flat, top, _letter_rows(table, block), 1)):
-            cancelled = suffix_lcp[top - 1]
-            if successor is not None:
-                cancelled = cancelled[:, successor]
-            cancelled += 1
-            cancelled *= flat[top][:, None] == inverse
-            suffix_lcp[top] = cancelled
-            if states != len(first):
-                cancelled = cancelled[:, first]
-            size = top - base
-            if (size - cancelled.max(axis=1)).min() >= depth:
-                trace[t] = depth
-                continue
-            c0 = cancelled[:, 0]
-            s0 = size - c0
-            state0 = suffixes.after(0, c0)
-            agree = np.full(len(block), depth)
-            for q in range(1, len(first)):
-                cq = cancelled[:, q]
-                sq = size - cq
-                tail = s0 + suffixes.lcp[q - 1][state0, suffixes.after(q, cq)]
-                np.minimum(agree, np.where(s0 != sq, np.minimum(s0, sq), tail), out=agree)
-            trace[t] = agree
+            letter = flat[top]
+            run = runs[top - 1]
+            run *= letter == flat[top - 1]
+            run += 1
+            run *= cancels[letter.view(np.uint8)]
+            runs[top] = run
+            np.minimum(top - base - run, depth, out=trace[t])
         lengths[done : done + len(block)] = trace.T
         done += len(block)
     return lengths
@@ -756,8 +700,7 @@ def first_return_sampler(
     blocks = _first_returns(graph, sublattice, seed, STREAM_RETURN, n_samples, step_budget)
     for items, rows in blocks:
         for index, idx in zip(items, rows):
-            stack: list[int] = []
-            node = graph.advance(stack, graph.root, idx)
+            stack, node = _endpoint(graph, idx)
             key = (node, tuple(stack))
             g = returned.get(key)
             if g is None:

@@ -266,20 +266,28 @@ def _split_counts(total: int, workers: int) -> list[tuple[int, int]]:
     return chunks
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, which caps a pool's processes."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _fan_out(workers: int, sample, merge, measure, seed: int, n_paths: int, *args):
     """``sample(measure, seed, n_paths, *args)``, split over worker processes.
 
     Each worker samples one contiguous chunk of paths (``first_path``) and
     ``merge`` joins the parts; path streams are keyed by absolute index, so
     the result does not depend on the split. One chunk runs in this process,
-    without importing the pool (about 20 ms of a fresh process's start).
+    without importing the pool (about 20 ms of a fresh process's start);
+    more chunks than usable CPUs queue on a pool of one process per CPU.
     """
     chunks = _split_counts(n_paths, workers)
     if len(chunks) == 1:
         return sample(measure, seed, n_paths, *args)
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+    with ProcessPoolExecutor(max_workers=min(len(chunks), _usable_cpus())) as pool:
         futures = [
             pool.submit(sample, measure, seed, count, *args, first_path=first)
             for first, count in chunks
@@ -655,6 +663,11 @@ _OPTIONS = {
 }
 
 
+# The exit code of each error class that does not exit 2, as a configuration
+# problem does; InconclusiveGrowthError is a ConvergenceError.
+_EXIT_CODES = ((ConvergenceError, 3), (BudgetError, 4), (TruncationError, 5))
+
+
 @_collector_paused
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
@@ -671,24 +684,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         _write_output(args.out, text)
-    except ConfigError as exc:
+    except (WalkboundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except TruncationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except WalkboundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)), 2)
     return 0
 
 

@@ -43,7 +43,8 @@ class CylinderFunction:
 
     ``table`` maps reduced length-``depth`` letter tuples to values; rays
     whose prefix is not listed take the value 0. ``sup_bound`` is the declared
-    uniform bound, checked against every stored value.
+    uniform bound, checked against every stored value; values and bound are
+    finite, so every estimate built from them is too.
     """
 
     rank: int
@@ -54,9 +55,11 @@ class CylinderFunction:
     def __post_init__(self) -> None:
         if self.depth < 1:
             raise ConfigError("cylinder functions need depth >= 1")
-        if self.sup_bound < 0:
-            raise ConfigError("sup bound must be nonnegative")
         object.__setattr__(self, "table", dict(self.table))
+        if not all(map(math.isfinite, self.table.values())):
+            raise ConfigError("function values must be finite")
+        if not 0 <= self.sup_bound < math.inf:
+            raise ConfigError(f"sup bound must be finite and nonnegative, got {self.sup_bound}")
         for key, value in self.table.items():
             try:
                 word = Word(self.rank, key)

@@ -307,8 +307,17 @@ PROBED = {
         ((Ray.constant(2, 1),), "two pairwise distinct"),
         ((Ray.constant(2, 1),) * 2, "two pairwise distinct"),
         ((Ray.constant(3, 1), Ray.constant(3, 3)), "base rank 2"),
+        # a·a^∞ is the boundary point a^∞, in either order
+        ((Ray.parse(2, "a|a"), Ray.constant(2, 1)), "two pairwise distinct"),
+        ((Ray.constant(2, 1), Ray.parse(2, "a|a")), "two pairwise distinct"),
+        # b·(ab)^∞ is (ba)^∞: the heads and the cycles differ
+        (
+            (Ray.parse(2, "b|ab"), Ray.parse(2, "1|ba"), Ray.constant(2, 1)),
+            "two pairwise distinct",
+        ),
     ],
-    ids=["one-probe", "repeated-probe", "wrong-rank"],
+    ids=["one-probe", "repeated-probe", "wrong-rank", "same-point", "same-point-reversed",
+         "same-point-shifted-cycle"],
 )
 @pytest.mark.parametrize("estimator", sorted(PROBED))
 def test_estimators_reject_bad_probes(monkeypatch, srw_measure, estimator, probes, message):

@@ -4,6 +4,7 @@ import concurrent.futures
 import gc
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,39 @@ def test_more_workers_than_paths_run_one_chunk_per_path(capsys):
     assert cli._split_counts(3, 4) == [(0, 1), (1, 1), (2, 1)]
     solo = run_json(capsys, argv + ["--workers", "1"])
     assert run_json(capsys, argv + ["--workers", "4"]) == solo
+
+
+def test_pool_processes_are_capped_at_usable_cpus(monkeypatch, capsys):
+    # more workers than CPUs queue their chunks on one process per CPU; the
+    # fake pool records its size and runs every chunk in this process
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args, **kwargs):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args, **kwargs))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    argv = ["walk", "--config", "fixture:srw-f2", "--seed", "4", "--n-paths", "40",
+            "--n-steps", "5", "--format", "csv"]
+    outputs = []
+    for workers in ("1", "40"):
+        assert main(argv + ["--workers", workers]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert sizes == [2]
+    assert 1 <= cli._usable_cpus() <= (os.cpu_count() or 1)
 
 
 def test_walk_recorded_steps_appear_in_csv(capsys):
@@ -674,6 +708,19 @@ def test_poisson_rejects_mixed_length_cylinders(tmp_path, capsys):
     code = main(["poisson", "--config", "fixture:srw-f2", "--function", str(fn)])
     assert code == 2
     assert "mixed lengths" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_poisson_rejects_non_finite_function_values(tmp_path, capsys, value):
+    # json.dumps would print NaN or Infinity, which is not JSON
+    fn = tmp_path / "nonfinite.csv"
+    fn.write_text(f"a,{value}\nA,0\n", encoding="utf-8")
+    code = main(["poisson", "--config", "fixture:srw-f2", "--function", str(fn),
+                 "--n-samples", "10", "--n-steps", "10"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
 
 
 def test_poisson_rejects_too_shallow_sampling(capsys):

@@ -1,5 +1,7 @@
 """Cylinder functions and the Monte Carlo Poisson transform."""
 
+import math
+
 import pytest
 
 from walkbound import (
@@ -62,6 +64,9 @@ def test_table_validation():
         CylinderFunction(2, 2, {(1, -1): 1.0}, 1.0)  # unreduced key
     with pytest.raises(ConfigError):
         CylinderFunction(2, 1, {(1,): 2.0}, 1.0)  # exceeds sup bound
+    for value, bound in ((math.nan, 1.0), (math.inf, math.inf), (0.5, math.nan), (0.5, -1.0)):
+        with pytest.raises(ConfigError):
+            CylinderFunction(2, 1, {(1,): value}, bound)  # not finite, or a negative bound
     with pytest.raises(ConfigError):
         CylinderFunction.indicator(Word.identity(2))
 

@@ -1148,19 +1148,40 @@ ONE_LETTER_CASES = {
 }
 
 
+# a^∞ and A^∞ are the default probes of a rank-1 walk
+RANK_ONE = StepMeasure(
+    ActingGroup.trivial(1),
+    [ExtElement(Word(1, w), ()) for w in ((1,), (-1,), ())],
+    [0.4, 0.4, 0.2],
+    check_generation=False,
+)
+
+
 def assert_track_equals_agreement(measure, seed, n_paths, n_steps, depth, probes):
+    # the array route takes constant probes only, the defaults among them
+    constant = probes is None or all(not r.head and len(r.cycle) == 1 for r in probes)
     with mock.patch("walkbound.boundary._array_lengths", wraps=boundary._array_lengths) as arrays:
         lengths = track_convergence(measure, seed, n_paths, n_steps, depth, probes).lengths
-    arrays.assert_called_once()
+    assert arrays.call_count == constant
     with mock.patch("walkbound.boundary._fixed_pushes", return_value=None):
         stepped = track_convergence(measure, seed, n_paths, n_steps, depth, probes).lengths
     assert np.array_equal(lengths, stepped)
 
 
+@st.composite
+def constant_rays(draw, rank):
+    """x^∞ for 2 up to 2·rank distinct letters x."""
+    letters = [s for i in range(1, rank + 1) for s in (i, -i)]
+    chosen = draw(st.lists(st.sampled_from(letters), min_size=2, max_size=2 * rank, unique=True))
+    return [Ray.constant(rank, x) for x in chosen]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     measure=st.one_of(
-        st.sampled_from(sorted(ONE_LETTER_CASES)).map(ONE_LETTER_CASES.get),
+        st.sampled_from([*sorted(ONE_LETTER_CASES), "rank-1"]).map(
+            lambda name: ONE_LETTER_CASES.get(name, RANK_ONE)
+        ),
         untwisted_measures(longest=1),
     ),
     seed=seeds,
@@ -1168,15 +1189,28 @@ def assert_track_equals_agreement(measure, seed, n_paths, n_steps, depth, probes
 )
 def test_array_route_track_lengths_equal_agreement(measure, seed, data):
     # every step's vector agreement against _agreement after advance, for
-    # random probe sets and depths above and below the walk's length
+    # constant and random probe sets and depths above and below the walk's
+    # length; only the constant sets take the array route
+    rank = measure.acting.base_rank
     probes = data.draw(
-        st.lists(probe_rays(measure.acting.base_rank), min_size=2, max_size=4, unique=True),
+        st.one_of(
+            constant_rays(rank),
+            # distinct points: heads of at most 3 letters, cycles of at most 3
+            st.lists(probe_rays(rank), min_size=2, max_size=4,
+                     unique_by=lambda ray: ray.prefix(9).letters),
+        ),
         label="probes",
     )
     n_paths = data.draw(st.integers(1, 12), label="n_paths")
     n_steps = data.draw(st.integers(1, 60), label="n_steps")
     depth = data.draw(st.integers(1, 40), label="depth")
     assert_track_equals_agreement(measure, seed, n_paths, n_steps, depth, tuple(probes))
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_array_route_track_lengths_equal_agreement_on_rank_one(seed):
+    # the default probes a^∞ and A^∞ cancel a run each: a rank-1 stack is one run
+    assert_track_equals_agreement(RANK_ONE, seed, 20, 60, 12, None)
 
 
 @pytest.mark.parametrize("name", sorted(ONE_LETTER_CASES))
@@ -1188,6 +1222,7 @@ def test_array_route_track_lengths_equal_agreement(measure, seed, data):
     ids=["shared-suffix", "shared-head"],
 )
 def test_array_route_track_lengths_equal_agreement_on_rays_with_heads(name, probes):
+    # probes with heads take the stepped route, even on a one-letter walk
     probes = tuple(Ray.parse(2, text) for text in probes)
     for seed in range(1, 4):
         assert_track_equals_agreement(ONE_LETTER_CASES[name], seed, 20, 60, 12, probes)
