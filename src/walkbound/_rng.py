@@ -20,6 +20,14 @@ come from a numpy transcription of Philox4x64-10 and ``Generator.random``,
 vectorized over the rows of a block, so a run of short rows never imports
 ``numpy.random``; a longer row comes from one C Philox re-keyed per item. No
 row costs a SeedSequence, and a call builds at most one generator.
+
+Every draw maps uniforms to atom indices through one kernel, ``_categorical``:
+index ``searchsorted(cumulative, u, side="right")``, the number of cumulative
+weights at or below u. Up to ``COUNT_ATOMS`` atoms it counts those weights
+directly, one in-place comparison per weight added as uint8 into the index
+block; past them it keeps ``searchsorted``. ``index_blocks``,
+``StepMeasure.draw_indices`` and the cylinder resample of
+``boundary.stationarity_residual`` all call it.
 """
 
 from __future__ import annotations
@@ -71,6 +79,13 @@ HEAD = 16
 # of 16) and levels off from 16384 (66 ns), while a short-paths round's peak
 # RSS grows by about 0.5 MiB per doubling past it.
 BLOCK = 16384
+# The most atoms whose draws count comparisons instead of calling searchsorted.
+# In ns a draw on a 2-core x86-64 host (numpy 2.4, blocks of 16384 uniforms,
+# best of 40), searchsorted against counting into uint8: 15.9 against 1.5 at 4
+# atoms, 23.9 against 2.8 at 12, 48.6 against 15.0 at 64, 57.5 against 30.1 at
+# 128 and 65.1 against 59.8 at 255. Counting into uint16 costs more and fell
+# behind between 160 and 192 atoms (60.6 against 55.3, 63.7 against 66.3).
+COUNT_ATOMS = 128
 
 
 def derived_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
@@ -168,9 +183,9 @@ def index_blocks(
     item).random(n), side="right")`` for the item whose key is ``keys[j]``,
     in the least unsigned dtype that holds the no-op atom
     ``len(cumulative)``: uint8 up to 255 atoms. Each block is filled in
-    place, about ``BLOCK`` uniforms at a time. ``n`` is checked on the call,
-    not on the first block; callers compute ``keys`` on the call too, so bad
-    input raises before any draw.
+    place by ``_categorical``, about ``BLOCK`` uniforms at a time. ``n`` is
+    checked on the call, not on the first block; callers compute ``keys`` on
+    the call too, so bad input raises before any draw.
     """
     if n < 1:
         raise ConfigError("need at least one draw per row")
@@ -188,8 +203,35 @@ def _index_blocks(
         block = np.empty((len(chunk), n), dtype=dtype)
         for first in range(0, len(chunk), step):
             drawn = uniforms(chunk[first : first + step])
-            block[first : first + step] = np.searchsorted(cumulative, drawn, side="right")
+            _categorical(cumulative, drawn, block[first : first + step])
         yield block
+
+
+def _categorical(
+    cumulative: np.ndarray, uniforms: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Write ``searchsorted(cumulative, uniforms, side="right")`` into ``out`` and return it.
+
+    ``cumulative`` is non-decreasing and ``out`` an integer array of
+    ``uniforms``' shape; by default a new one in the least unsigned dtype
+    that holds ``len(cumulative)``, as ``index_blocks`` fills. Up to
+    ``COUNT_ATOMS`` weights the index of u is counted as the number of
+    weights c with u >= c: each comparison is written in place into one bool
+    array, whose uint8 view is added to ``out`` without a cast. Past them it
+    is ``searchsorted`` itself.
+    """
+    if out is None:
+        out = np.empty(uniforms.shape, dtype=np.min_scalar_type(len(cumulative)))
+    if len(cumulative) > COUNT_ATOMS:
+        out[...] = np.searchsorted(cumulative, uniforms, side="right")
+        return out
+    out.fill(0)
+    below = np.empty(uniforms.shape, dtype=bool)
+    ones = below.view(np.uint8)
+    for edge in cumulative:
+        np.greater_equal(uniforms, edge, out=below)
+        out += ones
+    return out
 
 
 def _uniform_rows(n: int) -> Callable[[np.ndarray], np.ndarray]:

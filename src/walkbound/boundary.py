@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import (
-    BLOCK, STREAM_BOUNDARY, STREAM_RESAMPLE, STREAM_RETURN, STREAM_WALK, derived_rng, index_blocks,
-    philox_keys,
+    BLOCK, STREAM_BOUNDARY, STREAM_RESAMPLE, STREAM_RETURN, STREAM_WALK, _categorical, derived_rng,
+    index_blocks, philox_keys,
 )
 from .errors import BudgetError, ConfigError, ConvergenceError
 from .groups import (
@@ -477,7 +477,7 @@ def stationarity_residual(
 
     rng = derived_rng(seed, STREAM_RESAMPLE)
     atom_draw = measure.draw_indices(rng, n_resample)
-    cyl_draw = np.searchsorted(cyl_cum, rng.random(n_resample), side="right")
+    cyl_draw = _categorical(cyl_cum, rng.random(n_resample))
     cells = pushed[atom_draw, cyl_draw]
     counts = np.bincount(cells, minlength=len(cell_index)).astype(np.float64)
     counts /= n_resample

@@ -33,6 +33,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 from collections.abc import Iterable
@@ -571,6 +572,14 @@ def _load_cylinder_function(path: str, rank: int) -> CylinderFunction:
     return CylinderFunction(rank, depths.pop(), table, sup)
 
 
+def _defined(value: float) -> float | None:
+    """A statistic for output: None where it is undefined (one sample's stderr is inf).
+
+    JSON prints None as null and CSV as an empty field.
+    """
+    return value if math.isfinite(value) else None
+
+
 def _cmd_poisson(args, config: RunConfig, seed: int) -> _Output:
     measure = build_measure(config)
     acting = measure.acting
@@ -592,13 +601,13 @@ def _cmd_poisson(args, config: RunConfig, seed: int) -> _Output:
         "n_rays": len(rays),
         "function_depth": fn.depth,
         "value_at_identity": at_identity.value,
-        "stderr_at_identity": at_identity.stderr,
+        "stderr_at_identity": _defined(at_identity.stderr),
         "test_elements": len(test_set),
         "max_residual": report.max_residual,
-        "max_residual_se": report.max_residual_se,
+        "max_residual_se": _defined(report.max_residual_se),
     }
     rows = (
-        [str(g.w), acting.format_part(g.p), value, corr, comb]
+        [str(g.w), acting.format_part(g.p), value, _defined(corr), _defined(comb)]
         for g, (value, corr, comb) in zip(report.elements, report.residuals)
     )
     header = ["element_w", "element_p", "residual", "stderr_correlated", "stderr_combined"]

@@ -204,7 +204,13 @@ class HarmonicityReport:
 
     @property
     def max_residual_se(self) -> float:
-        """The largest residual in units of its combined standard error."""
+        """The largest residual in units of its combined standard error.
+
+        NaN from fewer than two samples, which give no residual a finite
+        standard error: every ratio would read 0.
+        """
+        if self.n_samples < 2:
+            return math.nan
         worst = 0.0
         for value, _, combined in self.residuals:
             if value == 0.0:

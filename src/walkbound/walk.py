@@ -7,7 +7,11 @@ worker scheduling, because every path owns a counter-derived RNG stream,
 keyed bit-identically to ``SeedSequence(seed, spawn_key=(stream, index))``.
 Every sampler takes its atom indices from ``_rng.index_blocks``, a block of
 paths at once: paths of at most ``_rng.HEAD`` steps in one vectorized Philox
-pass, longer paths each from one re-keyed C generator.
+pass, longer paths each from one re-keyed C generator. Uniforms become
+indices in ``_rng._categorical``, by counting the cumulative weights at or
+below each uniform up to ``_rng.COUNT_ATOMS`` atoms, which is what
+``searchsorted(..., side="right")`` gives, and by ``searchsorted`` past them;
+``StepMeasure.draw_indices`` calls it too.
 
 Every sampler runs one step kernel, ``StepGraph.advance``, apart from the
 array passes below. The free part is a mutable letter stack; the acting
@@ -95,7 +99,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._rng import BLOCK, HEAD, STREAM_WALK, index_blocks, philox_keys
+from ._rng import BLOCK, HEAD, STREAM_WALK, _categorical, index_blocks, philox_keys
 from .errors import BudgetError, ConfigError
 from .groups import (
     ActingGroup,
@@ -197,7 +201,10 @@ class StepMeasure:
         self.acting = acting
         self.atoms = atoms
         self.weights = weights
-        cumulative = np.cumsum(np.asarray(weights, dtype=np.float64))
+        # weights that sum past 1 within the tolerance would leave edges above
+        # the pinned last one; clamped, the edges stay non-decreasing, as
+        # _rng._categorical needs, and no uniform in [0, 1) moves
+        cumulative = np.minimum(np.cumsum(np.asarray(weights, dtype=np.float64)), 1.0)
         cumulative[-1] = 1.0
         self._cumulative = cumulative
         # per-atom (free letters, acting increment or None when trivial)
@@ -247,8 +254,8 @@ class StepMeasure:
         return -math.fsum(w * math.log(w) for w in self.weights)
 
     def draw_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n atom indices from one pre-drawn uniform block."""
-        return np.searchsorted(self._cumulative, rng.random(n), side="right")
+        """n atom indices from one pre-drawn uniform block, in ``index_blocks``' dtype."""
+        return _categorical(self._cumulative, rng.random(n))
 
     def __repr__(self) -> str:
         return f"StepMeasure({len(self.atoms)} atoms on {self.acting!r})"

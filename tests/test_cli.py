@@ -723,6 +723,42 @@ def test_poisson_rejects_non_finite_function_values(tmp_path, capsys, value):
     assert "must be finite" in err
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_poisson_prints_strict_json_from_one_ray(capsys):
+    # one resolved ray has no standard error, and no residual a ratio to it
+    code = main(["poisson", "--config", "fixture:srw-f2", "--n-samples", "1",
+                 "--n-steps", "50", "--seed", "1", "--radius", "1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    payload = json.loads(out, parse_constant=reject_constant)
+    assert payload["n_rays"] == 1
+    assert payload["stderr_at_identity"] is None
+    assert payload["max_residual_se"] is None
+    assert payload["max_residual"] == 0.25
+
+
+def test_poisson_csv_leaves_undefined_stderrs_empty(capsys):
+    code = main(["poisson", "--config", "fixture:srw-f2", "--n-samples", "1",
+                 "--n-steps", "50", "--seed", "1", "--radius", "1", "--format", "csv"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[0] == "element_w,element_p,residual,stderr_correlated,stderr_combined"
+    assert lines[2] == "a,0,0.25,,"
+    assert all(line.endswith(",,") for line in lines[1:])
+
+
+def test_poisson_from_two_rays_keeps_its_numbers(capsys):
+    code = main(["poisson", "--config", "fixture:srw-f2", "--n-samples", "2",
+                 "--n-steps", "50", "--seed", "1", "--radius", "1"])
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    assert code == 0 and payload["n_rays"] == 2
+    assert isinstance(payload["stderr_at_identity"], float)
+    assert isinstance(payload["max_residual_se"], float)
+
+
 def test_poisson_rejects_too_shallow_sampling(capsys):
     code = main(["poisson", "--config", "fixture:srw-f2", "--depth", "0",
                  "--n-samples", "10", "--n-steps", "10"])

@@ -114,6 +114,15 @@ def test_residuals_are_small_in_combined_units(srw_measure, srw_rays):
     assert report.max_residual_se <= 4.0
 
 
+def test_one_sample_leaves_the_residual_ratio_undefined(srw_measure, srw_rays):
+    acting = srw_measure.acting
+    fn = indicator_a()
+    assert poisson_eval(acting, fn, ext_identity(acting), srw_rays[:1]).stderr == math.inf
+    report = harmonicity_residual(srw_measure, fn, srw_rays[:1], ball(acting, 1))
+    assert report.max_residual > 0.0
+    assert math.isnan(report.max_residual_se)
+
+
 def test_point_mass_residual_is_a_difference(srw_rays):
     acting = ActingGroup.trivial(2)
     b0 = ExtElement(Word.parse(2, "b"), acting.identity_part())

@@ -1,5 +1,6 @@
 """Batched path draws: exact agreement with per-item SeedSequence streams."""
 
+import math
 import os
 import subprocess
 import sys
@@ -12,8 +13,15 @@ from hypothesis import example, given, settings, strategies as st
 
 import walkbound
 from walkbound import ConfigError, _rng
-from walkbound._rng import BLOCK, HEAD, MAX_INDEX, derived_rng, index_blocks, philox_keys
+from walkbound._rng import (
+    BLOCK, COUNT_ATOMS, HEAD, MAX_INDEX, _categorical, derived_rng, index_blocks, philox_keys,
+)
 from walkbound.cli import main
+from walkbound.config import build_measure
+from walkbound.fixtures import load_fixture
+from walkbound.groups import ActingGroup, ExtElement
+from walkbound.walk import StepMeasure
+from walkbound.words import Word
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 1)
 # a categorical law with unequal cells, as a step measure's cumulative weights
@@ -131,6 +139,126 @@ def test_index_blocks_widen_past_255_atoms():
         drawn = np.concatenate(blocks)
         np.testing.assert_array_equal(drawn, expected)
         assert drawn.max() == atoms - 1
+
+
+def assert_categorical_is_searchsorted(cumulative, uniforms, dtype):
+    """``_categorical`` fills an ``out`` of junk with ``searchsorted(..., side="right")``."""
+    expected = np.searchsorted(cumulative, uniforms, side="right")
+    # junk where the indices go: the kernel must not count on top of it
+    out = np.full(uniforms.shape, 0xA5, dtype=dtype)
+    assert _categorical(cumulative, uniforms, out) is out
+    np.testing.assert_array_equal(out, expected)
+    default = _categorical(cumulative, uniforms)
+    assert default.dtype == np.min_scalar_type(len(cumulative))
+    np.testing.assert_array_equal(default, expected)
+
+
+def step_cumulative(weights):
+    """Cumulative weights as ``StepMeasure`` builds them: cumsum clamped and pinned to 1."""
+    cumulative = np.minimum(np.cumsum(np.asarray(weights) / math.fsum(weights)), 1.0)
+    cumulative[-1] = 1.0
+    return cumulative
+
+
+@st.composite
+def categorical_cases(draw):
+    # atom counts below, at and past COUNT_ATOMS, up to two index bytes
+    k = draw(st.one_of(
+        st.integers(1, 12), st.sampled_from((COUNT_ATOMS, COUNT_ATOMS + 1, 255, 256, 300))
+    ))
+    # weights far below an ulp of the running sum leave an edge equal to the
+    # one before it
+    weight = st.one_of(st.floats(1e-3, 1.0), st.sampled_from((1e-30, 1e-17)))
+    weights = draw(st.lists(weight, min_size=k, max_size=k))
+    cumulative = step_cumulative(weights)
+    # the edges themselves and their neighbours, 0, and uniforms from a stream
+    picked = draw(st.lists(st.integers(0, k - 1), max_size=20))
+    edges = cumulative[picked]
+    side = draw(st.sampled_from((-np.inf, np.inf)))
+    uniforms = np.concatenate([
+        edges, np.nextafter(edges, side), [0.0],
+        derived_rng(draw(st.integers(0, 2**32)), 0, 0).random(draw(st.integers(0, 40))),
+    ])
+    dtype = draw(st.sampled_from(
+        [d for d in (np.uint8, np.uint16, np.intp) if np.iinfo(d).max >= k]
+    ))
+    return cumulative, uniforms, dtype
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=categorical_cases())
+def test_categorical_equals_searchsorted_property(case):
+    assert_categorical_is_searchsorted(*case)
+
+
+@pytest.mark.parametrize("k", (1, 2, COUNT_ATOMS - 1, COUNT_ATOMS, COUNT_ATOMS + 1, 255, 256))
+def test_categorical_at_every_edge_on_both_sides_of_the_cut(k):
+    cumulative = step_cumulative(np.arange(1, k + 1, dtype=np.float64))
+    # every edge exactly, the floats on either side of it, and the ends of [0, 1)
+    uniforms = np.concatenate([
+        cumulative, np.nextafter(cumulative, 0.0), np.nextafter(cumulative, 2.0),
+        [0.0, np.nextafter(1.0, 0.0)],
+    ])
+    for dtype in (np.uint8, np.uint16):
+        if np.iinfo(dtype).max >= k:
+            assert_categorical_is_searchsorted(cumulative, uniforms, dtype)
+
+
+def test_categorical_counts_repeated_edges_as_searchsorted_does():
+    # the middle weights are too small to move the cumulative sum, so several
+    # edges are equal; a uniform on that edge lands past all of them
+    cumulative = step_cumulative([0.5, 1e-30, 1e-30, 0.25, 1e-30, 0.25])
+    assert cumulative[0] == cumulative[1] == cumulative[2]
+    uniforms = np.array([0.0, 0.25, cumulative[0], np.nextafter(cumulative[0], 0.0),
+                         cumulative[3], cumulative[4], 0.9])
+    assert_categorical_is_searchsorted(cumulative, uniforms, np.uint8)
+    assert _categorical(cumulative, uniforms).tolist() == [0, 0, 3, 0, 5, 5, 5]
+
+
+@pytest.mark.parametrize("k", (4, COUNT_ATOMS + 1))
+def test_categorical_reads_non_contiguous_uniform_blocks(k):
+    # strided and transposed views of the vectorized pass's (rows, h) uniforms
+    uniforms = _rng._head_uniforms(philox_keys(5, 0, 0, 64), HEAD)
+    cumulative = step_cumulative(np.linspace(1.0, 2.0, k))
+    for view in (uniforms[:, ::3], uniforms[::2, 1:], uniforms.T, uniforms[::-1, ::-2]):
+        assert not view.flags.c_contiguous
+        for dtype in (np.uint8, np.uint16):
+            assert_categorical_is_searchsorted(cumulative, view, dtype)
+        # into a strided slice of a bigger block
+        block = np.zeros((2 * view.shape[0], view.shape[1]), dtype=np.uint8)
+        _categorical(cumulative, view, block[::2])
+        np.testing.assert_array_equal(
+            block[::2], np.searchsorted(cumulative, view, side="right")
+        )
+        assert not block[1::2].any()
+
+
+def test_step_measure_edges_stay_sorted_when_weights_sum_past_one():
+    # within the weight-sum tolerance the cumulative sum passes 1 before its
+    # last edge, which is pinned to 1; the clamped edges give every uniform
+    # in [0, 1) the index the unclamped ones did
+    acting = ActingGroup.trivial(2)
+    atoms = [ExtElement(Word.parse(2, text), acting.identity_part()) for text in ("a", "b", "A")]
+    weights = [0.5, 0.5 + 5e-10, 1e-10]
+    measure = StepMeasure(acting, atoms, weights, check_generation=False)
+    assert np.all(np.diff(measure._cumulative) >= 0)
+    unclamped = np.cumsum(weights)
+    unclamped[-1] = 1.0
+    assert unclamped[1] > unclamped[2]
+    uniforms = np.concatenate([derived_rng(4, 1).random(1000), [0.5, np.nextafter(1.0, 0.0)]])
+    np.testing.assert_array_equal(
+        _categorical(measure._cumulative, uniforms),
+        np.searchsorted(unclamped, uniforms, side="right"),
+    )
+
+
+def test_draw_indices_equal_searchsorted():
+    # a step measure's own draws go through _categorical too
+    measure = build_measure(load_fixture("semidirect-mixed"))
+    drawn = measure.draw_indices(derived_rng(3, 1), 500)
+    expected = np.searchsorted(measure._cumulative, derived_rng(3, 1).random(500), side="right")
+    np.testing.assert_array_equal(drawn, expected)
+    assert drawn.dtype == np.uint8
 
 
 def test_last_representable_index_is_exact():
